@@ -36,7 +36,6 @@ def main() -> None:
     ap.add_argument("--reps", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--cd", choices=("t", "z"), default="z")
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -48,7 +47,7 @@ def main() -> None:
             model="univariate-normal", true_mean=0.0, region=parse_region(text),
             n=args.n, reps=args.reps, method=method, cd=args.cd, seed=args.seed,
         )
-        report = run_experiment(spec, threads=args.threads)
+        report = run_experiment(spec)
         stem = f"{name}_{method}"
         write_qq_csv(report, args.out_dir / f"{stem}.csv")
         payload = {"case": name, "region": text, "method": method,

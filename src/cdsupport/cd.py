@@ -40,13 +40,16 @@ class ConfidenceDistribution:
     """Immutable distribution estimator of a scalar parameter."""
 
     kind: str  # "exact-t" | "asymptotic-normal" | "bootstrap-empirical"
-    center: float
-    scale: float
+    center: float | np.ndarray  # an array makes one object stand for a block of CDs
+    scale: float | np.ndarray
     df: int | None = None
     grid: np.ndarray | None = field(default=None, repr=False)
 
     def cdf(self, theta):
-        """C.d.f. at ``theta`` (scalar or array); defined on the extended reals."""
+        """C.d.f. at ``theta`` (scalar or array); defined on the extended reals.
+
+        ``theta`` broadcasts against an array ``center``/``scale``.
+        """
         th = np.asarray(theta, dtype=float)
         if np.isnan(th).any():
             raise ValueError("cdf argument must not be NaN")
@@ -56,7 +59,7 @@ class ConfidenceDistribution:
             out = special.ndtr((th - self.center) / self.scale)
         else:
             out = self._bootstrap_cdf(th)
-        return float(out) if np.isscalar(theta) or th.ndim == 0 else out
+        return float(out) if np.ndim(out) == 0 else out
 
     def pdf(self, theta):
         """CD density at ``theta``; only the exact kinds carry a density."""
@@ -75,7 +78,7 @@ class ConfidenceDistribution:
         else:
             raise ValueError(f"{self.kind} CD has no evaluable density")
         out = np.where(np.isinf(th), 0.0, out)
-        return float(out) if np.isscalar(theta) or th.ndim == 0 else out
+        return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, p):
         """Inverse c.d.f.; ``p`` must lie strictly inside (0, 1)."""
@@ -129,26 +132,40 @@ class ConfidenceDistribution:
         return 0.5 * (lo + hi)
 
 
-def make_student_t_cd(n: int, mean: float, sd: float) -> ConfidenceDistribution:
-    """Exact Student-t CD of a normal mean from (n, sample mean, sample sd)."""
+def _location_scale(n: int, mean, sd) -> tuple:
+    """(center, scale) as floats, or as arrays when ``mean`` or ``sd`` is one."""
+    if isinstance(mean, np.ndarray) or isinstance(sd, np.ndarray):
+        mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
+        positive = (sd > 0.0).all()
+    else:
+        mean, sd = float(mean), float(sd)
+        positive = sd > 0.0
+    if not positive:
+        raise ValueError(f"sample sd must be positive, got {sd}")
+    return mean, sd / math.sqrt(n)
+
+
+def make_student_t_cd(n: int, mean, sd) -> ConfidenceDistribution:
+    """Exact Student-t CD of a normal mean from (n, sample mean, sample sd).
+
+    Array ``mean`` and ``sd`` give one CD object for a block of samples of
+    the same size.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2 for a Student-t CD, got n={n}")
-    if not sd > 0.0:
-        raise ValueError(f"sample sd must be positive, got {sd}")
-    return ConfidenceDistribution(
-        kind="exact-t", center=float(mean), scale=float(sd) / math.sqrt(n), df=n - 1
-    )
+    center, scale = _location_scale(n, mean, sd)
+    return ConfidenceDistribution(kind="exact-t", center=center, scale=scale, df=n - 1)
 
 
-def make_asymptotic_normal_cd(n: int, mean: float, sd: float) -> ConfidenceDistribution:
-    """Large-sample normal CD: Phi(sqrt(n) * (theta - mean) / sd)."""
+def make_asymptotic_normal_cd(n: int, mean, sd) -> ConfidenceDistribution:
+    """Large-sample normal CD: Phi(sqrt(n) * (theta - mean) / sd).
+
+    Array ``mean`` and ``sd`` give one CD object for a block of samples.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    if not sd > 0.0:
-        raise ValueError(f"sample sd must be positive, got {sd}")
-    return ConfidenceDistribution(
-        kind="asymptotic-normal", center=float(mean), scale=float(sd) / math.sqrt(n)
-    )
+    center, scale = _location_scale(n, mean, sd)
+    return ConfidenceDistribution(kind="asymptotic-normal", center=center, scale=scale)
 
 
 def make_bootstrap_cd(sample, reps: int, seed) -> ConfidenceDistribution:

@@ -39,6 +39,7 @@ from .simulate import PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
 
 SCHEMA_VERSION = 1
 
+# CLI token -> support.METHODS name
 METHOD_TOKENS = {
     "full": "full",
     "direct": "direct",
@@ -190,17 +191,9 @@ def cmd_pval(args) -> dict:
     else:
         cd = make_bootstrap_cd(sample, args.boot_reps, seed=args.seed)
     method = METHOD_TOKENS[args.method]
-    rep = support.p_value(cd, region)
-    if method == "full":
-        p = rep.p
-    elif method == "direct":
-        p = support.direct_support(cd, region)
-    elif method == "max-direct":
-        p = support.max_direct_p(cd, region)
-    elif method == "p-star":
-        p = support.p_star(cd, region)
-    else:
-        p = support.p_max_uni(cd, region)
+    table = support.support_table(cd, region)
+    pieces = table.pieces()
+    p = support.METHODS[method](table).item()
     report = {
         "schema": SCHEMA_VERSION,
         "command": "pval",
@@ -222,13 +215,13 @@ def cmd_pval(args) -> dict:
                 "indirect": ps.indirect,
                 "full": ps.full,
             }
-            for ps in rep.pieces
+            for ps in pieces
         ],
-        "p": float(p),
+        "p": p,
         "method": method,
     }
     if method == "direct":
-        narrow = [ps.piece for ps in rep.pieces if ps.piece.width < 2.0 * cd.scale]
+        narrow = [ps.piece for ps in pieces if ps.piece.width < 2.0 * cd.scale]
         if narrow:
             caution = (
                 "direct support underestimates evidence on pieces narrower than "
@@ -445,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cd", choices=("t", "z", "bootstrap"), default="t")
     p.add_argument("--depth", choices=("mahalanobis", "simplicial"), default="simplicial")
     p.add_argument("--boot-reps", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for bivariate runs; univariate runs are batched")
     p.add_argument("--qq-out", help="QQ CSV path (default: <out>.qq.csv)")
     p.set_defaults(fn=cmd_simulate)
     return parser

@@ -39,7 +39,6 @@ class BootstrapCloud:
 
     points: np.ndarray
     seed: object
-    statistic: str = "mean-vector"
     source_shape: tuple[int, int] = (0, 0)
 
     @property

@@ -1,8 +1,18 @@
 """Monte Carlo harness: simulate data under a configured truth, compute the
 chosen p-value mapping per replication, and summarize uniformity.
 
-Replication r of a run draws its random stream from (master seed, r), so
+Replication r of a run draws its random stream from (master seed, r, 0), so
 reports are bit-identical for any worker-thread count and any schedule.
+
+Univariate runs are batched: a block of replications is drawn into one
+(block, n) array, each row from its replication's own stream, and a single
+CD with array center and scale feeds the support kernel for the whole block.
+A block holds at most ``BLOCK_FLOATS`` sample values, so memory stays
+bounded as ``reps`` grows.  The bootstrap CD, whose grid differs per
+replication, is still built per replication.  The ``threads`` argument
+applies to bivariate runs only; univariate runs stay on the calling thread.
+A failure inside a replication raises a ``ValueError`` naming the
+replication and its seed tuple.
 """
 
 from __future__ import annotations
@@ -33,7 +43,10 @@ PART2_COV = np.array([[1.0, 0.8], [0.8, 4.0]])
 
 ALPHA_GRID = (0.01, 0.05, 0.10)
 
-UNIVARIATE_METHODS = ("full", "direct", "max-direct", "p-star", "p-max")
+# sample values held at once by one block of univariate replications (8 MB)
+BLOCK_FLOATS = 1 << 20
+
+UNIVARIATE_METHODS = tuple(support.METHODS)
 MULTI_METHODS = ("multi", "multi-max")
 
 
@@ -138,44 +151,72 @@ def parallel_map_indexed(fn, count: int, threads: int) -> list:
     return out
 
 
-def _univariate_p(spec: ExperimentSpec, rep: int) -> float:
-    rng = np.random.default_rng([spec.seed, rep, 0])
-    y = spec.true_mean + spec.sd * rng.standard_normal(spec.n)
-    mean, sd = float(y.mean()), float(y.std(ddof=1))
-    if spec.cd == "t":
-        cd = make_student_t_cd(spec.n, mean, sd)
-    elif spec.cd == "z":
-        cd = make_asymptotic_normal_cd(spec.n, mean, sd)
-    else:
-        cd = make_bootstrap_cd(y, spec.boot_m, seed=[spec.seed, rep, 1])
-    if spec.method == "full":
-        return support.p_value(cd, spec.region).p
-    if spec.method == "direct":
-        return support.direct_support(cd, spec.region)
-    if spec.method == "max-direct":
-        return support.max_direct_p(cd, spec.region)
-    if spec.method == "p-star":
-        return support.p_star(cd, spec.region)
-    return support.p_max_uni(cd, spec.region)
+def _replication_error(spec: ExperimentSpec, rep: int, exc: ValueError) -> ValueError:
+    return ValueError(f"replication rep={rep} with seed ({spec.seed}, {rep}, 0) failed: {exc}")
+
+
+def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
+    """P-values of replications ``reps``, each drawn from its own stream."""
+    y = np.empty((len(reps), spec.n))
+    for row, r in zip(y, reps):
+        np.random.default_rng([spec.seed, r, 0]).standard_normal(out=row)
+    y *= spec.sd
+    y += spec.true_mean
+    mapping = support.METHODS[spec.method]
+    if spec.cd == "bootstrap":
+        return np.array([
+            mapping(support.support_table(
+                make_bootstrap_cd(row, spec.boot_m, seed=[spec.seed, r, 1]), spec.region
+            )).item()
+            for row, r in zip(y, reps)
+        ])
+    make_cd = make_student_t_cd if spec.cd == "t" else make_asymptotic_normal_cd
+    cd = make_cd(spec.n, y.mean(axis=1), y.std(axis=1, ddof=1))
+    return mapping(support.support_table(cd, spec.region))
+
+
+def _univariate_pvalues(spec: ExperimentSpec) -> np.ndarray:
+    block = max(1, BLOCK_FLOATS // spec.n)
+    out = np.empty(spec.reps)
+    for start in range(0, spec.reps, block):
+        reps = range(start, min(start + block, spec.reps))
+        try:
+            out[reps.start:reps.stop] = _univariate_block(spec, reps)
+        except ValueError:
+            # rerun the block one replication at a time to name the failing one
+            for r in reps:
+                try:
+                    _univariate_block(spec, range(r, r + 1))
+                except ValueError as exc:
+                    raise _replication_error(spec, r, exc) from exc
+            raise
+    return out
 
 
 def _bivariate_p(spec: ExperimentSpec, rep: int, chol: np.ndarray) -> float:
-    rng = np.random.default_rng([spec.seed, rep, 0])
-    data = spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T
-    cloud = bootstrap_cloud(data, spec.boot_m, seed=[spec.seed, rep, 1])
-    if spec.method == "multi":
-        return p_multi(cloud, spec.depth, spec.region).p
-    return p_multi_max(cloud, spec.depth, spec.region).p
+    try:
+        rng = np.random.default_rng([spec.seed, rep, 0])
+        data = spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T
+        cloud = bootstrap_cloud(data, spec.boot_m, seed=[spec.seed, rep, 1])
+        if spec.method == "multi":
+            return p_multi(cloud, spec.depth, spec.region).p
+        return p_multi_max(cloud, spec.depth, spec.region).p
+    except ValueError as exc:
+        raise _replication_error(spec, rep, exc) from exc
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> UniformityReport:
-    """Run all replications and assemble the uniformity report."""
+    """Run all replications and assemble the uniformity report.
+
+    ``threads`` is the worker count for bivariate runs; univariate runs are
+    batched on the calling thread and ignore it.
+    """
     if spec.model == "univariate-normal":
-        fn = lambda r: _univariate_p(spec, r)
+        pvals = _univariate_pvalues(spec)
     else:
         chol = np.linalg.cholesky(spec.cov)
         fn = lambda r: _bivariate_p(spec, r, chol)
-    pvals = np.array(parallel_map_indexed(fn, spec.reps, threads), dtype=float)
+        pvals = np.array(parallel_map_indexed(fn, spec.reps, threads), dtype=float)
     pvals.sort()
     uq = (np.arange(1, spec.reps + 1) - 0.5) / spec.reps
     rates = {a: float((pvals <= a).mean()) for a in ALPHA_GRID}

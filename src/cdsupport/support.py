@@ -11,6 +11,12 @@ size control against power:
 * ``p_star``      -- largest minus second-largest per-piece full support,
 * ``p_max_uni``   -- max of the whole-region direct support and the
                      indirect supports at the finite boundary points.
+
+Every mapping reads one :class:`SupportTable`, built from a single ``cdf``
+call on the vector of piece endpoints.  A CD whose center and scale are
+arrays stands for a block of CDs; its table has one column per CD, so the
+Monte Carlo harness and the scalar calls share this one code path.
+``METHODS`` names the mappings for the CLI and the harness.
 """
 
 from __future__ import annotations
@@ -18,12 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cd import ConfidenceDistribution
 from .regions import Interval, NullRegion
 
 __all__ = [
     "PieceSupport",
     "SupportReport",
+    "SupportTable",
+    "METHODS",
+    "support_table",
     "direct_support",
     "indirect_support",
     "weighted_indirect",
@@ -58,40 +69,97 @@ class SupportReport:
         return [ps.full for ps in self.pieces]
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+def _clamp01(x):
+    return np.minimum(np.maximum(x, 0.0), 1.0)
 
 
-def _piece_direct(cd: ConfidenceDistribution, piece: Interval) -> float:
-    if piece.is_singleton:
-        return 0.0
-    return _clamp01(cd.cdf(piece.hi) - cd.cdf(piece.lo))
+@dataclass(frozen=True, eq=False)
+class SupportTable:
+    """Per-piece supports of a region under a CD or a block of CDs.
+
+    Arrays have one row per piece (``tail`` one row per endpoint: lo_0, hi_0,
+    lo_1, ...) and one column per CD of the block.
+    """
+
+    region: NullRegion
+    tail: np.ndarray      # doubled smaller tail mass 2 min(H, 1 - H) at each endpoint
+    direct: np.ndarray
+    indirect: np.ndarray
+    full: np.ndarray
+
+    def pieces(self) -> tuple[PieceSupport, ...]:
+        """Per-piece supports of a single-CD table, as Python floats."""
+        cols = zip(self.direct[:, 0].tolist(), self.indirect[:, 0].tolist(),
+                   self.full[:, 0].tolist())
+        return tuple(PieceSupport(pc, d, i, f) for pc, (d, i, f) in zip(self.region.pieces, cols))
 
 
-def _tail_curve(cd: ConfidenceDistribution, theta: float) -> float:
-    h = cd.cdf(theta)
-    return 2.0 * min(h, 1.0 - h)
-
-
-def _piece_indirect(cd: ConfidenceDistribution, piece: Interval) -> float:
+def support_table(cd: ConfidenceDistribution, region: NullRegion) -> SupportTable:
+    """All per-piece supports from one ``cdf`` call at the piece endpoints."""
+    ends = np.array([[e] for pc in region.pieces for e in (pc.lo, pc.hi)])
+    h = cd.cdf(ends)
+    tail = 2.0 * np.minimum(h, 1.0 - h)
+    # a singleton's two endpoints coincide, so its direct mass is exactly 0;
     # the doubled-tail curve is unimodal for a monotone cdf, so its infimum
-    # over a closed interval sits at an endpoint; infinite endpoints drive
-    # the tail (and hence the infimum) to zero
-    if math.isinf(piece.lo) or math.isinf(piece.hi):
-        return 0.0
-    if piece.is_singleton:
-        return _clamp01(_tail_curve(cd, piece.lo))
-    return _clamp01(min(_tail_curve(cd, piece.lo), _tail_curve(cd, piece.hi)))
+    # over a closed piece sits at an endpoint, and an infinite endpoint
+    # (where H is exactly 0 or 1) drives it to zero
+    direct = _clamp01(h[1::2] - h[0::2])
+    indirect = _clamp01(np.minimum(tail[0::2], tail[1::2]))
+    return SupportTable(region=region, tail=tail, direct=direct, indirect=indirect,
+                        full=_clamp01(direct + indirect))
+
+
+def _max_full(t: SupportTable) -> np.ndarray:
+    return t.full.max(axis=0)
+
+
+def _direct_total(t: SupportTable) -> np.ndarray:
+    # the built-in sum adds pieces in order, as a scalar sum over pieces does
+    return _clamp01(sum(t.direct))
+
+
+def _max_direct(t: SupportTable) -> np.ndarray:
+    return t.direct.max(axis=0)
+
+
+def _p_star(t: SupportTable) -> np.ndarray:
+    if t.full.shape[0] == 1:
+        return t.full[0]
+    top = np.sort(t.full, axis=0)
+    return _clamp01(top[-1] - top[-2])
+
+
+def _p_max(t: SupportTable) -> np.ndarray:
+    direct = _direct_total(t)
+    ends = (e for pc in t.region.pieces for e in (pc.lo, pc.hi))
+    finite = [k for k, e in enumerate(ends) if math.isfinite(e)]
+    if not finite:
+        return direct
+    return np.maximum(direct, _clamp01(t.tail[finite]).max(axis=0))
+
+
+# mapping name -> p-values (one per CD of the table's block)
+METHODS = {
+    "full": _max_full,
+    "direct": _direct_total,
+    "max-direct": _max_direct,
+    "p-star": _p_star,
+    "p-max": _p_max,
+}
+
+
+def _scalar(method: str, cd: ConfidenceDistribution, region: NullRegion) -> float:
+    return METHODS[method](support_table(cd, region)).item()
 
 
 def direct_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """CD mass assigned to the whole region (sum over pieces)."""
-    return _clamp01(sum(_piece_direct(cd, p) for p in region.pieces))
+    return _scalar("direct", cd, region)
 
 
 def indirect_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """Infimum over the region of twice the smaller tail mass."""
-    return min(_piece_indirect(cd, p) for p in region.pieces)
+    return support_table(cd, region).indirect.min(axis=0).item()
 
 
 def weighted_indirect(cd: ConfidenceDistribution, theta0: float, gamma: float) -> float:
@@ -99,7 +167,7 @@ def weighted_indirect(cd: ConfidenceDistribution, theta0: float, gamma: float) -
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie strictly inside (0, 1), got {gamma}")
     h = cd.cdf(theta0)
-    return _clamp01(min(h / gamma, (1.0 - h) / (1.0 - gamma)))
+    return float(_clamp01(min(h / gamma, (1.0 - h) / (1.0 - gamma))))
 
 
 def extended_indirect_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
@@ -116,36 +184,23 @@ def extended_indirect_support(cd: ConfidenceDistribution, region: NullRegion) ->
         if math.isinf(piece.lo) or math.isinf(piece.hi):
             return 0.0
         reach = max(reach, abs(piece.lo - cd.center), abs(piece.hi - cd.center))
-    return _clamp01(cd.cdf(cd.center - reach) + (1.0 - cd.cdf(cd.center + reach)))
+    return float(_clamp01(cd.cdf(cd.center - reach) + (1.0 - cd.cdf(cd.center + reach))))
 
 
 def full_support(cd: ConfidenceDistribution, piece: Interval) -> float:
     """Direct plus indirect support of a single piece, clamped to [0, 1]."""
-    return _clamp01(_piece_direct(cd, piece) + _piece_indirect(cd, piece))
-
-
-def _report(cd: ConfidenceDistribution, region: NullRegion, p: float, rule: str) -> SupportReport:
-    pieces = tuple(
-        PieceSupport(
-            piece=pc,
-            direct=_piece_direct(cd, pc),
-            indirect=_piece_indirect(cd, pc),
-            full=full_support(cd, pc),
-        )
-        for pc in region.pieces
-    )
-    return SupportReport(pieces=pieces, p=_clamp01(p), rule=rule)
+    return support_table(cd, NullRegion((piece,))).full.item()
 
 
 def p_value(cd: ConfidenceDistribution, region: NullRegion) -> SupportReport:
     """Union p-value: the largest per-piece full support."""
-    p = max(full_support(cd, pc) for pc in region.pieces)
-    return _report(cd, region, p, "max-full")
+    table = support_table(cd, region)
+    return SupportReport(pieces=table.pieces(), p=_max_full(table).item(), rule="max-full")
 
 
 def max_direct_p(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """Power-oriented variant: the largest per-piece direct support."""
-    return max(_piece_direct(cd, pc) for pc in region.pieces)
+    return _scalar("max-direct", cd, region)
 
 
 def p_star(cd: ConfidenceDistribution, region: NullRegion) -> float:
@@ -155,10 +210,7 @@ def p_star(cd: ConfidenceDistribution, region: NullRegion) -> float:
     statistic is taken as zero), so the mapping is total and coincides with
     :func:`p_value` there.
     """
-    fulls = sorted((full_support(cd, pc) for pc in region.pieces), reverse=True)
-    if len(fulls) == 1:
-        return fulls[0]
-    return _clamp01(fulls[0] - fulls[1])
+    return _scalar("p-star", cd, region)
 
 
 def p_max_uni(cd: ConfidenceDistribution, region: NullRegion) -> float:
@@ -168,11 +220,7 @@ def p_max_uni(cd: ConfidenceDistribution, region: NullRegion) -> float:
     Falls back to the direct support alone when the region has no finite
     endpoint (the whole line).
     """
-    sd = direct_support(cd, region)
-    boundary = region.boundary_points()
-    if not boundary:
-        return sd
-    return max(sd, max(_clamp01(_tail_curve(cd, v)) for v in boundary))
+    return _scalar("p-max", cd, region)
 
 
 def bioeq_cd(
