@@ -11,9 +11,10 @@ sampling.  Three kinds are provided:
 * ``bootstrap-empirical`` -- piecewise-linear c.d.f. interpolated through the
                             order statistics of resampled means.
 
-All evaluation is done through the object's own ``cdf``; quantiles are
-obtained by bracketed root finding on that same ``cdf`` so the pair is
-internally consistent to ~1e-12 in probability.
+All evaluation is done through the object's own ``cdf``.  Quantiles of the
+exact kinds are the closed-form inverses ``center + scale * stdtrit(df, p)``
+and ``center + scale * ndtri(p)``, which agree with that ``cdf`` to about
+1e-13 in probability.
 """
 
 from __future__ import annotations
@@ -30,10 +31,6 @@ __all__ = [
     "make_asymptotic_normal_cd",
     "make_bootstrap_cd",
 ]
-
-# |cdf(quantile(p)) - p| after inversion
-QUANTILE_TOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class ConfidenceDistribution:
@@ -85,13 +82,13 @@ class ConfidenceDistribution:
         ps = np.asarray(p, dtype=float)
         if np.any(ps <= 0.0) or np.any(ps >= 1.0):
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        if self.kind == "bootstrap-empirical":
-            levels = np.linspace(0.0, 1.0, self.grid.size)
-            out = np.interp(ps, levels, self.grid)
-            return float(out) if np.isscalar(p) or ps.ndim == 0 else out
-        if ps.ndim == 0:
-            return self._invert_exact(float(ps))
-        return np.array([self._invert_exact(float(q)) for q in ps.ravel()]).reshape(ps.shape)
+        if self.kind == "exact-t":
+            out = self.center + self.scale * special.stdtrit(self.df, ps)
+        elif self.kind == "asymptotic-normal":
+            out = self.center + self.scale * special.ndtri(ps)
+        else:
+            out = np.interp(ps, np.linspace(0.0, 1.0, self.grid.size), self.grid)
+        return float(out) if np.ndim(out) == 0 else out
 
     # -- internals ---------------------------------------------------------
 
@@ -100,36 +97,6 @@ class ConfidenceDistribution:
         out = np.interp(th, self.grid, levels)
         # interp clamps outside the knot range, which is exactly the 0/1 tails
         return out
-
-    def _invert_exact(self, p: float) -> float:
-        if self.kind == "exact-t":
-            guess = self.center + self.scale * float(special.stdtrit(self.df, p))
-        else:
-            guess = self.center + self.scale * float(special.ndtri(p))
-        f = lambda th: self.cdf(th) - p
-        fg = f(guess)
-        if abs(fg) <= QUANTILE_TOL:
-            return guess
-        # bracket around the (already excellent) starting point, then bisect
-        step = max(abs(guess), self.scale, 1.0) * 1e-12
-        lo, hi = guess - step, guess + step
-        while f(lo) > 0.0:
-            step *= 8.0
-            lo = guess - step
-        step = max(abs(guess), self.scale, 1.0) * 1e-12
-        while f(hi) < 0.0:
-            step *= 8.0
-            hi = guess + step
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = f(mid)
-            if abs(fm) <= QUANTILE_TOL or not (lo < mid < hi):
-                return mid
-            if fm < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
 
 def _location_scale(n: int, mean, sd) -> tuple:

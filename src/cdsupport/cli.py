@@ -24,7 +24,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import bootstrap_cloud, depth_of, p_multi
+from .depth import bootstrap_cloud, depth_of, p_multi, p_multi_max
 from .regions import (
     Halfspace,
     NullRegion,
@@ -237,22 +237,14 @@ def cmd_pval2d(args) -> dict:
     region, _ = load_region_config(args.config)
     try:
         cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
-        depths = _chunked_depths(cloud, args.depth, args.threads)
-        base = p_multi(cloud, args.depth, region, _depths=depths)
-        result = {
-            "m": cloud.m,
-            "depth": args.depth,
-            "esp": base.esp,
-            "tail": base.tail,
-            "depth_floor": base.depth_floor,
-            "floor_source": base.floor_source,
-            "p_multi": base.p,
-        }
+        depths = depth_of(cloud, cloud.points, args.depth, threads=args.threads)
         if region.corners.size:
-            corner_depths = depth_of(cloud, region.corners, args.depth)
-            corner_p = [float((depths <= d).mean()) for d in corner_depths]
-            result["corner_p"] = corner_p
-            result["p_max"] = max([base.p] + corner_p)
+            top = p_multi_max(cloud, args.depth, region, _depths=depths)
+            base = top.base
+            extra = {"corner_p": list(top.corner_p), "p_max": top.p}
+        else:
+            base = p_multi(cloud, args.depth, region, _depths=depths)
+            extra = {}
     except ValueError as exc:
         raise CliError("validation", str(exc)) from None
     return {
@@ -266,36 +258,23 @@ def cmd_pval2d(args) -> dict:
             "seed": args.seed,
         },
         "n": int(data.shape[0]),
-        **result,
+        "m": cloud.m,
+        "depth": args.depth,
+        "esp": base.esp,
+        "tail": base.tail,
+        "depth_floor": base.depth_floor,
+        "floor_source": base.floor_source,
+        "p_multi": base.p,
+        **extra,
     }
-
-
-def _chunked_depths(cloud, kind: str, threads: int) -> np.ndarray:
-    """Replicate depths computed in fixed chunks; identical for any thread count."""
-    from .simulate import parallel_map_indexed
-
-    pts = cloud.points
-    chunk = 256
-    starts = list(range(0, pts.shape[0], chunk))
-    parts = parallel_map_indexed(
-        lambda i: depth_of(cloud, pts[starts[i]: starts[i] + chunk], kind),
-        len(starts),
-        threads,
-    )
-    return np.concatenate(parts)
 
 
 def cmd_bioeq(args) -> dict:
     try:
         cd = support.bioeq_cd(args.n1, args.n2, args.mean_t, args.mean_r, args.var_d)
-        if not args.lower < args.upper:
-            raise ValueError(
-                f"equivalence limits must satisfy lower < upper, got [{args.lower}, {args.upper}]"
-            )
+        lower_tail, upper_tail = support.bioeq_tails(cd, args.lower, args.upper)
     except ValueError as exc:
         raise CliError("validation", str(exc)) from None
-    lower_tail = float(cd.cdf(args.lower))
-    upper_tail = float(1.0 - cd.cdf(args.upper))
     p = max(lower_tail, upper_tail)
     alphas = _parse_vector(args.alphas, "--alphas")
     return {
@@ -413,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, input_file=True, config=True)
     p.add_argument("--depth", choices=("mahalanobis", "simplicial"), default="mahalanobis")
     p.add_argument("--boot-reps", type=int, default=2000)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker threads for the simplicial depth chunks")
     p.set_defaults(fn=cmd_pval2d)
 
     p = sub.add_parser("bioeq", help="equivalence p-value from summary statistics")

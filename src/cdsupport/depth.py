@@ -6,11 +6,19 @@ the share of replicates outside it whose depth does not exceed the depth
 floor of the region (the least-deep inside replicate, or a deterministic
 boundary grid when nothing falls inside).  A boundary-max variant takes the
 maximum with singleton p-values at designated corner points.
+
+``depth_of`` is the one place that decides how depths are computed.
+Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
+memory stays bounded as the cloud grows for every caller; the chunks may run
+on a thread pool and are joined in index order, so the depths do not depend
+on the worker count.  Mahalanobis depth needs only O(queries) memory and is
+computed in one pass.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +32,7 @@ __all__ = [
     "simplicial_depth",
     "simplicial_depth_brute",
     "depth_of",
+    "parallel_map_indexed",
     "MultiPValue",
     "MaxMultiPValue",
     "p_multi",
@@ -31,6 +40,9 @@ __all__ = [
 ]
 
 DEPTH_KINDS = ("mahalanobis", "simplicial")
+
+# (query, cloud point) pairs held at once by one chunk of simplicial depths
+CHUNK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,8 +197,21 @@ def _triangle_contains(a, b, c, w) -> bool:
     return min(xs) <= w[0] <= max(xs) and min(ys) <= w[1] <= max(ys)
 
 
-def depth_of(cloud, queries, kind: str) -> np.ndarray:
-    """Depths of many query points with respect to the cloud."""
+def parallel_map_indexed(fn, count: int, threads: int) -> list:
+    """Evaluate fn(i) for i in range(count); results ordered by index, so the
+    outcome is independent of the worker count."""
+    if threads <= 1:
+        return list(map(fn, range(count)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(count)))
+
+
+def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
+    """Depths of many query points with respect to the cloud.
+
+    Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
+    on ``threads`` workers; the result is the same for any worker count.
+    """
     pts = _cloud_points(cloud)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if kind == "mahalanobis":
@@ -194,7 +219,13 @@ def depth_of(cloud, queries, kind: str) -> np.ndarray:
     if kind == "simplicial":
         if pts.shape[1] != 2:
             raise ValueError("simplicial depth is implemented for 2-D clouds only")
-        return _simplicial_counts(pts, q) / math.comb(pts.shape[0], 3)
+        rows = max(1, CHUNK_PAIRS // pts.shape[0])
+        parts = parallel_map_indexed(
+            lambda i: _simplicial_counts(pts, q[i * rows: (i + 1) * rows]),
+            max(1, -(-q.shape[0] // rows)),  # one empty chunk for zero queries
+            threads,
+        )
+        return np.concatenate(parts) / math.comb(pts.shape[0], 3)
     raise ValueError(f"unknown depth kind {kind!r}; expected one of {DEPTH_KINDS}")
 
 
@@ -250,14 +281,14 @@ def p_multi(cloud, kind: str, region: RegionND, _depths: np.ndarray | None = Non
     )
 
 
-def p_multi_max(cloud, kind: str, region: RegionND) -> MaxMultiPValue:
+def p_multi_max(
+    cloud, kind: str, region: RegionND, _depths: np.ndarray | None = None
+) -> MaxMultiPValue:
     """Max of the region p-value and singleton p-values at designated corners."""
     pts = _cloud_points(cloud)
     if region.corners.size == 0:
         raise ValueError("region has no designated corner points")
-    all_depths = depth_of(pts, np.vstack([pts, region.corners]), kind)
-    replicate_depths = all_depths[: pts.shape[0]]
-    corner_depths = all_depths[pts.shape[0]:]
-    base = p_multi(pts, kind, region, _depths=replicate_depths)
-    corner_p = tuple(float((replicate_depths <= d).mean()) for d in corner_depths)
+    depths = depth_of(pts, pts, kind) if _depths is None else _depths
+    base = p_multi(pts, kind, region, _depths=depths)
+    corner_p = tuple(float((depths <= d).mean()) for d in depth_of(pts, region.corners, kind))
     return MaxMultiPValue(p=max(base.p, *corner_p), base=base, corner_p=corner_p)

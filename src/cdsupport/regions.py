@@ -6,6 +6,7 @@ The univariate grammar accepts semicolon-separated pieces::
     a            singleton {a}
     (-inf,a]     lower half-line
     [b,inf)      upper half-line
+    (-inf,inf)   the whole line
 
 Pieces are normalized on construction: sorted ascending, with overlapping or
 touching pieces merged, so consecutive pieces always have a strict gap.
@@ -103,6 +104,7 @@ def _normalize(pieces) -> tuple[Interval, ...]:
 _INTERVAL = re.compile(r"^\[([^,\]]+),([^,\]]+)\]$")
 _LOWER = re.compile(r"^\(\s*-inf\s*,([^,\]]+)\]$")
 _UPPER = re.compile(r"^\[([^,\)]+),\s*inf\s*\)$")
+_WHOLE = re.compile(r"^\(\s*-inf\s*,\s*inf\s*\)$")
 
 
 def _number(tok: str, piece: str) -> float:
@@ -124,7 +126,9 @@ def parse_region(text: str) -> NullRegion:
         tok = raw.strip()
         if not tok:
             raise ValueError("empty region piece")
-        if m := _LOWER.match(tok):
+        if _WHOLE.match(tok):
+            pieces.append(Interval(-math.inf, math.inf))
+        elif m := _LOWER.match(tok):
             pieces.append(Interval(-math.inf, _number(m.group(1), tok)))
         elif m := _UPPER.match(tok):
             pieces.append(Interval(_number(m.group(1), tok), math.inf))

@@ -10,7 +10,9 @@ CD with array center and scale feeds the support kernel for the whole block.
 A block holds at most ``BLOCK_FLOATS`` sample values, so memory stays
 bounded as ``reps`` grows.  The bootstrap CD, whose grid differs per
 replication, is still built per replication.  The ``threads`` argument
-applies to bivariate runs only; univariate runs stay on the calling thread.
+applies to bivariate runs only: their replications run on a thread pool
+through ``depth.parallel_map_indexed``, and each computes its depths in
+bounded chunks on its own worker.  Univariate runs stay on the calling thread.
 A failure inside a replication raises a ``ValueError`` naming the
 replication and its seed tuple.
 """
@@ -18,14 +20,13 @@ replication and its seed tuple.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import bootstrap_cloud, p_multi, p_multi_max
+from .depth import bootstrap_cloud, p_multi, p_multi_max, parallel_map_indexed
 from .regions import NullRegion, RegionND
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "run_experiment",
     "ks_uniform",
     "write_qq_csv",
-    "parallel_map_indexed",
 ]
 
 # covariance used throughout the bivariate study
@@ -132,23 +132,6 @@ def ks_uniform(pvals) -> float:
         raise ValueError("p-values must lie in [0, 1]")
     i = np.arange(1, p.size + 1)
     return float(max(np.max(i / p.size - p), np.max(p - (i - 1) / p.size)))
-
-
-def parallel_map_indexed(fn, count: int, threads: int) -> list:
-    """Evaluate fn(i) for i in range(count); results ordered by index, so the
-    outcome is independent of the worker count."""
-    out = [None] * count
-    if threads <= 1:
-        for i in range(count):
-            out[i] = fn(i)
-        return out
-
-    def worker(i):
-        out[i] = fn(i)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(worker, range(count)))
-    return out
 
 
 def _replication_error(spec: ExperimentSpec, rep: int, exc: ValueError) -> ValueError:

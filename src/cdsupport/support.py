@@ -45,6 +45,7 @@ __all__ = [
     "p_star",
     "p_max_uni",
     "bioeq_cd",
+    "bioeq_tails",
     "bioeq_p",
 ]
 
@@ -241,12 +242,16 @@ def bioeq_cd(
     )
 
 
+def bioeq_tails(cd: ConfidenceDistribution, lower: float, upper: float) -> tuple[float, float]:
+    """The two one-sided equivalence tails (H(lower), 1 - H(upper))."""
+    if not lower < upper:
+        raise ValueError(f"equivalence limits must satisfy lower < upper, got [{lower}, {upper}]")
+    return float(cd.cdf(lower)), float(1.0 - cd.cdf(upper))
+
+
 def bioeq_p(
     n1: int, n2: int, mean_t: float, mean_r: float, var_d: float,
     lower: float, upper: float,
 ) -> float:
     """Two one-sided equivalence p-value max{H(lower), 1 - H(upper)}."""
-    if not lower < upper:
-        raise ValueError(f"equivalence limits must satisfy lower < upper, got [{lower}, {upper}]")
-    cd = bioeq_cd(n1, n2, mean_t, mean_r, var_d)
-    return max(cd.cdf(lower), 1.0 - cd.cdf(upper))
+    return max(bioeq_tails(bioeq_cd(n1, n2, mean_t, mean_r, var_d), lower, upper))

@@ -259,6 +259,16 @@ class TestSimulate:
         assert report["config"]["cov"] == [[1.0, 0.8], [0.8, 4.0]]
         assert report["config"]["region"]["shape"] == "rectangle"
 
+    def test_whole_line_report_reproducible_from_itself(self, capsys):
+        argv = ["simulate", "--true-mean", "0", "--n", "50", "--reps", "50", "--seed", "3"]
+        code, out, _ = run_cli(argv + ["--region", "(-inf,0];[0,inf)"], capsys)
+        assert code == 0
+        first = json.loads(out)
+        assert first["config"]["region"] == "(-inf,inf)"
+        code, out, _ = run_cli(argv + ["--region", first["config"]["region"]], capsys)
+        assert code == 0
+        assert json.loads(out) == first
+
     def test_missing_region_is_validation_error(self, capsys):
         code, _, err = run_cli(["simulate", "--true-mean", "0"], capsys)
         assert code == 1

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from cdsupport import (
     simplicial_depth,
     simplicial_depth_brute,
 )
+from cdsupport.cli import main
 from cdsupport.depth import depth_of
 
 # computed directly from the paired differences in conftest.TABLE1
@@ -248,3 +251,44 @@ def test_singleton_p_uniform_at_truth():
     i = np.arange(1, reps + 1)
     ks = max(np.max(i / reps - pvals), np.max(pvals - (i - 1) / reps))
     assert ks < 0.10
+
+
+class TestDepthPath:
+    def test_thread_count_does_not_change_depths(self):
+        rng = np.random.default_rng(61)
+        pts = rng.standard_normal((700, 2)) @ np.array([[1.0, 0.0], [0.8, 1.8]])
+        queries = np.vstack([pts, rng.standard_normal((800, 2))])
+        one = depth_of(pts, queries, "simplicial", threads=1)
+        assert one.shape == (1500,)
+        assert np.array_equal(one, depth_of(pts, queries, "simplicial", threads=3))
+
+    @pytest.mark.parametrize("depth", ["mahalanobis", "simplicial"])
+    def test_library_p_multi_max_equals_pval2d_report(self, depth, tmp_path, capsys):
+        data = np.random.default_rng(62).standard_normal((50, 2)) + [0.1, 0.0]
+        csv_path = tmp_path / "pairs.csv"
+        csv_path.write_text("".join(f"{a!r},{b!r}\n" for a, b in data.tolist()))
+        cfg = tmp_path / "rect.cfg"
+        cfg.write_text("shape = rectangle\nlo = -0.1, -0.2\nhi = 0.2, 0.1\n")
+        code = main(["pval2d", "--input", str(csv_path), "--config", str(cfg),
+                     "--depth", depth, "--boot-reps", "700", "--seed", "3", "--threads", "2"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        cloud = bootstrap_cloud(data, 700, seed=3)
+        top = p_multi_max(cloud, depth, Rectangle(lower=[-0.1, -0.2], upper=[0.2, 0.1]))
+        assert report["m"] == 700
+        assert (report["esp"], report["tail"], report["p_multi"]) == (
+            top.base.esp, top.base.tail, top.base.p)
+        assert report["corner_p"] == list(top.corner_p)
+        assert report["p_max"] == top.p
+
+    def test_p_multi_memory_is_bounded(self):
+        cloud = bootstrap_cloud(np.random.default_rng(63).standard_normal((40, 2)), 2000, seed=4)
+        box = Rectangle(lower=[-0.1, -0.1], upper=[0.1, 0.1])
+        tracemalloc.start()
+        try:
+            p_multi(cloud, "simplicial", box)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # computing all 2000 x 2000 (query, point) pairs at once peaks near 324 MB
+        assert peak < 16 * 2**20

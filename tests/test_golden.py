@@ -1,10 +1,18 @@
-"""Golden bytes of the univariate battery.
+"""Golden bytes of the univariate battery and of every CLI subcommand.
 
 ``golden_part1.json`` holds sha256 digests of the ``simulate`` CLI report and
 QQ CSV for every ``scripts/run_part1.py`` case at its defaults (n=200,
 reps=2000, seed 1, z-CD), and of every file the script writes.  They were
 recorded from the per-replication implementation that preceded batching, at
 1, 4 and 8 worker threads, all of which gave the same bytes.
+
+``golden_cli.json`` holds sha256 digests of ``pval`` (every method token with
+each CD kind), ``pval2d`` (both depths; a cornered rectangle, a halfspace
+without corners and a far box whose depth floor comes from the boundary
+grid; 300 and 2000 bootstrap replicates; 1 and 2 threads), ``bioeq`` and
+bivariate ``simulate --config`` reports on inputs written by the tests.
+They were recorded from the implementation in which ``pval2d`` chunked the
+depths itself and ``p_multi`` computed every depth in one pass.
 """
 
 import hashlib
@@ -15,12 +23,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cdsupport.cli import main
+from cdsupport.cli import METHOD_TOKENS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((Path(__file__).with_name("golden_part1.json")).read_text())
+GOLDEN_CLI = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
 
 
 def _part1_module():
@@ -61,3 +71,84 @@ def test_run_part1_script_bytes_match_golden(tmp_path):
                     "--out-dir", str(tmp_path)], check=True, env=env, capture_output=True)
     got = {f.name: _sha(f) for f in sorted(tmp_path.iterdir())}
     assert got == GOLDEN["script"]
+
+
+# -- every CLI subcommand -------------------------------------------------------
+
+CONFIGS = {
+    "rect.cfg": "shape = rectangle\nlo = -0.2, -0.3\nhi = 0.3, 0.4\n",
+    "half.cfg": "shape = halfspace\nnormal = 1, 1\noffset = 0.2\n",
+    "far.cfg": "shape = rectangle\nlo = 5, 5\nhi = 6, 6\n",
+    "sim.cfg": "shape = rectangle\nlo = -0.5, -1\nhi = 0, 0\ncorners = 0, 0\n",
+}
+
+
+def _write_inputs() -> None:
+    """Write the CSV samples and region configs into the working directory."""
+    rng = np.random.default_rng(20)
+    sample = 0.3 + rng.standard_normal(40)
+    Path("sample.csv").write_text("x\n" + "".join(f"{v!r}\n" for v in sample.tolist()))
+    pairs = [0.1, 0.2] + rng.standard_normal((60, 2)) @ np.array([[1.0, 0.0], [0.8, 1.8]])
+    Path("pairs.csv").write_text(
+        "a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs.tolist()))
+    for name, text in CONFIGS.items():
+        Path(name).write_text(text)
+
+
+# name -> (argv, thread counts to run it at; None runs without --threads)
+CLI_CASES = {
+    f"pval_{cd}_{method}": (
+        ["pval", "--input", "sample.csv", "--region", "[-0.2,0.1];0.35;[0.9,inf)",
+         "--method", method, "--cd", cd, "--seed", "4"],
+        (None,),
+    )
+    for cd in ("t", "z", "bootstrap")
+    for method in sorted(METHOD_TOKENS)
+}
+CLI_CASES.update({
+    f"pval2d_{depth}_{cfg}_m{reps}": (
+        ["pval2d", "--input", "pairs.csv", "--config", f"{cfg}.cfg", "--depth", depth,
+         "--boot-reps", str(reps), "--seed", "6"],
+        (1, 2),
+    )
+    for depth in ("mahalanobis", "simplicial")
+    for cfg in ("rect", "half", "far")
+    for reps in (300, 2000)
+})
+CLI_CASES["bioeq"] = (
+    ["bioeq", "--n1", "12", "--n2", "12", "--mean-t", "80.272", "--mean-r", "82.559",
+     "--var-d", "83.623", "--lower", "-16.51", "--upper", "16.51"],
+    (None,),
+)
+CLI_CASES.update({
+    f"simulate_{depth}": (
+        ["simulate", "--config", "sim.cfg", "--true-mean", "0,0", "--n", "40",
+         "--reps", "60", "--method", "multi-max", "--depth", depth, "--boot-reps", "600",
+         "--seed", "8", "--qq-out", "sim.qq.csv"],
+        (1, 2),
+    )
+    for depth in ("mahalanobis", "simplicial")
+})
+
+
+def cli_digests(name: str) -> dict:
+    """Digests of one case's output files, the same at every listed thread count."""
+    argv, thread_counts = CLI_CASES[name]
+    seen = []
+    for threads in thread_counts:
+        extra = [] if threads is None else ["--threads", str(threads)]
+        assert main(argv + extra + ["--out", "out.json"]) == 0
+        got = {"json": _sha("out.json")}
+        if Path("sim.qq.csv").exists():
+            got["csv"] = _sha("sim.qq.csv")
+        seen.append(got)
+    assert all(got == seen[0] for got in seen), thread_counts
+    return seen[0]
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_bytes_match_golden(name, tmp_path, monkeypatch):
+    # relative file names keep the reports independent of tmp_path
+    monkeypatch.chdir(tmp_path)
+    _write_inputs()
+    assert cli_digests(name) == GOLDEN_CLI[name]

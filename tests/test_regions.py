@@ -102,6 +102,30 @@ def test_parse_format_round_trip(region):
     assert parse_region(format_region(region)) == region
 
 
+@st.composite
+def unbounded_regions(draw):
+    """Regions with an upper half-line or the whole line; a lower half-line
+    drawn by ``regions`` may merge with the upper one into the whole line."""
+    pieces = list(draw(regions()).pieces)
+    if draw(st.booleans()):
+        pieces.append(Interval(-math.inf, math.inf))
+    else:
+        pieces.append(Interval(draw(finite), math.inf))
+    return NullRegion(tuple(pieces))
+
+
+@given(unbounded_regions())
+@settings(max_examples=120, deadline=None)
+def test_parse_format_round_trip_unbounded(region):
+    assert parse_region(format_region(region)) == region
+
+
+def test_whole_line_parses_with_spaces():
+    whole = NullRegion((Interval(-math.inf, math.inf),))
+    assert parse_region("( -inf , inf )") == parse_region("(-inf,inf)") == whole
+    assert parse_region("(-inf,inf);0.5") == whole
+
+
 @given(regions())
 @settings(max_examples=120, deadline=None)
 def test_normalized_pieces_disjoint_sorted(region):
