@@ -12,7 +12,17 @@ Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
 memory stays bounded as the cloud grows for every caller; the chunks may run
 on a thread pool and are joined in index order, so the depths do not depend
 on the worker count.  Mahalanobis depth needs only O(queries) memory and is
-computed in one pass.
+computed in one pass.  Both reject non-finite clouds and queries.
+
+Simplicial depth follows the angular sweep of Rousseeuw & Ruts (AS 307,
+1996) without any search: each direction from a query is folded into the
+upper half-plane by exact negation and sorted as one integer key, the bits of
+its folded ``arctan2`` angle with a lower-half flag appended.  A direction and
+its exact antipode share an angle and differ only in the flag, so antipodes
+and repeated directions are recognised by integer equality, and every
+direction's count of directions in its open half-circle follows from one
+running count of the flags (see ``_simplicial_counts``).  Distinct but nearly
+collinear directions are still ordered by the float angle.
 """
 
 from __future__ import annotations
@@ -43,6 +53,9 @@ DEPTH_KINDS = ("mahalanobis", "simplicial")
 
 # (query, cloud point) pairs held at once by one chunk of simplicial depths
 CHUNK_PAIRS = 1 << 15
+
+# sort key of a cloud point at the query: above every folded-angle key
+_KEY_AT_QUERY = np.iinfo(np.uint64).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,8 +117,7 @@ def _mahalanobis_batch(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def mahalanobis_depth(cloud, w) -> float:
     """Depth 1 / (1 + squared Mahalanobis distance) under the cloud's own
     mean and covariance; equals 1 exactly at the cloud mean."""
-    pts = _cloud_points(cloud)
-    return float(_mahalanobis_batch(pts, np.atleast_2d(np.asarray(w, dtype=float)))[0])
+    return float(depth_of(cloud, w, "mahalanobis")[0])
 
 
 # -- simplicial depth (2-D, exact) -------------------------------------------
@@ -115,12 +127,27 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Number of closed cloud-point triangles containing each query point.
 
     Counting is by complement: a closed triangle misses the query exactly
-    when all three direction angles fit in an open half-plane through it.
-    Points coinciding with the query make every triangle through them a hit,
-    ties in angle resolve by sort position, and exactly antipodal directions
-    are excluded from the open arc, so degenerate configurations (collinear
-    triples, duplicated points, query on a cloud point) count the same way a
-    full triangle enumeration does.
+    when its three directions from the query fit in an open half-plane, so
+    each missing triangle is counted once, at its first direction in
+    counterclockwise order, as a pair among the w directions that lie in that
+    direction's open counterclockwise half-circle.  Points coinciding with the
+    query make every triangle through them a hit.
+
+    Directions are compared as folded-angle keys.  Each direction (dx, dy)
+    is folded into the upper half-plane by exact negation (lower when
+    dy < 0, or dy == 0 and dx < 0), and its key is the bit pattern of the
+    nonnegative ``arctan2`` of the folded direction, shifted left one bit,
+    with the lower flag in the low bit.  A direction and its exact antipode
+    therefore share one angle and differ only in the low bit, and equal
+    directions share a key.  In a
+    row of keys sorted ascending, with c the running count of lower keys and
+    s = 2 c - (p + 1) at position p, an upper direction sees n0 + s and a
+    lower one n1 - s directions in its open half-circle (n0, n1: the numbers
+    of upper and lower directions), less, for a lower direction, the upper
+    directions of the same angle, which are its exact antipodes.  Equal keys
+    are ordered by sort position.  The sign of a zero never reaches a key:
+    the folded dy is ``|dy|``, and ``arctan2(y, +0.0) == arctan2(y, -0.0)``
+    for y > 0.
     """
     m = pts.shape[0]
     if m < 3:
@@ -128,36 +155,71 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     dx = pts[:, 0][None, :] - queries[:, 0][:, None]
     dy = pts[:, 1][None, :] - queries[:, 1][:, None]
     at_query = (dx == 0.0) & (dy == 0.0)
-    e_counts = at_query.sum(axis=1)
-    ang = np.arctan2(dy, dx)
-    ang[at_query] = np.inf  # pushed past every finite angle by the row sort
-    ang.sort(axis=1)
+    lower = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
+    # fold: (dx, dy) -> (-dx, |dy|) where lower; multiplying by -1 is exact
+    np.multiply(dx, 1 - 2 * lower.view(np.int8), out=dx)
+    np.abs(dy, out=dy)
+    key = np.arctan2(dy, dx, out=dy).view(np.uint64)
+    key <<= 1
+    key |= lower
+    key[at_query] = _KEY_AT_QUERY  # sorted past every direction
+    key.sort(axis=1)
+    e_counts = np.count_nonzero(at_query, axis=1)
     total = math.comb(m, 3)
     out = np.full(queries.shape[0], total, dtype=np.int64)
+    work = dx.view(np.int64)  # the differences are spent; reuse their memory
     for e in np.unique(e_counts):
         live = m - int(e)
         if live < 3:
             continue  # <=2 usable directions: no triple avoids the query
         rows = np.nonzero(e_counts == e)[0]
-        a = ang[rows, :live]
-        ext = np.concatenate([a, a + 2.0 * np.pi], axis=1)
-        # per-row searchsorted via disjoint row offsets on the flattened array
-        offset = (16.0 + 4.0 * np.pi) * np.arange(len(rows))[:, None]
-        hits = np.searchsorted((ext + offset).ravel(), (a + np.pi + offset).ravel(), side="left")
-        hits = hits.reshape(len(rows), live) - 2 * live * np.arange(len(rows))[:, None]
-        within = hits - np.arange(1, live + 1)[None, :]
-        out[rows] = total - (within * (within - 1) // 2).sum(axis=1)
+        k = key[:, :live] if rows.size == key.shape[0] else key[rows, :live]
+        c = work[: rows.size, :live]  # in turn: neighbour xor, flags, counts, 2w
+        # an upper key followed by the lower key of the same angle marks a
+        # row holding an exact antipodal pair
+        np.bitwise_xor(k[:, 1:], k[:, :-1], out=c[:, 1:].view(np.uint64))
+        pairs = np.nonzero((c[:, 1:] == 1).any(axis=1))[0]
+        np.bitwise_and(k.view(np.int64), 1, out=c)
+        sign = 1 - 2 * c.astype(np.int8)  # +1 upper, -1 lower
+        np.cumsum(c, axis=1, out=c)
+        n1 = c[:, -1:].copy()
+        # c -> 2w - live = sign * (2 s + n0 - n1), then -> 2w
+        c *= 4
+        c -= np.arange(2, 2 * live + 1, 2)
+        c += live - 2 * n1
+        c *= sign
+        c += live
+        if pairs.size:
+            c[pairs] -= 2 * _antipodes(k[pairs])
+        # sum of w (w - 1) / 2 = sum of ((2w)^2 - 2 (2w)) / 8
+        out[rows] = total - (np.einsum("ij,ij->i", c, c) - 2 * c.sum(axis=1)) // 8
     return out
+
+
+def _antipodes(keys: np.ndarray) -> np.ndarray:
+    """Per sorted key: for a lower direction, the number of upper directions
+    with the same angle (its exact antipodes); 0 for an upper direction.
+
+    Within a run of equal angles the upper keys sort first, so that number
+    is the distance from the start of the angle's run to the start of the
+    key's own run.
+    """
+    return _run_starts(keys) - _run_starts(keys >> 1)
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Per position of each sorted row, the first position of its run of
+    equal values."""
+    pos = np.arange(values.shape[1])
+    new_run = np.ones(values.shape, dtype=bool)
+    new_run[:, 1:] = values[:, 1:] != values[:, :-1]
+    return np.maximum.accumulate(np.where(new_run, pos, 0), axis=1)
 
 
 def simplicial_depth(cloud, w) -> float:
     """Exact sample simplicial depth of a 2-vector: the fraction of closed
     cloud triangles containing it."""
-    pts = _cloud_points(cloud)
-    if pts.shape[1] != 2:
-        raise ValueError("simplicial depth is implemented for 2-D clouds only")
-    q = np.atleast_2d(np.asarray(w, dtype=float))
-    return float(_simplicial_counts(pts, q)[0]) / math.comb(pts.shape[0], 3)
+    return float(depth_of(cloud, w, "simplicial")[0])
 
 
 def simplicial_depth_brute(cloud, w) -> float:
@@ -211,9 +273,14 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
 
     Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
     on ``threads`` workers; the result is the same for any worker count.
+    A cloud or queries holding NaN or infinity are rejected.
     """
     pts = _cloud_points(cloud)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValueError("cloud contains non-finite values")
+    if not np.isfinite(q).all():
+        raise ValueError("queries contain non-finite values")
     if kind == "mahalanobis":
         return _mahalanobis_batch(pts, q)
     if kind == "simplicial":

@@ -194,6 +194,8 @@ def _as_corners(corners, dim: int) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(corners, dtype=float))
     if arr.shape[1] != dim:
         raise ValueError(f"corner points must have dimension {dim}")
+    if not np.isfinite(arr).all():
+        raise ValueError("corner points must be finite")
     return arr
 
 

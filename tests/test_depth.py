@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdsupport import (
     PointSet,
@@ -292,3 +294,139 @@ class TestDepthPath:
             tracemalloc.stop()
         # computing all 2000 x 2000 (query, point) pairs at once peaks near 324 MB
         assert peak < 16 * 2**20
+
+    def test_all_replicate_depths_memory_is_bounded(self):
+        cloud = np.random.default_rng(64).standard_normal((4000, 2))
+        tracemalloc.start()
+        try:
+            depth_of(cloud, cloud, "simplicial")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # computing all 4000 x 4000 (query, point) pairs at once peaks near 1.3 GB
+        assert peak < 16 * 2**20
+
+
+class TestNonFiniteInput:
+    """NaN or infinity in the cloud or the queries is an error, not a depth."""
+
+    CLOUD = np.random.default_rng(71).standard_normal((50, 2))
+
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_depth_of_rejects_non_finite_query(self, kind, bad):
+        queries = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="queries"):
+            depth_of(self.CLOUD, queries, kind)
+
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_depth_of_rejects_non_finite_cloud(self, kind, bad):
+        cloud = self.CLOUD.copy()
+        cloud[7, 1] = bad
+        with pytest.raises(ValueError, match="cloud"):
+            depth_of(cloud, [[0.0, 0.0]], kind)
+
+    def test_single_point_depths_reject_nan(self):
+        with pytest.raises(ValueError, match="queries"):
+            simplicial_depth(self.CLOUD, [np.nan, 0.0])
+        with pytest.raises(ValueError, match="queries"):
+            mahalanobis_depth(self.CLOUD, [0.0, np.nan])
+        cloud = self.CLOUD.copy()
+        cloud[0] = np.nan
+        with pytest.raises(ValueError, match="cloud"):
+            simplicial_depth(cloud, [0.0, 0.0])
+
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    def test_p_values_reject_nan_cloud(self, kind):
+        cloud = self.CLOUD.copy()
+        cloud[3, 0] = np.nan
+        box = Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        with pytest.raises(ValueError, match="cloud"):
+            p_multi(cloud, kind, box)
+        with pytest.raises(ValueError, match="cloud"):
+            p_multi_max(cloud, kind, box)
+
+
+# -- exactness on degenerate inputs -------------------------------------------
+
+LATTICE = st.integers(-4, 4)
+LATTICE_POINT = st.tuples(LATTICE, LATTICE)
+# lattice and half-lattice query coordinates
+QUERY = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda p: (p[0] / 2, p[1] / 2))
+
+
+@st.composite
+def lattice_cases(draw):
+    """An integer cloud of 3..20 points and a query point.
+
+    Shapes: free lattice points; few distinct points, many repeated; a whole
+    cloud on a lattice line through the query; a cloud symmetric about a
+    lattice or half-lattice centre, so that it holds exact antipodes.
+    """
+    m = draw(st.integers(3, 20))
+    shape = draw(st.sampled_from(["free", "duplicates", "line", "symmetric"]))
+    if shape == "free":
+        pts = draw(st.lists(LATTICE_POINT, min_size=m, max_size=m))
+        query = draw(QUERY)
+    elif shape == "duplicates":
+        base = draw(st.lists(LATTICE_POINT, min_size=1, max_size=max(1, m // 3)))
+        pts = draw(st.lists(st.sampled_from(base), min_size=m, max_size=m))
+        query = draw(st.one_of(QUERY, st.sampled_from(base)))
+    elif shape == "line":
+        anchor = draw(LATTICE_POINT)
+        step = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any))
+        ts = draw(st.lists(st.integers(-4, 4), min_size=m, max_size=m))
+        pts = [(anchor[0] + t * step[0], anchor[1] + t * step[1]) for t in ts]
+        t = draw(st.integers(-8, 8)) / 2
+        query = (anchor[0] + t * step[0], anchor[1] + t * step[1])
+    else:
+        centre = draw(QUERY)
+        half = draw(st.lists(LATTICE_POINT, min_size=(m + 1) // 2, max_size=(m + 1) // 2))
+        mirrored = [(2 * centre[0] - x, 2 * centre[1] - y) for x, y in half]
+        pts = (half + mirrored)[:m]
+        query = draw(st.one_of(st.just(centre), QUERY))
+    return np.array(pts, dtype=float), np.array(query, dtype=float)
+
+
+@given(lattice_cases())
+@settings(max_examples=300, deadline=None)
+def test_simplicial_depth_equals_brute_force_on_lattice_clouds(case):
+    pts, query = case
+    assert depth_of(pts, query[None, :], "simplicial")[0] == simplicial_depth_brute(pts, query)
+
+
+def test_cross_with_antipodal_pairs_through_the_query():
+    # (0, 1)/(0, -1) and (1, 1)/(-1, 0) lie on lines through (0, 0.5); of the
+    # 10 triangles, 7 contain it
+    pts = np.array([[0, 1], [0, -1], [1, 0], [-1, 0], [1, 1]], dtype=float)
+    assert simplicial_depth_brute(pts, [0.0, 0.5]) == 0.7
+    assert simplicial_depth(pts, [0.0, 0.5]) == 0.7
+    assert depth_of(pts, [[0.0, 0.5]], "simplicial")[0] == 0.7
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["integer", "half-integer"])
+def test_batched_equals_single_query_on_symmetric_lattice_cloud(offset):
+    rng = np.random.default_rng(72)
+    half = rng.integers(-6, 7, size=(30, 2)).astype(float)
+    cloud = np.vstack([half, -half])
+    queries = rng.integers(-6, 7, size=(301, 2)) + offset
+    batched = depth_of(cloud, queries, "simplicial")
+    single = np.array([simplicial_depth(cloud, q) for q in queries])
+    assert np.array_equal(batched, single)
+    for q, d in zip(queries[:12], batched):
+        assert d == simplicial_depth_brute(cloud, q)
+
+
+def test_signed_zeros_give_the_same_depths():
+    pts = np.array([[-0.0, 1.0], [0.0, -1.0], [1.0, -0.0], [-1.0, 0.0], [-0.0, -0.0],
+                    [2.0, -0.0], [-0.0, -3.0], [1.0, 1.0], [-2.0, -0.0]])
+    queries = np.array([[-0.0, -0.0], [0.0, -0.0], [-0.0, 0.0], [-0.0, 0.5], [1.0, -0.0],
+                        [-0.0, -1.0], [0.5, -0.0]])
+    plus = lambda a: np.where(a == 0.0, 0.0, a)  # noqa: E731
+    negative_zero = lambda a: (a == 0.0) & np.signbit(a)  # noqa: E731
+    assert negative_zero(pts).any() and negative_zero(queries).any()
+    assert not negative_zero(plus(pts)).any() and not negative_zero(plus(queries)).any()
+    got = depth_of(pts, queries, "simplicial")
+    assert np.array_equal(got, depth_of(plus(pts), plus(queries), "simplicial"))
+    assert np.array_equal(got, [simplicial_depth_brute(pts, q) for q in queries])

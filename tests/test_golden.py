@@ -13,6 +13,13 @@ grid; 300 and 2000 bootstrap replicates; 1 and 2 threads), ``bioeq`` and
 bivariate ``simulate --config`` reports on inputs written by the tests.
 They were recorded from the implementation in which ``pval2d`` chunked the
 depths itself and ``p_multi`` computed every depth in one pass.
+
+``golden_part2.json`` holds sha256 digests of the sorted p-values and of the
+summary of every ``scripts/run_part2.py`` case run at a reduced size
+(simplicial depth, n=200, boot_m=500, reps=50, seed 1, one thread).  They were
+recorded from the simplicial kernel that located antipodes with a float
+``searchsorted``; the configurations are continuous, so exact tie handling
+leaves them unchanged.
 """
 
 import hashlib
@@ -26,21 +33,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cdsupport import ExperimentSpec, run_experiment
 from cdsupport.cli import METHOD_TOKENS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = json.loads((Path(__file__).with_name("golden_part1.json")).read_text())
 GOLDEN_CLI = json.loads((Path(__file__).with_name("golden_cli.json")).read_text())
+GOLDEN_PART2 = json.loads((Path(__file__).with_name("golden_part2.json")).read_text())
 
 
-def _part1_module():
-    spec = importlib.util.spec_from_file_location("run_part1", ROOT / "scripts" / "run_part1.py")
+def _script_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
 
 
-PART1 = _part1_module()
+PART1 = _script_module("run_part1")
+PART2 = _script_module("run_part2")
 RUNS = [(name, text, "full") for name, text in PART1.CASES.items()] + [
     ("1b_narrow", PART1.CASES["1b_narrow"], "direct"),
     ("1d_edge", PART1.CASES["1d_edge"], "direct"),
@@ -71,6 +81,35 @@ def test_run_part1_script_bytes_match_golden(tmp_path):
                     "--out-dir", str(tmp_path)], check=True, env=env, capture_output=True)
     got = {f.name: _sha(f) for f in sorted(tmp_path.iterdir())}
     assert got == GOLDEN["script"]
+
+
+# -- the bivariate battery -----------------------------------------------------
+
+PART2_RUNS = [f"{name}_{method}" for name, (_, methods) in PART2.CASES.items()
+              for method in methods]
+
+
+def part2_digests() -> dict:
+    """Digests of every ``run_part2.py`` case run at the reduced golden size."""
+    out = {}
+    for name, (region, methods) in PART2.CASES.items():
+        for method in methods:
+            spec = ExperimentSpec(
+                model="bivariate-normal", true_mean=(0.0, 0.0), region=region, n=200,
+                reps=50, method=method, depth="simplicial", boot_m=500, seed=1,
+            )
+            report = run_experiment(spec, threads=1)
+            summary = json.dumps(report.summary(), sort_keys=True).encode()
+            out[f"{name}_{method}"] = {
+                "pvalues": hashlib.sha256(report.pvalues.tobytes()).hexdigest(),
+                "summary": hashlib.sha256(summary).hexdigest(),
+            }
+    return out
+
+
+def test_run_part2_cases_match_golden():
+    assert sorted(GOLDEN_PART2) == sorted(PART2_RUNS)
+    assert part2_digests() == GOLDEN_PART2
 
 
 # -- every CLI subcommand -------------------------------------------------------

@@ -217,3 +217,19 @@ class TestPointSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             PointSet(points=np.empty((0, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda c: Rectangle(lower=[-1, -1], upper=[1, 1], corners=c),
+        lambda c: Halfspace(normal=[1.0, 0.0], offset=0.0, corners=c),
+        lambda c: QuadrantComplement(corner=[0.0, 0.0], corners=c),
+        lambda c: PointSet(points=[[0.0, 0.0]], corners=c),
+    ],
+    ids=["rectangle", "halfspace", "quadrant-complement", "points"],
+)
+def test_non_finite_corners_rejected(make, bad):
+    with pytest.raises(ValueError, match="corner points must be finite"):
+        make([[0.0, 0.0], [bad, 0.0]])
