@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from cdsupport import Rectangle, bioeq_cd, bootstrap_cloud, p_multi
+from cdsupport import Rectangle, bioeq_cd, bioeq_tails, bootstrap_cloud, p_multi
 
 # paired differences (average queue length, average waiting time) between a
 # single-server queueing model and the measured system, 15 runs
@@ -32,7 +32,7 @@ MODEL_SYSTEM_DIFFS = np.array(
 def bio_equivalence() -> dict:
     cd = bioeq_cd(n1=12, n2=12, mean_t=80.272, mean_r=82.559, var_d=83.623)
     lower, upper = -16.51, 16.51
-    tails = {"lower": float(cd.cdf(lower)), "upper": float(1.0 - cd.cdf(upper))}
+    tails = dict(zip(("lower", "upper"), bioeq_tails(cd, lower, upper)))
     return {
         "application": "bio-equivalence",
         "difference": cd.center,

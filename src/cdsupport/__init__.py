@@ -41,6 +41,7 @@ from .support import (
     SupportReport,
     bioeq_cd,
     bioeq_p,
+    bioeq_tails,
     direct_support,
     extended_indirect_support,
     full_support,

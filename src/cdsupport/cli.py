@@ -24,7 +24,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import bootstrap_cloud, depth_of, p_multi, p_multi_max
+from .depth import DEPTH_KINDS, bootstrap_cloud, depth_of, p_multi, p_multi_max
 from .regions import (
     Halfspace,
     NullRegion,
@@ -35,7 +35,7 @@ from .regions import (
     format_region,
     parse_region,
 )
-from .simulate import PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
+from .simulate import MULTI_METHODS, PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
 
 SCHEMA_VERSION = 1
 
@@ -61,8 +61,8 @@ class CliError(Exception):
 def read_csv_columns(path, columns: int) -> np.ndarray:
     """Read a comma-separated numeric table with an optional header row.
 
-    Rows with the wrong arity, non-numeric fields, or NaN values abort the
-    read; silently dropping rows would corrupt n.
+    Rows with the wrong arity, non-numeric fields, or NaN or infinite values
+    abort the read; silently dropping rows would corrupt n.
     """
     try:
         with open(path) as fh:
@@ -84,8 +84,9 @@ def read_csv_columns(path, columns: int) -> np.ndarray:
             raise CliError(
                 "parse", f"{path}:{lineno}: expected {columns} column(s), got {len(values)}"
             )
-        if any(math.isnan(v) for v in values):
-            raise CliError("parse", f"{path}:{lineno}: NaN values are rejected")
+        if not all(map(math.isfinite, values)):
+            kind = "NaN" if any(map(math.isnan, values)) else "infinite"
+            raise CliError("parse", f"{path}:{lineno}: {kind} values are rejected")
         rows.append(values)
     if not rows:
         raise CliError("parse", f"{path}: no numeric rows")
@@ -235,18 +236,15 @@ def cmd_pval(args) -> dict:
 def cmd_pval2d(args) -> dict:
     data = read_csv_columns(args.input, 2)
     region, _ = load_region_config(args.config)
-    try:
-        cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
-        depths = depth_of(cloud, cloud.points, args.depth, threads=args.threads)
-        if region.corners.size:
-            top = p_multi_max(cloud, args.depth, region, _depths=depths)
-            base = top.base
-            extra = {"corner_p": list(top.corner_p), "p_max": top.p}
-        else:
-            base = p_multi(cloud, args.depth, region, _depths=depths)
-            extra = {}
-    except ValueError as exc:
-        raise CliError("validation", str(exc)) from None
+    cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
+    depths = depth_of(cloud, cloud.points, args.depth, threads=args.threads)
+    if region.corners.size:
+        top = p_multi_max(cloud, args.depth, region, _depths=depths)
+        base = top.base
+        extra = {"corner_p": list(top.corner_p), "p_max": top.p}
+    else:
+        base = p_multi(cloud, args.depth, region, _depths=depths)
+        extra = {}
     return {
         "schema": SCHEMA_VERSION,
         "command": "pval2d",
@@ -270,11 +268,8 @@ def cmd_pval2d(args) -> dict:
 
 
 def cmd_bioeq(args) -> dict:
-    try:
-        cd = support.bioeq_cd(args.n1, args.n2, args.mean_t, args.mean_r, args.var_d)
-        lower_tail, upper_tail = support.bioeq_tails(cd, args.lower, args.upper)
-    except ValueError as exc:
-        raise CliError("validation", str(exc)) from None
+    cd = support.bioeq_cd(args.n1, args.n2, args.mean_t, args.mean_r, args.var_d)
+    lower_tail, upper_tail = support.bioeq_tails(cd, args.lower, args.upper)
     p = max(lower_tail, upper_tail)
     alphas = _parse_vector(args.alphas, "--alphas")
     return {
@@ -302,19 +297,8 @@ def cmd_simulate(args) -> dict:
     truth = _parse_vector(args.true_mean, "--true-mean")
     if args.config:
         region, cov = load_region_config(args.config)
-        spec = ExperimentSpec(
-            model="bivariate-normal",
-            true_mean=truth,
-            region=region,
-            n=args.n,
-            reps=args.reps,
-            method=METHOD_TOKENS.get(args.method, args.method),
-            depth=args.depth,
-            boot_m=args.boot_reps,
-            seed=args.seed,
-            cov=PART2_COV if cov is None else cov,
-        )
-        region_desc = region.describe()
+        model = {"model": "bivariate-normal", "true_mean": truth, "depth": args.depth,
+                 "cov": PART2_COV if cov is None else cov}
     elif args.region:
         try:
             region = parse_region(args.region)
@@ -322,24 +306,19 @@ def cmd_simulate(args) -> dict:
             raise CliError("parse", str(exc)) from None
         if len(truth) != 1:
             raise CliError("validation", "univariate runs need a scalar --true-mean")
-        spec = ExperimentSpec(
-            model="univariate-normal",
-            true_mean=truth[0],
-            region=region,
-            n=args.n,
-            reps=args.reps,
-            method=METHOD_TOKENS[args.method],
-            cd=args.cd,
-            boot_m=args.boot_reps,
-            seed=args.seed,
-        )
-        region_desc = format_region(region)
+        model = {"model": "univariate-normal", "true_mean": truth[0], "cd": args.cd}
     else:
         raise CliError("validation", "simulate needs --region or --config")
-    try:
-        report = run_experiment(spec, threads=args.threads)
-    except ValueError as exc:
-        raise CliError("validation", str(exc)) from None
+    spec = ExperimentSpec(
+        region=region,
+        n=args.n,
+        reps=args.reps,
+        method=METHOD_TOKENS.get(args.method, args.method),
+        boot_m=args.boot_reps,
+        seed=args.seed,
+        **model,
+    )
+    report = run_experiment(spec, threads=args.threads)
     qq_path = args.qq_out or (str(args.out) + ".qq.csv" if args.out else None)
     if qq_path:
         write_qq_csv(report, qq_path)
@@ -349,7 +328,7 @@ def cmd_simulate(args) -> dict:
         "config": {
             "model": spec.model,
             "true_mean": truth,
-            "region": region_desc,
+            "region": spec.region.describe(),
             "n": spec.n,
             "reps": spec.reps,
             "method": spec.method,
@@ -390,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pval2d", help="depth-based bivariate p-value from a CSV sample")
     common(p, input_file=True, config=True)
-    p.add_argument("--depth", choices=("mahalanobis", "simplicial"), default="mahalanobis")
+    p.add_argument("--depth", choices=DEPTH_KINDS, default="mahalanobis")
     p.add_argument("--boot-reps", type=int, default=2000)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for the simplicial depth chunks")
@@ -413,10 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true-mean", default="0", help="scalar, or 'a,b' for bivariate")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--reps", type=int, default=2000)
-    p.add_argument("--method", default="full",
-                   choices=sorted(METHOD_TOKENS) + ["multi", "multi-max"])
+    p.add_argument("--method", choices=sorted(METHOD_TOKENS) + list(MULTI_METHODS),
+                   default="full")
     p.add_argument("--cd", choices=("t", "z", "bootstrap"), default="t")
-    p.add_argument("--depth", choices=("mahalanobis", "simplicial"), default="simplicial")
+    p.add_argument("--depth", choices=DEPTH_KINDS, default="simplicial")
     p.add_argument("--boot-reps", type=int, default=500)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for bivariate runs; univariate runs are batched")
@@ -429,13 +408,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report = args.fn(args)
-    except CliError as exc:
-        print(json.dumps({"error": {"category": exc.category, "message": str(exc)}}),
-              file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(json.dumps({"error": {"category": "validation", "message": str(exc)}}),
-              file=sys.stderr)
+    except (CliError, ValueError) as exc:  # a library ValueError is a validation error
+        category = getattr(exc, "category", "validation")
+        print(json.dumps({"error": {"category": category, "message": str(exc)}}), file=sys.stderr)
         return 1
     emit_report(report, args.out)
     return 0

@@ -273,10 +273,13 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
 
     Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
     on ``threads`` workers; the result is the same for any worker count.
-    A cloud or queries holding NaN or infinity are rejected.
+    A cloud or queries holding NaN or infinity, or queries of another
+    dimension than the cloud, are rejected.
     """
     pts = _cloud_points(cloud)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
+    if q.shape[1] != pts.shape[1]:
+        raise ValueError(f"query dimension {q.shape[1]} differs from the cloud's {pts.shape[1]}")
     if not np.isfinite(pts).all():
         raise ValueError("cloud contains non-finite values")
     if not np.isfinite(q).all():
@@ -330,8 +333,11 @@ def p_multi(cloud, kind: str, region: RegionND, _depths: np.ndarray | None = Non
     region; when none falls inside it is the smallest depth over a
     deterministic grid on the region boundary spanning the cloud's bounding
     box.  Outside replicates at or below the floor count into the tail.
+    A region of another dimension than the cloud is rejected.
     """
     pts = _cloud_points(cloud)
+    if region.dim != pts.shape[1]:
+        raise ValueError(f"region dimension {region.dim} differs from the cloud's {pts.shape[1]}")
     inside = region.contains(pts)
     depths = depth_of(pts, pts, kind) if _depths is None else _depths
     esp = float(inside.mean())

@@ -86,7 +86,8 @@ class NullRegion:
             out.extend(e for e in p.finite_endpoints() if e not in out)
         return out
 
-    def format(self) -> str:
+    def describe(self) -> str:
+        """Report form: the region grammar text, as :class:`RegionND` gives a dict."""
         return format_region(self)
 
 

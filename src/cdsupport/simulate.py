@@ -26,7 +26,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import bootstrap_cloud, p_multi, p_multi_max, parallel_map_indexed
+from .depth import DEPTH_KINDS, bootstrap_cloud, p_multi, p_multi_max, parallel_map_indexed
 from .regions import NullRegion, RegionND
 
 __all__ = [
@@ -46,8 +46,8 @@ ALPHA_GRID = (0.01, 0.05, 0.10)
 # sample values held at once by one block of univariate replications (8 MB)
 BLOCK_FLOATS = 1 << 20
 
-UNIVARIATE_METHODS = tuple(support.METHODS)
-MULTI_METHODS = ("multi", "multi-max")
+# bivariate method name -> depth p-value; univariate runs use support.METHODS
+MULTI_METHODS = {"multi": p_multi, "multi-max": p_multi_max}
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +75,7 @@ class ExperimentSpec:
         if self.reps < 50:
             raise ValueError(f"need reps >= 50, got {self.reps}")
         if self.model == "univariate-normal":
-            if self.method not in UNIVARIATE_METHODS:
+            if self.method not in support.METHODS:
                 raise ValueError(f"method {self.method!r} not valid for univariate runs")
             if self.cd not in ("t", "z", "bootstrap"):
                 raise ValueError(f"unknown cd kind {self.cd!r}")
@@ -86,8 +86,12 @@ class ExperimentSpec:
         else:
             if self.method not in MULTI_METHODS:
                 raise ValueError(f"method {self.method!r} not valid for bivariate runs")
+            if self.depth not in DEPTH_KINDS:
+                raise ValueError(f"unknown depth kind {self.depth!r}")
             if not isinstance(self.region, RegionND):
                 raise ValueError("bivariate runs need a RegionND")
+            if self.region.dim != 2:
+                raise ValueError(f"bivariate runs need a 2-D region, not {self.region.dim}-D")
             cov = np.asarray(self.cov, dtype=float)
             if cov.shape != (2, 2) or not np.allclose(cov, cov.T):
                 raise ValueError("covariance must be a symmetric 2x2 matrix")
@@ -181,9 +185,7 @@ def _bivariate_p(spec: ExperimentSpec, rep: int, chol: np.ndarray) -> float:
         rng = np.random.default_rng([spec.seed, rep, 0])
         data = spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T
         cloud = bootstrap_cloud(data, spec.boot_m, seed=[spec.seed, rep, 1])
-        if spec.method == "multi":
-            return p_multi(cloud, spec.depth, spec.region).p
-        return p_multi_max(cloud, spec.depth, spec.region).p
+        return MULTI_METHODS[spec.method](cloud, spec.depth, spec.region).p
     except ValueError as exc:
         raise _replication_error(spec, rep, exc) from exc
 

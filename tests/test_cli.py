@@ -97,10 +97,13 @@ class TestPval:
 
     def test_nan_row_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0\nnan\n2.0\n")
-        code, _, err = run_cli(["pval", "--input", str(path), "--region", "0"], capsys)
-        assert code == 1
-        assert json.loads(err)["error"]["category"] == "parse"
+        for bad, kind in (("nan", "NaN"), ("inf", "infinite"), ("-inf", "infinite")):
+            path.write_text(f"1.0\n{bad}\n2.0\n")
+            code, _, err = run_cli(["pval", "--input", str(path), "--region", "0"], capsys)
+            assert code == 1
+            assert json.loads(err)["error"] == {
+                "category": "parse", "message": f"{path}:2: {kind} values are rejected"
+            }
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -291,3 +294,70 @@ def test_pval_report_reproducible_from_itself(sample_csv, capsys):
     )
     assert code == 0
     assert json.loads(out) == first
+
+
+# -- bad input -----------------------------------------------------------------
+
+UNI = ["simulate", "--region", "0", "--n", "20", "--reps", "50"]
+BIV = ["simulate", "--true-mean", "0,0", "--n", "20", "--reps", "50", "--boot-reps", "100"]
+BIOEQ = ["bioeq", "--n1", "10", "--n2", "10", "--mean-t", "5", "--mean-r", "5"]
+PVAL2D = ["pval2d", "--input", "{d}/table1.csv", "--boot-reps", "200", "--seed", "1"]
+
+# (id, argv, category, message); "{d}" is the directory of the input files.
+# Library errors reach stderr only through main, so their messages are pinned
+# byte for byte.
+BAD_INPUT = [
+    ("uni-multi", UNI + ["--method", "multi"],
+     "validation", "method 'multi' not valid for univariate runs"),
+    ("uni-multi-max", UNI + ["--method", "multi-max"],
+     "validation", "method 'multi-max' not valid for univariate runs"),
+    ("uni-boot-reps", UNI + ["--boot-reps", "50"], "validation", "need boot_m >= 100, got 50"),
+    ("uni-n", UNI + ["--n", "1"], "validation", "need n >= 2, got 1"),
+    ("uni-reps", UNI + ["--reps", "10"], "validation", "need reps >= 50, got 10"),
+    ("uni-true-mean", UNI + ["--true-mean", "1,2"],
+     "validation", "univariate runs need a scalar --true-mean"),
+    ("biv-pstar", BIV + ["--config", "{d}/half.cfg", "--method", "pstar"],
+     "validation", "method 'p-star' not valid for bivariate runs"),
+    ("biv-no-corners", BIV + ["--config", "{d}/half.cfg", "--method", "multi-max"],
+     "validation",
+     "replication rep=0 with seed (0, 0, 0) failed: region has no designated corner points"),
+    ("bioeq-var-d", BIOEQ + ["--var-d", "-1", "--lower", "-8", "--upper", "8"],
+     "validation", "pooled variance must be positive, got -1.0"),
+    ("bioeq-limits", BIOEQ + ["--var-d", "4", "--lower", "1", "--upper", "1"],
+     "validation", "equivalence limits must satisfy lower < upper, got [1.0, 1.0]"),
+    ("pval2d-boot-reps", PVAL2D + ["--config", "{d}/half.cfg", "--boot-reps", "50"],
+     "validation", "need reps >= 100, got 50"),
+    ("inf-row", ["pval", "--input", "{d}/inf.csv", "--region", "0"],
+     "parse", "{d}/inf.csv:2: infinite values are rejected"),
+] + [
+    (f"{cmd}-{k}d-{depth}", argv + ["--config", f"{{d}}/box{k}.cfg", "--depth", depth],
+     "validation", message.format(k=k))
+    for depth in ("mahalanobis", "simplicial")
+    for k in (1, 3)
+    for cmd, argv, message in (
+        ("pval2d", PVAL2D, "region dimension {k} differs from the cloud's 2"),
+        ("simulate", BIV + ["--method", "multi"], "bivariate runs need a 2-D region, not {k}-D"),
+    )
+]
+
+
+@pytest.fixture
+def bad_input_dir(tmp_path, table1):
+    (tmp_path / "table1.csv").write_text("\n".join(f"{a},{b}" for a, b in table1) + "\n")
+    (tmp_path / "half.cfg").write_text("shape = halfspace\nnormal = 1, 0\noffset = 0\n")
+    for k in (1, 3):
+        (tmp_path / f"box{k}.cfg").write_text(
+            f"shape = rectangle\nlo = {', '.join(['-0.1'] * k)}\nhi = {', '.join(['0.1'] * k)}\n"
+        )
+    (tmp_path / "inf.csv").write_text("1.0\ninf\n2.0\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv,category,message", [case[1:] for case in BAD_INPUT],
+                         ids=[case[0] for case in BAD_INPUT])
+def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, capsys):
+    d = str(bad_input_dir)
+    code, out, err = run_cli([arg.format(d=d) for arg in argv], capsys)
+    assert (code, out) == (1, "")
+    line = json.dumps({"error": {"category": category, "message": message.format(d=d)}})
+    assert err == line + "\n"

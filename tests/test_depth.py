@@ -348,6 +348,32 @@ class TestNonFiniteInput:
             p_multi_max(cloud, kind, box)
 
 
+class TestDimensionMismatch:
+    """A query or region of another dimension than the cloud is an error."""
+
+    CLOUD = np.random.default_rng(71).standard_normal((50, 2))
+
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    def test_depth_of_rejects_3_vector_query(self, kind):
+        with pytest.raises(ValueError, match="query dimension 3 differs"):
+            depth_of(self.CLOUD, [[0.0, 0.0, 99.0]], kind)
+
+    def test_single_point_depths_reject_3_vector(self):
+        with pytest.raises(ValueError, match="query dimension 3 differs"):
+            simplicial_depth(self.CLOUD, [0.0, 0.0, 99.0])
+        with pytest.raises(ValueError, match="query dimension 3 differs"):
+            mahalanobis_depth(self.CLOUD, [0.0, 0.0, 99.0])
+
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_p_values_reject_region_dimension(self, kind, k):
+        box = Rectangle(lower=[-0.1] * k, upper=[0.1] * k)
+        with pytest.raises(ValueError, match=f"region dimension {k} differs"):
+            p_multi(self.CLOUD, kind, box)
+        with pytest.raises(ValueError, match=f"region dimension {k} differs"):
+            p_multi_max(self.CLOUD, kind, box)
+
+
 # -- exactness on degenerate inputs -------------------------------------------
 
 LATTICE = st.integers(-4, 4)

@@ -64,6 +64,22 @@ class TestExperimentSpec:
                 region=parse_region("0"), n=50, method="multi",
             )
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_rejects_region_dimension(self, k):
+        with pytest.raises(ValueError, match=f"2-D region, not {k}-D"):
+            ExperimentSpec(
+                model="bivariate-normal", true_mean=(0.0, 0.0),
+                region=Rectangle(lower=[-1.0] * k, upper=[1.0] * k), n=50, method="multi",
+            )
+
+    def test_rejects_unknown_depth(self):
+        with pytest.raises(ValueError, match="unknown depth kind 'foo'"):
+            ExperimentSpec(
+                model="bivariate-normal", true_mean=(0.0, 0.0),
+                region=Rectangle(lower=[-1, -1], upper=[1, 1]), n=50, method="multi",
+                depth="foo",
+            )
+
 
 def _uni_spec(**kw):
     base = dict(
