@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
+from .depth import resample_means
+
 __all__ = [
     "ConfidenceDistribution",
     "make_student_t_cd",
@@ -151,9 +153,7 @@ def make_bootstrap_cd(sample, reps: int, seed) -> ConfidenceDistribution:
         raise ValueError(f"need reps >= 100 bootstrap replicates, got {reps}")
     if np.all(x == x[0]):
         raise ValueError("degenerate sample: all observations equal")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, x.size, size=(reps, x.size))
-    means = x[idx].mean(axis=1)
+    means = resample_means(x[:, None], reps, seed)[:, 0]
     grid = np.unique(means)
     if grid.size < 2:
         raise ValueError("degenerate bootstrap distribution: replicates all equal")

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import DEPTH_KINDS, bootstrap_cloud, depth_of, p_multi, p_multi_max
+from .depth import DEPTH_KINDS, bootstrap_cloud, check_region_dim, depth_of, p_multi, p_multi_max
 from .regions import (
     Halfspace,
     NullRegion,
@@ -236,6 +236,7 @@ def cmd_pval(args) -> dict:
 def cmd_pval2d(args) -> dict:
     data = read_csv_columns(args.input, 2)
     region, _ = load_region_config(args.config)
+    check_region_dim(region, data.shape[1])
     cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
     depths = depth_of(cloud, cloud.points, args.depth, threads=args.threads)
     if region.corners.size:

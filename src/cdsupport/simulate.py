@@ -81,6 +81,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown cd kind {self.cd!r}")
             if not isinstance(self.region, NullRegion):
                 raise ValueError("univariate runs need a NullRegion")
+            if np.ndim(self.true_mean) != 0:
+                raise ValueError("univariate truth must be a scalar")
             if not self.sd > 0:
                 raise ValueError("sd must be positive")
         else:

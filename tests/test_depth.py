@@ -11,14 +11,16 @@ from cdsupport import (
     PointSet,
     Rectangle,
     bootstrap_cloud,
+    make_bootstrap_cd,
     mahalanobis_depth,
     p_multi,
     p_multi_max,
     simplicial_depth,
     simplicial_depth_brute,
 )
+from cdsupport import depth as depth_module
 from cdsupport.cli import main
-from cdsupport.depth import depth_of
+from cdsupport.depth import _simplicial_counts, depth_of
 
 # computed directly from the paired differences in conftest.TABLE1
 TABLE1_MEAN = (0.17713333333333334, 0.26)
@@ -50,6 +52,32 @@ class TestBootstrapCloud:
             bootstrap_cloud(np.zeros((5, 2)), 50, seed=0)
         with pytest.raises(ValueError):
             bootstrap_cloud(np.array([[1.0, np.nan]] * 5), 200, seed=0)
+
+
+# n = 2; fewer than 8 rows, whose contiguous k = 1 sum numpy runs as a plain
+# loop; and more, where that sum is pairwise
+ROWS = st.one_of(st.just(2), st.integers(3, 7), st.integers(8, 400))
+
+
+@given(
+    n=ROWS,
+    k=st.sampled_from([1, 2]),
+    reps=st.integers(100, 700),
+    scale=st.sampled_from([1e-3, 1.0, 1e6, 1e12]),
+    seed=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**16)),
+)
+@settings(max_examples=150, deadline=None)
+def test_resampled_means_equal_gather_and_mean(n, k, reps, scale, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, k)) * scale + rng.standard_normal(k) * scale
+    idx = np.random.default_rng(seed).integers(0, n, size=(reps, n))
+    expected = x[idx].mean(axis=1)
+    cloud = bootstrap_cloud(x, reps, seed=seed)
+    assert cloud.seed == seed
+    assert np.array_equal(cloud.points, expected)
+    if k == 1 and np.unique(expected).size > 1:
+        grid = make_bootstrap_cd(x[:, 0], reps, seed=seed).grid
+        assert np.array_equal(grid, np.unique(expected))
 
 
 class TestMahalanobisDepth:
@@ -456,3 +484,125 @@ def test_signed_zeros_give_the_same_depths():
     got = depth_of(pts, queries, "simplicial")
     assert np.array_equal(got, depth_of(plus(pts), plus(queries), "simplicial"))
     assert np.array_equal(got, [simplicial_depth_brute(pts, q) for q in queries])
+
+
+# -- the closed-form miss count ------------------------------------------------
+
+
+def reference_simplicial_counts(pts, queries):
+    """Reference for ``_simplicial_counts`` on the same keys: one row at a
+    time, it forms 2w for every key, less twice the key's antipodes, and
+    sums the misses as ((2w)^2 - 2 (2w)) / 8."""
+    m = pts.shape[0]
+    dx = pts[:, 0][None, :] - queries[:, 0][:, None]
+    dy = pts[:, 1][None, :] - queries[:, 1][:, None]
+    at_query = (dx == 0.0) & (dy == 0.0)
+    lower = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
+    fdx = np.where(lower, -dx, dx)
+    key = np.arctan2(np.abs(dy), fdx).view(np.uint64) << 1 | lower
+    key[at_query] = np.iinfo(np.uint64).max
+    key.sort(axis=1)
+    e_counts = np.count_nonzero(at_query, axis=1)
+    total = math.comb(m, 3)
+    out = np.full(queries.shape[0], total, dtype=np.int64)
+    for row, e in enumerate(e_counts):
+        live = m - int(e)
+        if live < 3:
+            continue
+        k = key[row, :live]
+        flags = (k & 1).astype(np.int64)
+        c = np.cumsum(flags)
+        n1 = int(c[-1])
+        sign = 1 - 2 * flags
+        two_w = sign * (4 * c - 2 * np.arange(1, live + 1) + live - 2 * n1) + live
+        # a lower key's antipodes: the upper keys of its angle
+        angle = k >> 1
+        antipodes = np.array([
+            np.count_nonzero((angle == angle[j]) & (flags == 0)) if flags[j] else 0
+            for j in range(live)
+        ])
+        two_w -= 2 * antipodes
+        out[row] = total - (two_w @ two_w - 2 * two_w.sum()) // 8
+    return out
+
+
+@st.composite
+def counting_cases(draw):
+    """A cloud of 3..200 points with integer or Gaussian coordinates, and
+    queries that include cloud points, so that queries with different
+    numbers of coinciding points share one call."""
+    m = draw(st.integers(3, 200))
+    shape = draw(st.sampled_from(["lattice", "duplicates", "symmetric", "line", "gaussian"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centre = rng.integers(-4, 5, size=2) / 2
+    if shape == "lattice":
+        pts = rng.integers(-4, 5, size=(m, 2))
+    elif shape == "duplicates":
+        base = rng.integers(-4, 5, size=(max(1, m // 8), 2))
+        pts = base[rng.integers(0, base.shape[0], size=m)]
+    elif shape == "symmetric":
+        half = rng.integers(-4, 5, size=((m + 1) // 2, 2))
+        pts = np.vstack([half, 2 * centre - half])[:m]
+    elif shape == "line":
+        pts = centre + rng.integers(-6, 7, size=(m, 1)) * rng.integers(-2, 3, size=2)
+    else:
+        pts = rng.standard_normal((m, 2))
+    pts = pts.astype(float)
+    queries = np.vstack([
+        pts[rng.integers(0, m, size=6)],
+        rng.integers(-9, 10, size=(6, 2)) / 2,
+        centre,
+    ])
+    return pts, queries
+
+
+@given(counting_cases())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_counts_equal_materialised_counts(case):
+    pts, queries = case
+    got = _simplicial_counts(pts, queries)
+    assert got.dtype == np.int64
+    assert got.tolist() == reference_simplicial_counts(pts, queries).tolist()
+
+
+@pytest.mark.parametrize("m", [500, 2000])
+def test_closed_form_counts_on_gaussian_clouds(m):
+    pts = np.random.default_rng(81).standard_normal((m, 2))
+    queries = np.vstack([pts[:10], [[0.0, 0.0], [5.0, 5.0]]])
+    assert _simplicial_counts(pts, queries).tolist() == (
+        reference_simplicial_counts(pts, queries).tolist())
+
+
+# -- a region of the wrong dimension costs no depth work ------------------------
+
+
+@pytest.fixture
+def depth_calls(monkeypatch):
+    calls = []
+    real = depth_module.depth_of
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(depth_module, "depth_of", counting)
+    monkeypatch.setattr("cdsupport.cli.depth_of", counting)
+    return calls
+
+
+def test_wrong_region_dimension_fails_before_any_depth(depth_calls, tmp_path, capsys, table1):
+    box = Rectangle(lower=[-0.1] * 3, upper=[0.1] * 3)
+    cloud = np.random.default_rng(82).standard_normal((300, 2))
+    for p_value in (p_multi, p_multi_max):
+        with pytest.raises(ValueError, match="region dimension 3 differs from the cloud's 2"):
+            p_value(cloud, "simplicial", box)
+    csv_path = tmp_path / "table1.csv"
+    csv_path.write_text("".join(f"{a},{b}\n" for a, b in table1))
+    cfg = tmp_path / "box3.cfg"
+    cfg.write_text("shape = rectangle\nlo = -0.1, -0.1, -0.1\nhi = 0.1, 0.1, 0.1\n")
+    code = main(["pval2d", "--input", str(csv_path), "--config", str(cfg),
+                 "--depth", "simplicial", "--boot-reps", "2000"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+        "region dimension 3 differs from the cloud's 2")
+    assert depth_calls == []

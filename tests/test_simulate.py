@@ -72,6 +72,14 @@ class TestExperimentSpec:
                 region=Rectangle(lower=[-1.0] * k, upper=[1.0] * k), n=50, method="multi",
             )
 
+    @pytest.mark.parametrize("truth", [[1.0, 2.0], [0.0], np.zeros((1, 1))])
+    def test_rejects_non_scalar_univariate_truth(self, truth):
+        with pytest.raises(ValueError, match="univariate truth must be a scalar"):
+            ExperimentSpec(
+                model="univariate-normal", true_mean=truth,
+                region=parse_region("0"), n=20, reps=50,
+            )
+
     def test_rejects_unknown_depth(self):
         with pytest.raises(ValueError, match="unknown depth kind 'foo'"):
             ExperimentSpec(
