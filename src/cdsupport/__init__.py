@@ -8,7 +8,6 @@ from .cd import (
 )
 from .depth import (
     BootstrapCloud,
-    MaxMultiPValue,
     MultiPValue,
     bootstrap_cloud,
     mahalanobis_depth,

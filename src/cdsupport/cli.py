@@ -24,7 +24,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import DEPTH_KINDS, bootstrap_cloud, check_region_dim, depth_of, p_multi, p_multi_max
+from .depth import DEPTH_KINDS, MULTI_METHODS, bootstrap_cloud, check_region_dim
 from .regions import (
     Halfspace,
     NullRegion,
@@ -35,7 +35,7 @@ from .regions import (
     format_region,
     parse_region,
 )
-from .simulate import MULTI_METHODS, PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
+from .simulate import PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
 
 SCHEMA_VERSION = 1
 
@@ -102,7 +102,10 @@ def _parse_vector(text: str, key: str) -> list[float]:
 
 
 def _parse_points(text: str, key: str) -> list[list[float]]:
-    return [_parse_vector(part, key) for part in text.split(";") if part.strip()]
+    points = [_parse_vector(part, key) for part in text.split(";") if part.strip()]
+    if len({len(point) for point in points}) > 1:
+        raise CliError("parse", f"config key {key!r}: rows of unequal length in {text!r}")
+    return points
 
 
 def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
@@ -140,11 +143,11 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
                 corners=corners,
             )
         elif shape == "halfspace":
-            region = Halfspace(
-                normal=_parse_vector(kv["normal"], "normal"),
-                offset=float(kv["offset"]),
-                corners=corners,
-            )
+            normal = _parse_vector(kv["normal"], "normal")
+            offset = _parse_vector(kv["offset"], "offset")
+            if len(offset) != 1:
+                raise CliError("parse", f"config key 'offset': {kv['offset']!r} is not one number")
+            region = Halfspace(normal=normal, offset=offset[0], corners=corners)
         elif shape == "quadrant-complement":
             region = QuadrantComplement(corner=_parse_vector(kv["corner"], "corner"),
                                         corners=corners)
@@ -158,8 +161,7 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
         raise CliError("validation", f"{path}: {exc}") from None
     cov = None
     if "cov" in kv:
-        rows = _parse_points(kv["cov"], "cov")
-        cov = np.array(rows, dtype=float)
+        cov = np.array(_parse_points(kv["cov"], "cov"), dtype=float)
     return region, cov
 
 
@@ -238,14 +240,9 @@ def cmd_pval2d(args) -> dict:
     region, _ = load_region_config(args.config)
     check_region_dim(region, data.shape[1])
     cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
-    depths = depth_of(cloud, cloud.points, args.depth, threads=args.threads)
-    if region.corners.size:
-        top = p_multi_max(cloud, args.depth, region, _depths=depths)
-        base = top.base
-        extra = {"corner_p": list(top.corner_p), "p_max": top.p}
-    else:
-        base = p_multi(cloud, args.depth, region, _depths=depths)
-        extra = {}
+    method = "multi-max" if region.corners.size else "multi"
+    res = MULTI_METHODS[method](cloud, args.depth, region, threads=args.threads)
+    extra = {"corner_p": list(res.corner_p), "p_max": res.p} if res.corner_p else {}
     return {
         "schema": SCHEMA_VERSION,
         "command": "pval2d",
@@ -259,11 +256,11 @@ def cmd_pval2d(args) -> dict:
         "n": int(data.shape[0]),
         "m": cloud.m,
         "depth": args.depth,
-        "esp": base.esp,
-        "tail": base.tail,
-        "depth_floor": base.depth_floor,
-        "floor_source": base.floor_source,
-        "p_multi": base.p,
+        "esp": res.esp,
+        "tail": res.tail,
+        "depth_floor": res.depth_floor,
+        "floor_source": res.floor_source,
+        "p_multi": res.base.p,
         **extra,
     }
 

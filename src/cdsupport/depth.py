@@ -5,7 +5,9 @@ replicate estimates: the share of replicates inside the null region, plus
 the share of replicates outside it whose depth does not exceed the depth
 floor of the region (the least-deep inside replicate, or a deterministic
 boundary grid when nothing falls inside).  A boundary-max variant takes the
-maximum with singleton p-values at designated corner points.
+maximum with singleton p-values at designated corner points.  Both return a
+``MultiPValue`` (the corner p-values in ``corner_p``) and are selected by name
+through ``MULTI_METHODS``; their ``threads`` reach every depth computation.
 
 ``depth_of`` is the one place that decides how depths are computed.
 Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +46,6 @@ __all__ = [
     "depth_of",
     "parallel_map_indexed",
     "MultiPValue",
-    "MaxMultiPValue",
     "p_multi",
     "p_multi_max",
 ]
@@ -342,20 +343,20 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiPValue:
-    """Region p-value split into its inside share and low-depth tail share."""
+    """Region p-value split into its inside and low-depth tail shares, with the
+    corner p-values that ``p_multi_max`` took the maximum of."""
 
     p: float
     esp: float          # fraction of replicates inside the region
     tail: float         # fraction outside with depth <= the floor
     depth_floor: float
     floor_source: str   # "inside-replicates" | "boundary-grid"
+    corner_p: tuple[float, ...] = ()
 
-
-@dataclass(frozen=True)
-class MaxMultiPValue:
-    p: float
-    base: MultiPValue
-    corner_p: tuple[float, ...]
+    @property
+    def base(self) -> MultiPValue:
+        """The region p-value without the corner maximum."""
+        return replace(self, p=min(self.esp + self.tail, 1.0), corner_p=())
 
 
 def _grid_box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,26 +372,28 @@ def check_region_dim(region: RegionND, dim: int) -> None:
         raise ValueError(f"region dimension {region.dim} differs from the cloud's {dim}")
 
 
-def p_multi(cloud, kind: str, region: RegionND, _depths: np.ndarray | None = None) -> MultiPValue:
+# _depths: replicate depths already computed; p_multi_max and the benchmark's traced replay pass it
+def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) -> MultiPValue:
     """Inside fraction plus the low-depth outside fraction.
 
     The depth floor is the smallest depth among replicates inside the
     region; when none falls inside it is the smallest depth over a
     deterministic grid on the region boundary spanning the cloud's bounding
     box.  Outside replicates at or below the floor count into the tail.
+    Depths run on ``threads`` workers, with the same result for any count.
     A region of another dimension than the cloud is rejected.
     """
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])
     inside = region.contains(pts)
-    depths = depth_of(pts, pts, kind) if _depths is None else _depths
+    depths = depth_of(pts, pts, kind, threads) if _depths is None else _depths
     esp = float(inside.mean())
     if inside.any():
         floor = float(depths[inside].min())
         source = "inside-replicates"
     else:
         grid = region.boundary_grid(*_grid_box(pts))
-        floor = float(depth_of(pts, grid, kind).min())
+        floor = float(depth_of(pts, grid, kind, threads).min())
         source = "boundary-grid"
     tail = float(((~inside) & (depths <= floor)).mean())
     return MultiPValue(
@@ -398,15 +401,18 @@ def p_multi(cloud, kind: str, region: RegionND, _depths: np.ndarray | None = Non
     )
 
 
-def p_multi_max(
-    cloud, kind: str, region: RegionND, _depths: np.ndarray | None = None
-) -> MaxMultiPValue:
+def p_multi_max(cloud, kind: str, region: RegionND, threads: int = 1) -> MultiPValue:
     """Max of the region p-value and singleton p-values at designated corners."""
     pts = _cloud_points(cloud)
     if region.corners.size == 0:
         raise ValueError("region has no designated corner points")
     check_region_dim(region, pts.shape[1])
-    depths = depth_of(pts, pts, kind) if _depths is None else _depths
-    base = p_multi(pts, kind, region, _depths=depths)
-    corner_p = tuple(float((depths <= d).mean()) for d in depth_of(pts, region.corners, kind))
-    return MaxMultiPValue(p=max(base.p, *corner_p), base=base, corner_p=corner_p)
+    depths = depth_of(pts, pts, kind, threads)
+    base = p_multi(pts, kind, region, threads, _depths=depths)
+    corner_depths = depth_of(pts, region.corners, kind, threads)
+    corner_p = tuple(float((depths <= d).mean()) for d in corner_depths)
+    return replace(base, p=max(base.p, *corner_p), corner_p=corner_p)
+
+
+# bivariate method name -> depth p-value; univariate methods are support.METHODS
+MULTI_METHODS = {"multi": p_multi, "multi-max": p_multi_max}

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import DEPTH_KINDS, bootstrap_cloud, p_multi, p_multi_max, parallel_map_indexed
+from .depth import DEPTH_KINDS, MULTI_METHODS, bootstrap_cloud, parallel_map_indexed
 from .regions import NullRegion, RegionND
 
 __all__ = [
@@ -45,10 +45,6 @@ ALPHA_GRID = (0.01, 0.05, 0.10)
 
 # sample values held at once by one block of univariate replications (8 MB)
 BLOCK_FLOATS = 1 << 20
-
-# bivariate method name -> depth p-value; univariate runs use support.METHODS
-MULTI_METHODS = {"multi": p_multi, "multi-max": p_multi_max}
-
 
 @dataclass(frozen=True, eq=False)
 class ExperimentSpec:

@@ -329,6 +329,16 @@ BAD_INPUT = [
      "validation", "need reps >= 100, got 50"),
     ("inf-row", ["pval", "--input", "{d}/inf.csv", "--region", "0"],
      "parse", "{d}/inf.csv:2: infinite values are rejected"),
+    ("pval2d-offset-text", PVAL2D + ["--config", "{d}/offset_text.cfg"],
+     "parse", "config key 'offset': bad number in 'abc'"),
+    ("pval2d-offset-pair", PVAL2D + ["--config", "{d}/offset_pair.cfg"],
+     "parse", "config key 'offset': '1, 2' is not one number"),
+    ("pval2d-ragged-cov", PVAL2D + ["--config", "{d}/ragged_cov.cfg"],
+     "parse", "config key 'cov': rows of unequal length in '1,0 ; 0'"),
+    ("biv-ragged-cov", BIV + ["--config", "{d}/ragged_cov.cfg", "--method", "multi"],
+     "parse", "config key 'cov': rows of unequal length in '1,0 ; 0'"),
+    ("pval2d-ragged-corners", PVAL2D + ["--config", "{d}/ragged_corners.cfg"],
+     "parse", "config key 'corners': rows of unequal length in '0,0 ; 1'"),
 ] + [
     (f"{cmd}-{k}d-{depth}", argv + ["--config", f"{{d}}/box{k}.cfg", "--depth", depth],
      "validation", message.format(k=k))
@@ -350,6 +360,13 @@ def bad_input_dir(tmp_path, table1):
             f"shape = rectangle\nlo = {', '.join(['-0.1'] * k)}\nhi = {', '.join(['0.1'] * k)}\n"
         )
     (tmp_path / "inf.csv").write_text("1.0\ninf\n2.0\n")
+    for name, value in (("offset_text", "abc"), ("offset_pair", "1, 2")):
+        (tmp_path / f"{name}.cfg").write_text(
+            f"shape = halfspace\nnormal = 1, 0\noffset = {value}\n")
+    (tmp_path / "ragged_cov.cfg").write_text(
+        "shape = halfspace\nnormal = 1, 0\noffset = 0\ncov = 1,0 ; 0\n")
+    (tmp_path / "ragged_corners.cfg").write_text(
+        "shape = halfspace\nnormal = 1, 0\noffset = 0\ncorners = 0,0 ; 1\n")
     return tmp_path
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsupport import (
+    Halfspace,
     PointSet,
     Rectangle,
     bootstrap_cloud,
@@ -257,8 +259,6 @@ class TestPMultiMax:
         assert top.p == 1.0 and top.base.p == 0.0
 
     def test_requires_corners(self):
-        from cdsupport import Halfspace
-
         pts = np.random.default_rng(51).standard_normal((150, 2))
         with pytest.raises(ValueError, match="corner"):
             p_multi_max(pts, "mahalanobis", Halfspace(normal=[1.0, 0.0], offset=0.0))
@@ -292,24 +292,43 @@ class TestDepthPath:
         assert one.shape == (1500,)
         assert np.array_equal(one, depth_of(pts, queries, "simplicial", threads=3))
 
-    @pytest.mark.parametrize("depth", ["mahalanobis", "simplicial"])
-    def test_library_p_multi_max_equals_pval2d_report(self, depth, tmp_path, capsys):
-        data = np.random.default_rng(62).standard_normal((50, 2)) + [0.1, 0.0]
+    DATA = np.random.default_rng(62).standard_normal((50, 2)) + [0.1, 0.0]
+
+    def pval2d_report(self, config, depth, tmp_path, capsys):
         csv_path = tmp_path / "pairs.csv"
-        csv_path.write_text("".join(f"{a!r},{b!r}\n" for a, b in data.tolist()))
-        cfg = tmp_path / "rect.cfg"
-        cfg.write_text("shape = rectangle\nlo = -0.1, -0.2\nhi = 0.2, 0.1\n")
+        csv_path.write_text("".join(f"{a!r},{b!r}\n" for a, b in self.DATA.tolist()))
+        cfg = tmp_path / "region.cfg"
+        cfg.write_text(config)
         code = main(["pval2d", "--input", str(csv_path), "--config", str(cfg),
                      "--depth", depth, "--boot-reps", "700", "--seed", "3", "--threads", "2"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        cloud = bootstrap_cloud(data, 700, seed=3)
-        top = p_multi_max(cloud, depth, Rectangle(lower=[-0.1, -0.2], upper=[0.2, 0.1]))
         assert report["m"] == 700
+        return report, bootstrap_cloud(self.DATA, 700, seed=3)
+
+    @pytest.mark.parametrize("depth", ["mahalanobis", "simplicial"])
+    def test_library_p_multi_max_equals_pval2d_report(self, depth, tmp_path, capsys):
+        report, cloud = self.pval2d_report(
+            "shape = rectangle\nlo = -0.1, -0.2\nhi = 0.2, 0.1\n", depth, tmp_path, capsys)
+        box = Rectangle(lower=[-0.1, -0.2], upper=[0.2, 0.1])
+        top = p_multi_max(cloud, depth, box, threads=2)
+        assert top == p_multi_max(cloud, depth, box)
         assert (report["esp"], report["tail"], report["p_multi"]) == (
             top.base.esp, top.base.tail, top.base.p)
         assert report["corner_p"] == list(top.corner_p)
         assert report["p_max"] == top.p
+
+    @pytest.mark.parametrize("depth", ["mahalanobis", "simplicial"])
+    @pytest.mark.parametrize("offset", [0.05, -0.25])  # replicates inside; none inside
+    def test_library_p_multi_equals_corner_free_pval2d_report(
+            self, depth, offset, tmp_path, capsys):
+        report, cloud = self.pval2d_report(
+            f"shape = halfspace\nnormal = 1, 0\noffset = {offset}\n", depth, tmp_path, capsys)
+        res = p_multi(cloud, depth, Halfspace(normal=[1.0, 0.0], offset=offset), threads=2)
+        assert res.corner_p == () and res.base == res
+        assert "corner_p" not in report and "p_max" not in report
+        assert (report["esp"], report["tail"], report["depth_floor"], report["floor_source"],
+                report["p_multi"]) == (res.esp, res.tail, res.depth_floor, res.floor_source, res.p)
 
     def test_p_multi_memory_is_bounded(self):
         cloud = bootstrap_cloud(np.random.default_rng(63).standard_normal((40, 2)), 2000, seed=4)
@@ -582,11 +601,10 @@ def depth_calls(monkeypatch):
     real = depth_module.depth_of
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(depth_module, "depth_of", counting)
-    monkeypatch.setattr("cdsupport.cli.depth_of", counting)
     return calls
 
 
@@ -606,3 +624,16 @@ def test_wrong_region_dimension_fails_before_any_depth(depth_calls, tmp_path, ca
     assert json.loads(capsys.readouterr().err)["error"]["message"] == (
         "region dimension 3 differs from the cloud's 2")
     assert depth_calls == []
+
+
+def test_pval2d_threads_reach_every_depth_call(depth_calls, tmp_path, capsys, table1):
+    # far from the cloud: replicate, boundary-grid and corner depths are all computed
+    csv_path = tmp_path / "table1.csv"
+    csv_path.write_text("".join(f"{a},{b}\n" for a, b in table1))
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("shape = rectangle\nlo = 5, 5\nhi = 6, 6\n")
+    code = main(["pval2d", "--input", str(csv_path), "--config", str(cfg),
+                 "--depth", "simplicial", "--boot-reps", "300", "--threads", "2"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["floor_source"] == "boundary-grid"
+    assert [call.get("threads", 1) for call in depth_calls] == [2, 2, 2]
