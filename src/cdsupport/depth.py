@@ -298,10 +298,16 @@ def _triangle_contains(a, b, c, w) -> bool:
     return min(xs) <= w[0] <= max(xs) and min(ys) <= w[1] <= max(ys)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def parallel_map_indexed(fn, count: int, threads: int) -> list:
     """Evaluate fn(i) for i in range(count); results ordered by index, so the
-    outcome is independent of the worker count."""
-    if threads <= 1:
+    outcome is independent of the worker count (which must be at least 1)."""
+    _check_threads(threads)
+    if threads == 1:
         return list(map(fn, range(count)))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
@@ -313,8 +319,9 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
     Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
     on ``threads`` workers; the result is the same for any worker count.
     A cloud or queries holding NaN or infinity, or queries of another
-    dimension than the cloud, are rejected.
+    dimension than the cloud, are rejected, and so is a worker count below 1.
     """
+    _check_threads(threads)
     pts = _cloud_points(cloud)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
     if q.shape[1] != pts.shape[1]:

@@ -2,7 +2,9 @@
 chosen p-value mapping per replication, and summarize uniformity.
 
 Replication r of a run draws its random stream from (master seed, r, 0), so
-reports are bit-identical for any worker-thread count and any schedule.
+reports are bit-identical for any worker-thread count and any schedule.  The
+master seed is an integer >= 0; seeds of 2**32 and above are split into
+32-bit words as numpy does.
 
 Univariate runs are batched: a block of replications is drawn into one
 (block, n) array, each row from its replication's own stream, and a single
@@ -12,21 +14,40 @@ bounded as ``reps`` grows.  The bootstrap CD, whose grid differs per
 replication, is still built per replication.  The ``threads`` argument
 applies to bivariate runs only: their replications run on a thread pool
 through ``depth.parallel_map_indexed``, and each computes its depths in
-bounded chunks on its own worker.  Univariate runs stay on the calling thread.
+bounded chunks on its own worker.  Univariate runs stay on the calling thread;
+either way ``threads`` must be at least 1.
 A failure inside a replication raises a ``ValueError`` naming the
 replication and its seed tuple.
+
+A univariate block also derives all of its streams at once.
+``_stream_words`` runs numpy's ``SeedSequence`` hash (its pool mix and
+``generate_state``, fixed uint32 recipes whose constants do not depend on the
+seed) as array operations over the block, and numpy seeds each row's
+``PCG64`` from those words through ``_Words``, an ``ISeedSequence``.  Each
+row's stream is the one ``np.random.default_rng([seed, r, 0])`` gives, bit
+for bit, with no ``SeedSequence`` object built per replication; the
+bootstrap CD's stream (seed, r, 1) comes the same way.  Bivariate
+replications, each of which costs milliseconds, call ``default_rng``.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import DEPTH_KINDS, MULTI_METHODS, bootstrap_cloud, parallel_map_indexed
+from .depth import (
+    DEPTH_KINDS,
+    MULTI_METHODS,
+    _check_threads,
+    bootstrap_cloud,
+    parallel_map_indexed,
+)
 from .regions import NullRegion, RegionND
 
 __all__ = [
@@ -64,6 +85,13 @@ class ExperimentSpec:
     cov: np.ndarray = field(default_factory=lambda: PART2_COV.copy())
 
     def __post_init__(self):
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
         if self.model not in ("univariate-normal", "bivariate-normal"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 2:
@@ -140,20 +168,96 @@ def _replication_error(spec: ExperimentSpec, rep: int, exc: ValueError) -> Value
     return ValueError(f"replication rep={rep} with seed ({spec.seed}, {rep}, 0) failed: {exc}")
 
 
+# numpy's SeedSequence hash constants (numpy.random.bit_generator, NEP 19)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _uint32_words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits an integer: 32-bit words, low first."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's ``hashmix`` with its running constant, on uint32 arrays."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal h
+        value = value ^ np.uint32(h)
+        h = (h * mult) & _MASK32
+        value = value * np.uint32(h)
+        return value ^ (value >> np.uint32(16))
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+    return out ^ (out >> np.uint32(16))
+
+
+def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
+    """``SeedSequence([seed, r, stream]).generate_state(4, np.uint64)`` for
+    every r in ``reps``, as a (len(reps), 4) uint64 array.
+
+    The hash constants depend only on the entropy's length, which is the
+    same for every r below 2**32, so each step of numpy's pool mix and of
+    ``generate_state`` is one wrapping uint32 array operation over the block.
+    """
+    if reps.stop > 1 << 32:
+        raise ValueError(f"replication index {reps.stop - 1} needs more than 32 bits")
+    r = np.arange(reps.start, reps.stop, dtype=np.uint32)
+    entropy = ([np.full_like(r, w) for w in _uint32_words(seed)] + [r]
+               + [np.full_like(r, w) for w in _uint32_words(stream)])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(r))
+            for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words(ISeedSequence):
+    """Precomputed ``generate_state`` words; PCG64 seeds itself from them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return self.words
+
+
+def _streams(seed: int, reps: range, stream: int):
+    """``np.random.default_rng([seed, r, stream])`` for every r in ``reps``."""
+    return (np.random.Generator(np.random.PCG64(_Words(words)))
+            for words in _stream_words(seed, reps, stream))
+
+
 def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
     """P-values of replications ``reps``, each drawn from its own stream."""
     y = np.empty((len(reps), spec.n))
-    for row, r in zip(y, reps):
-        np.random.default_rng([spec.seed, r, 0]).standard_normal(out=row)
+    for row, rng in zip(y, _streams(spec.seed, reps, 0)):
+        rng.standard_normal(out=row)
     y *= spec.sd
     y += spec.true_mean
     mapping = support.METHODS[spec.method]
     if spec.cd == "bootstrap":
         return np.array([
             mapping(support.support_table(
-                make_bootstrap_cd(row, spec.boot_m, seed=[spec.seed, r, 1]), spec.region
+                make_bootstrap_cd(row, spec.boot_m, seed=rng), spec.region
             )).item()
-            for row, r in zip(y, reps)
+            for row, rng in zip(y, _streams(spec.seed, reps, 1))
         ])
     make_cd = make_student_t_cd if spec.cd == "t" else make_asymptotic_normal_cd
     cd = make_cd(spec.n, y.mean(axis=1), y.std(axis=1, ddof=1))
@@ -192,8 +296,9 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> UniformityReport:
     """Run all replications and assemble the uniformity report.
 
     ``threads`` is the worker count for bivariate runs; univariate runs are
-    batched on the calling thread and ignore it.
+    batched on the calling thread.  Either way it must be at least 1.
     """
+    _check_threads(threads)
     if spec.model == "univariate-normal":
         pvals = _univariate_pvalues(spec)
     else:

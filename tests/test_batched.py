@@ -172,6 +172,46 @@ def test_default_block_equals_scalar_replay(method, cd):
     assert np.array_equal(run_experiment(spec).pvalues, replay_uni(spec))
 
 
+@pytest.mark.parametrize("cd", ["z", "bootstrap"])
+@pytest.mark.parametrize("seed", [2**32, 2**64 + 5, 2**96 + 1])
+def test_multi_word_seed_equals_scalar_replay(seed, cd):
+    n = 20
+    spec = ExperimentSpec(
+        model="univariate-normal", true_mean=0.0, region=parse_region("[-0.1,0.2]"),
+        n=n, reps=70, cd=cd, boot_m=100, seed=seed,
+    )
+    # blocks of 16 replications: four full blocks and a partial one
+    with mock.patch.object(simulate, "BLOCK_FLOATS", 16 * n):
+        got = run_experiment(spec).pvalues
+    assert np.array_equal(got, replay_uni(spec))
+
+
+# -- the block's streams against numpy's SeedSequence ----------------------------
+
+
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    start=st.integers(0, 2**20),
+    length=st.integers(1, 300),
+    stream=st.sampled_from([0, 1]),
+)
+@settings(max_examples=60, deadline=None)
+def test_stream_words_equal_seed_sequence(seed, start, length, stream):
+    reps = range(start, start + length)
+    words = simulate._stream_words(seed, reps, stream)
+    assert words.dtype == np.uint64 and words.shape == (length, 4)
+    for row, rng, r in zip(words, simulate._streams(seed, reps, stream), reps):
+        ss = np.random.SeedSequence([seed, r, stream])
+        assert np.array_equal(row, ss.generate_state(4, np.uint64))
+        expected = np.random.default_rng([seed, r, stream]).standard_normal(64)
+        assert np.array_equal(rng.standard_normal(64), expected)
+
+
+def test_stream_words_reject_replication_index_beyond_32_bits():
+    with pytest.raises(ValueError, match="needs more than 32 bits"):
+        simulate._stream_words(0, range(2**32 - 1, 2**32 + 1), 0)
+
+
 # -- one cdf call per p-value --------------------------------------------------
 
 

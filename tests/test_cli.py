@@ -316,6 +316,10 @@ BAD_INPUT = [
     ("uni-reps", UNI + ["--reps", "10"], "validation", "need reps >= 50, got 10"),
     ("uni-true-mean", UNI + ["--true-mean", "1,2"],
      "validation", "univariate runs need a scalar --true-mean"),
+    ("uni-seed", UNI + ["--seed", "-1"], "validation", "seed must be >= 0, got -1"),
+    ("uni-threads", UNI + ["--threads", "-5"], "validation", "threads must be >= 1, got -5"),
+    ("biv-threads", BIV + ["--config", "{d}/half.cfg", "--method", "multi", "--threads", "0"],
+     "validation", "threads must be >= 1, got 0"),
     ("biv-pstar", BIV + ["--config", "{d}/half.cfg", "--method", "pstar"],
      "validation", "method 'p-star' not valid for bivariate runs"),
     ("biv-no-corners", BIV + ["--config", "{d}/half.cfg", "--method", "multi-max"],
@@ -327,6 +331,8 @@ BAD_INPUT = [
      "validation", "equivalence limits must satisfy lower < upper, got [1.0, 1.0]"),
     ("pval2d-boot-reps", PVAL2D + ["--config", "{d}/half.cfg", "--boot-reps", "50"],
      "validation", "need reps >= 100, got 50"),
+    ("pval2d-threads", PVAL2D + ["--config", "{d}/half.cfg", "--threads", "0"],
+     "validation", "threads must be >= 1, got 0"),
     ("inf-row", ["pval", "--input", "{d}/inf.csv", "--region", "0"],
      "parse", "{d}/inf.csv:2: infinite values are rejected"),
     ("pval2d-offset-text", PVAL2D + ["--config", "{d}/offset_text.cfg"],

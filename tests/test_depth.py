@@ -292,6 +292,15 @@ class TestDepthPath:
         assert one.shape == (1500,)
         assert np.array_equal(one, depth_of(pts, queries, "simplicial", threads=3))
 
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    @pytest.mark.parametrize("threads", [0, -5])
+    def test_worker_count_below_one_is_rejected(self, kind, threads):
+        message = f"^threads must be >= 1, got {threads}$"
+        with pytest.raises(ValueError, match=message):
+            depth_of(self.DATA, self.DATA, kind, threads=threads)
+        with pytest.raises(ValueError, match=message):
+            depth_module.parallel_map_indexed(lambda i: i, 3, threads)
+
     DATA = np.random.default_rng(62).standard_normal((50, 2)) + [0.1, 0.0]
 
     def pval2d_report(self, config, depth, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,25 @@ class TestExperimentSpec:
                 model="univariate-normal", true_mean=truth,
                 region=parse_region("0"), n=20, reps=50,
             )
+
+    @pytest.mark.parametrize("seed,message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_rejects_bad_seed(self, seed, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="univariate-normal", true_mean=0.0,
+                region=parse_region("0"), n=20, reps=50, seed=seed,
+            )
+
+    def test_integer_seed_becomes_python_int(self):
+        spec = ExperimentSpec(
+            model="univariate-normal", true_mean=0.0,
+            region=parse_region("0"), n=20, reps=50, seed=np.uint64(2**63 + 1),
+        )
+        assert type(spec.seed) is int and spec.seed == 2**63 + 1
 
     def test_rejects_unknown_depth(self):
         with pytest.raises(ValueError, match="unknown depth kind 'foo'"):
