@@ -15,6 +15,11 @@ All evaluation is done through the object's own ``cdf``.  Quantiles of the
 exact kinds are the closed-form inverses ``center + scale * stdtrit(df, p)``
 and ``center + scale * ndtri(p)``, which agree with that ``cdf`` to about
 1e-13 in probability.
+
+``scipy.special`` is imported on the first ``cdf`` or ``quantile`` of an
+exact kind, not with this module: the bootstrap CD, bootstrap clouds and
+depth p-values never load it, and importing it costs a fresh process more
+than its whole set-up otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .depth import resample_means
 
@@ -34,35 +38,41 @@ __all__ = [
     "make_bootstrap_cd",
 ]
 
+CD_KINDS = ("exact-t", "asymptotic-normal", "bootstrap-empirical")
+
+
 @dataclass(frozen=True, eq=False)
 class ConfidenceDistribution:
     """Immutable distribution estimator of a scalar parameter."""
 
-    kind: str  # "exact-t" | "asymptotic-normal" | "bootstrap-empirical"
+    kind: str  # one of CD_KINDS
     center: float | np.ndarray  # an array makes one object stand for a block of CDs
     scale: float | np.ndarray
     df: int | None = None
     grid: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.kind not in CD_KINDS:
+            raise ValueError(f"unknown CD kind {self.kind!r}; expected one of {CD_KINDS}")
 
     def cdf(self, theta):
         """C.d.f. at ``theta`` (scalar or array); defined on the extended reals.
 
         ``theta`` broadcasts against an array ``center``/``scale``.
         """
-        th = np.asarray(theta, dtype=float)
-        if np.isnan(th).any():
-            raise ValueError("cdf argument must not be NaN")
-        if self.kind == "exact-t":
-            out = special.stdtr(self.df, (th - self.center) / self.scale)
-        elif self.kind == "asymptotic-normal":
-            out = special.ndtr((th - self.center) / self.scale)
-        else:
+        th = _not_nan(theta, "cdf")
+        if self.kind == "bootstrap-empirical":
             out = self._bootstrap_cdf(th)
+        else:
+            from scipy import special
+
+            z = (th - self.center) / self.scale
+            out = special.stdtr(self.df, z) if self.kind == "exact-t" else special.ndtr(z)
         return float(out) if np.ndim(out) == 0 else out
 
     def pdf(self, theta):
         """CD density at ``theta``; only the exact kinds carry a density."""
-        th = np.asarray(theta, dtype=float)
+        th = _not_nan(theta, "pdf")
         z = (th - self.center) / self.scale
         if self.kind == "exact-t":
             v = float(self.df)
@@ -80,16 +90,18 @@ class ConfidenceDistribution:
         return float(out) if np.ndim(out) == 0 else out
 
     def quantile(self, p):
-        """Inverse c.d.f.; ``p`` must lie strictly inside (0, 1)."""
+        """Inverse c.d.f.; ``p`` must lie strictly inside (0, 1), so NaN is
+        rejected."""
         ps = np.asarray(p, dtype=float)
-        if np.any(ps <= 0.0) or np.any(ps >= 1.0):
+        if not ((ps > 0.0) & (ps < 1.0)).all():
             raise ValueError("quantile level must lie strictly inside (0, 1)")
-        if self.kind == "exact-t":
-            out = self.center + self.scale * special.stdtrit(self.df, ps)
-        elif self.kind == "asymptotic-normal":
-            out = self.center + self.scale * special.ndtri(ps)
-        else:
+        if self.kind == "bootstrap-empirical":
             out = np.interp(ps, np.linspace(0.0, 1.0, self.grid.size), self.grid)
+        else:
+            from scipy import special
+
+            z = special.stdtrit(self.df, ps) if self.kind == "exact-t" else special.ndtri(ps)
+            out = self.center + self.scale * z
         return float(out) if np.ndim(out) == 0 else out
 
     # -- internals ---------------------------------------------------------
@@ -99,6 +111,13 @@ class ConfidenceDistribution:
         out = np.interp(th, self.grid, levels)
         # interp clamps outside the knot range, which is exactly the 0/1 tails
         return out
+
+
+def _not_nan(theta, method: str) -> np.ndarray:
+    th = np.asarray(theta, dtype=float)
+    if np.isnan(th).any():
+        raise ValueError(f"{method} argument must not be NaN")
+    return th
 
 
 def _location_scale(n: int, mean, sd) -> tuple:

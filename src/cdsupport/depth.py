@@ -9,6 +9,10 @@ maximum with singleton p-values at designated corner points.  Both return a
 ``MultiPValue`` (the corner p-values in ``corner_p``) and are selected by name
 through ``MULTI_METHODS``; their ``threads`` reach every depth computation.
 
+``resample_means`` draws a cloud's indices at once but gathers and sums them
+in blocks of ``max(1, CHUNK_PAIRS // n)`` replicates, so a cloud of m
+replicates of n rows peaks at its (m x n) index draw plus one block.
+
 ``depth_of`` is the one place that decides how depths are computed.
 Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
 memory stays bounded as the cloud grows for every caller; the chunks may run
@@ -52,7 +56,8 @@ __all__ = [
 
 DEPTH_KINDS = ("mahalanobis", "simplicial")
 
-# (query, cloud point) pairs held at once by one chunk of simplicial depths
+# (query, cloud point) pairs held at once by one chunk of simplicial depths,
+# and (replicate, row) indices gathered at once by one resampling block
 CHUNK_PAIRS = 1 << 15
 
 # sort key of a cloud point at the query: above every folded-angle key
@@ -81,21 +86,29 @@ def resample_means(x: np.ndarray, reps: int, seed) -> np.ndarray:
     (n x k) matrix ``x``, as a (reps x k) array; k is 1 or 2.
 
     The indices are one ``rng.integers(0, n, size=(reps, n))`` draw, and
-    the means equal ``x[idx].mean(axis=1)`` bit for bit.  ``np.take``
-    gathers the rows several times faster than fancy indexing.  For k = 1
-    it gathers that same (reps x n x 1) array, whose contiguous n axis
-    numpy sums pairwise.  For k = 2 numpy sums each replicate in plain order
-    over n, and reducing the middle axis of (reps x n x 2) is slow, so each
-    column is gathered as (n x reps) and summed along its outer axis, in
-    the same order.
+    the means equal ``x[idx].mean(axis=1)`` bit for bit.  The draw is
+    gathered and summed in blocks of ``max(1, CHUNK_PAIRS // n)``
+    replicates, so the memory held at once is the draw plus one block
+    rather than twice the draw.  ``np.take`` gathers several times faster
+    than fancy indexing.  For k = 1 a block is gathered as (block x n),
+    whose contiguous n axis numpy sums pairwise, as it does for
+    ``x[idx]``.  For k = 2 numpy sums each replicate in plain order over
+    n, and reducing the middle axis of (block x n x 2) is slow, so the
+    transposed block is gathered as (n x block x 2) and summed along its
+    outer axis, in the same order; a block of one replicate is no
+    exception, since its inner axis still holds the 2 columns.
     """
     n, k = x.shape
     idx = np.random.default_rng(seed).integers(0, n, size=(reps, n))
-    if k == 1:
-        return np.take(x, idx, axis=0).mean(axis=1)
-    # a column's (n x reps) gather fits where idx was freed: the heap does not grow
-    idx = np.ascontiguousarray(idx.T)
-    return np.stack([np.take(x[:, j], idx).sum(axis=0) / n for j in range(k)], axis=1)
+    out = np.empty((reps, k))
+    step = max(1, CHUNK_PAIRS // n)
+    for start in range(0, reps, step):
+        rows = slice(start, start + step)
+        if k == 1:
+            out[rows, 0] = np.take(x[:, 0], idx[rows]).mean(axis=1)
+        else:
+            out[rows] = np.take(x, idx[rows].T, axis=0).sum(axis=0) / n
+    return out
 
 
 def bootstrap_cloud(data, reps: int, seed) -> BootstrapCloud:

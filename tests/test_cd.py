@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from cdsupport import (
+    ConfidenceDistribution,
     make_asymptotic_normal_cd,
     make_bootstrap_cd,
     make_student_t_cd,
@@ -139,6 +140,16 @@ class TestQuantile:
             with pytest.raises(ValueError):
                 cd.quantile(p)
 
+    def test_rejects_nan_level_for_every_kind(self):
+        for cd in (
+            make_student_t_cd(4, 0.0, 1.0),
+            make_asymptotic_normal_cd(25, -2.0, 3.0),
+            make_bootstrap_cd(np.random.default_rng(5).standard_normal(100), 500, seed=2),
+        ):
+            for p in (np.nan, np.array([0.5, np.nan])):
+                with pytest.raises(ValueError, match="strictly inside"):
+                    cd.quantile(p)
+
     @given(st.floats(min_value=0.002, max_value=0.998))
     @settings(max_examples=60, deadline=None)
     def test_quantile_cdf_inverse_pair(self, p):
@@ -164,6 +175,20 @@ def test_cdf_monotone_all_kinds(pair):
     )
     for cd in cds:
         assert cd.cdf(lo) <= cd.cdf(hi) + 1e-15
+
+
+@pytest.mark.parametrize("method", ["cdf", "pdf"])
+def test_nan_argument_rejected(method):
+    for cd in (make_student_t_cd(5, 0.2, 1.1), make_asymptotic_normal_cd(16, -0.4, 2.0)):
+        for theta in (np.nan, np.array([0.0, np.nan])):
+            with pytest.raises(ValueError, match="must not be NaN"):
+                getattr(cd, method)(theta)
+
+
+def test_unknown_kind_rejected():
+    # cdf and quantile evaluate every kind other than the bootstrap one with scipy
+    with pytest.raises(ValueError, match="unknown CD kind"):
+        ConfidenceDistribution(kind="exact-normal", center=0.0, scale=1.0)
 
 
 def test_exact_cd_uniform_at_truth():

@@ -22,7 +22,7 @@ from cdsupport import (
 )
 from cdsupport import depth as depth_module
 from cdsupport.cli import main
-from cdsupport.depth import _simplicial_counts, depth_of
+from cdsupport.depth import _simplicial_counts, depth_of, resample_means
 
 # computed directly from the paired differences in conftest.TABLE1
 TABLE1_MEAN = (0.17713333333333334, 0.26)
@@ -80,6 +80,34 @@ def test_resampled_means_equal_gather_and_mean(n, k, reps, scale, seed):
     if k == 1 and np.unique(expected).size > 1:
         grid = make_bootstrap_cd(x[:, 0], reps, seed=seed).grid
         assert np.array_equal(grid, np.unique(expected))
+
+
+@pytest.mark.parametrize(
+    "n, reps, k",
+    [
+        (200, 2001, 1),  # blocks of 163 replicates, the last one partial
+        (200, 2001, 2),
+        (9, 4000, 1),  # 9 rows: numpy sums them pairwise
+        (40000, 3, 2),  # blocks of one replicate, which numpy would sum pairwise as (n x 1)
+    ],
+)
+def test_resampled_means_over_several_blocks(n, k, reps):
+    x = np.random.default_rng(n).standard_normal((n, k)) * 1e3 + 7.0
+    idx = np.random.default_rng(11).integers(0, n, size=(reps, n))
+    assert np.array_equal(resample_means(x, reps, 11), x[idx].mean(axis=1))
+
+
+def test_bootstrap_cloud_memory_is_the_draw_plus_a_block():
+    n, reps = 200, 20000
+    data = np.random.default_rng(65).standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        bootstrap_cloud(data, reps, seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # gathering the whole (reps x n) index draw at once doubles it, near 64 MB
+    assert peak <= reps * n * 8 + 2 * 2**20
 
 
 class TestMahalanobisDepth:
