@@ -270,6 +270,8 @@ def cmd_bioeq(args) -> dict:
     lower_tail, upper_tail = support.bioeq_tails(cd, args.lower, args.upper)
     p = max(lower_tail, upper_tail)
     alphas = _parse_vector(args.alphas, "--alphas")
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise ValueError(f"--alphas must lie in (0, 1), got {alphas}")
     return {
         "schema": SCHEMA_VERSION,
         "command": "bioeq",

@@ -18,7 +18,9 @@ Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
 memory stays bounded as the cloud grows for every caller; the chunks may run
 on a thread pool and are joined in index order, so the depths do not depend
 on the worker count.  Mahalanobis depth needs only O(queries) memory and is
-computed in one pass.  Both reject non-finite clouds and queries.
+computed in one pass.  Both reject non-finite clouds and queries, and
+coordinates whose range over the cloud and queries overflows on some axis,
+where differences, and so depths, would be wrong.
 
 Simplicial depth follows the angular sweep of Rousseeuw & Ruts (AS 307,
 1996) without any search: each direction from a query is folded into the
@@ -29,6 +31,23 @@ and repeated directions are recognised by integer equality, and the number
 of triangles missing the query follows in closed form from four row sums of
 one running count of the flags (see ``_simplicial_counts``).  Distinct but
 nearly collinear directions are still ordered by the float angle.
+
+The p-values never need every replicate's exact depth: only the floor, and
+which replicates lie at or below the floor or a corner depth.  So they first
+screen with ``_depth_bounds``: each query's directions are counted into
+``SECTORS`` sectors of their diamond angle, and triples are counted by
+sectors.  A computed diamond angle is a few ulps from the exact one, so a
+computed sector is at most one off, the triples that fit in H - 1
+consecutive sectors (H = SECTORS / 2, a half-circle) surely miss the query,
+and those that miss it surely fit in H + 2; this brackets the kernel's own
+count on every input.  Exact depths
+are then computed only for the replicates or grid points whose bounds hold
+the floor or a corner depth.  At seed 1 of the benchmark that is 0.5-2.3%
+of the replicates for ``p_multi`` on the ``run_part2`` regions (m = 500)
+and 1.0% at m = 2000, but 12-22% for ``p_multi_max``, whose corner depths
+sit in the dense middle of the depth distribution.  Every decision compares
+depths that are exact or surely on one side of the threshold, so the
+p-values equal those from all exact depths, bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +81,10 @@ CHUNK_PAIRS = 1 << 15
 
 # sort key of a cloud point at the query: above every folded-angle key
 _KEY_AT_QUERY = np.iinfo(np.uint64).max
+
+# sectors per direction histogram in ``_depth_bounds``: a power of two, so
+# that scaling a diamond angle by SECTORS / 4 is exact
+SECTORS = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,14 +349,9 @@ def parallel_map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
-    """Depths of many query points with respect to the cloud.
-
-    Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
-    on ``threads`` workers; the result is the same for any worker count.
-    A cloud or queries holding NaN or infinity, or queries of another
-    dimension than the cloud, are rejected, and so is a worker count below 1.
-    """
+def _checked(cloud, queries, kind: str, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cloud and queries as float arrays, after the checks both depth
+    paths share."""
     _check_threads(threads)
     pts = _cloud_points(cloud)
     q = np.atleast_2d(np.asarray(queries, dtype=float))
@@ -343,19 +361,170 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
         raise ValueError("cloud contains non-finite values")
     if not np.isfinite(q).all():
         raise ValueError("queries contain non-finite values")
+    span = _span(pts, q)
+    if not np.isfinite(span).all():
+        axis = int(np.argmin(np.isfinite(span)))
+        raise ValueError(
+            f"coordinate range overflows: cloud and query values on axis {axis} "
+            "differ by more than the largest float")
+    if kind not in DEPTH_KINDS:
+        raise ValueError(f"unknown depth kind {kind!r}; expected one of {DEPTH_KINDS}")
+    if kind == "simplicial" and pts.shape[1] != 2:
+        raise ValueError("simplicial depth is implemented for 2-D clouds only")
+    return pts, q
+
+
+def _span(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per axis, the range (``np.ptp``) of the cloud and queries together."""
+    top, bottom = pts.max(axis=0), pts.min(axis=0)
+    if q.shape[0]:
+        top, bottom = np.maximum(top, q.max(axis=0)), np.minimum(bottom, q.min(axis=0))
+    with np.errstate(over="ignore"):
+        return top - bottom
+
+
+def _chunked(fn, pts: np.ndarray, q: np.ndarray, threads: int) -> np.ndarray:
+    """fn over chunks of ``CHUNK_PAIRS // m`` queries on ``threads`` workers,
+    joined in query order."""
+    rows = max(1, CHUNK_PAIRS // pts.shape[0])
+    return np.concatenate(parallel_map_indexed(
+        lambda i: fn(pts, q[i * rows: (i + 1) * rows]),
+        max(1, -(-q.shape[0] // rows)),  # one empty chunk for zero queries
+        threads,
+    ))
+
+
+def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
+    """Depths of many query points with respect to the cloud.
+
+    Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
+    on ``threads`` workers; the result is the same for any worker count.
+    A cloud or queries holding NaN or infinity, queries of another dimension
+    than the cloud, coordinates whose range over the cloud and queries
+    overflows on some axis, and a worker count below 1 are rejected.
+    """
+    pts, q = _checked(cloud, queries, kind, threads)
     if kind == "mahalanobis":
         return _mahalanobis_batch(pts, q)
-    if kind == "simplicial":
-        if pts.shape[1] != 2:
-            raise ValueError("simplicial depth is implemented for 2-D clouds only")
-        rows = max(1, CHUNK_PAIRS // pts.shape[0])
-        parts = parallel_map_indexed(
-            lambda i: _simplicial_counts(pts, q[i * rows: (i + 1) * rows]),
-            max(1, -(-q.shape[0] // rows)),  # one empty chunk for zero queries
-            threads,
-        )
-        return np.concatenate(parts) / math.comb(pts.shape[0], 3)
-    raise ValueError(f"unknown depth kind {kind!r}; expected one of {DEPTH_KINDS}")
+    return _chunked(_simplicial_counts, pts, q, threads) / math.comb(pts.shape[0], 3)
+
+
+# -- certified bounds on simplicial depth --------------------------------------
+
+
+def _sector_histograms(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Per query, the number of cloud directions in each of ``SECTORS``
+    sectors, then those at the query, as a ((SECTORS + 1) x queries) array.
+
+    The sector of a direction (dx, dy) is ``floor(t * SECTORS / 4)`` for its
+    diamond angle t = 1 - r on and above the x axis and t = 3 + r below it,
+    with r = dx / (|dx| + |dy|); t = 4, the positive x axis approached from
+    below, is sector 0.  The diamond angle is a continuous increasing
+    function of the angle, with the antipode at t + 2.  A point at the query
+    makes r = 0 / 0 = NaN and lands in the last column.  A direction whose
+    |dx| + |dy| overflows gets r = 0 and a wrong sector; ``_depth_bounds``
+    gives its query trivial bounds.
+    """
+    n = queries.shape[0]
+    width = SECTORS + 2  # sectors, t = 4, at the query
+    dx = pts[:, 0][None, :] - queries[:, 0][:, None]
+    dy = pts[:, 1][None, :] - queries[:, 1][:, None]
+    t = np.abs(dx)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t += np.abs(dy)
+        np.divide(dx, t, out=t)  # r, exact up to rounding for any scale
+    t *= SECTORS / 4  # a power of two: exact
+    t += SECTORS / 4
+    np.copysign(t, dy, out=t)  # -0.0 counts as below: t = 4 on the positive x axis
+    base = np.arange(n, dtype=float) * width
+    np.subtract((base + SECTORS / 2)[:, None], t, out=t)  # row offset + t * SECTORS / 4
+    np.fmin(t, (base + width - 1)[:, None], out=t)  # NaN -> the at-query column
+    counts = np.bincount(t.astype(np.intp).ravel(), minlength=n * width).reshape(n, width)
+    counts[:, 0] += counts[:, SECTORS]
+    return np.delete(counts, SECTORS, axis=1).T.copy()
+
+
+def _count_bounds(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """(queries x 2) lower and upper bounds on ``_simplicial_counts`` (see
+    ``_depth_bounds``), from the triples of directions whose sectors fit in
+    H + 2, and in H - 1, cyclically consecutive sectors (H = SECTORS / 2).
+
+    A triple is counted from each of its own sectors s that starts such a
+    run.  With h_s directions in s and R in the next span - 1 sectors, those
+    are C(h_s, 3) + C(h_s, 2) R + h_s C(R, 2) triples, six times which is
+    h_s (h_s - 1) (h_s - 2) + 3 h_s R (h_s + R - 2).  A triple within H - 1
+    sectors has one gap of more than half the circle, and only the sector
+    after it starts a run, so that count is exact; the H + 2 count may
+    count a triple twice, which keeps it an upper bound on the misses.
+    """
+    counts = _sector_histograms(pts, queries)
+    h = counts[:SECTORS]
+    half = SECTORS // 2
+    # running[i]: the first i entries of h, h repeated, summed; R = a difference
+    running = np.zeros((SECTORS + half + 2, h.shape[1]), dtype=np.int64)
+    np.cumsum(h, axis=0, out=running[1: SECTORS + 1])
+    np.add(running[SECTORS], running[1: half + 2], out=running[SECTORS + 1:])
+    h_less_2 = h - 2
+    six_same = np.einsum("ij,ij->j", h * (h - 1), h_less_2)
+    misses = []
+    for span in (half + 2, half - 1):
+        r = running[span: span + SECTORS] - running[1: SECTORS + 1]
+        hr = h * r
+        r += h_less_2
+        misses.append((six_same + 3 * np.einsum("ij,ij->j", hr, r)) // 6)
+    live = pts.shape[0] - counts[SECTORS]
+    misses[0] = np.minimum(misses[0], live * (live - 1) * (live - 2) // 6)
+    return math.comb(pts.shape[0], 3) - np.stack(misses, axis=1)
+
+
+def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on ``depth_of(cloud, queries, kind, threads)``.
+
+    Mahalanobis depth is cheap, and both bounds are its exact depths.  For
+    simplicial depth each query gets a histogram of its directions over
+    ``SECTORS`` sectors (``_sector_histograms``), in the chunks and on the
+    workers of ``depth_of``, and the misses of ``_simplicial_counts`` are
+    bracketed by counting triples of directions by their sectors, with
+    H = SECTORS / 2 sectors to a half-circle:
+
+    * The computed sector of a direction is at most one off the exact sector
+      of its rounded (dx, dy): the rounding errors of r and of t are some
+      ulps, far below a sector.  ``_simplicial_counts`` orders the same
+      (dx, dy) by an ``arctan2`` that is also a few ulps from the exact
+      angle, and counts a triple as a miss exactly when one of its
+      directions sees the other two in its open half-circle of keys.
+    * A triple whose computed sectors fit in H - 1 consecutive sectors
+      spans less than 2 - 4 / SECTORS of computed, so of exact, diamond
+      angle up to some ulps.  A half-circle adds exactly 2 to t, and the
+      angle grows at least as fast as t, so the triple spans less than a
+      half-circle less about 4 / SECTORS radians, and the kernel counts it
+      as a miss: the lower bound on the misses.
+    * A triple the kernel counts as a miss lies, seen from the one direction,
+      in a closed half-circle of keys, so its computed diamond angles span at
+      most 2 plus some ulps, and its computed sectors fit in H + 2
+      consecutive sectors from its first one: the upper bound, capped at
+      the C(L, 3) triples of the L directions not at the query.
+
+    Both are integer counts, turned into depths by the same division as
+    ``depth_of``, which is monotone; so lo <= depth_of <= hi on every input,
+    degenerate ones included.  A query for which some |dx| + |dy| overflows
+    gets the trivial bounds 0 and 1.
+    """
+    pts, q = _checked(cloud, queries, kind, threads)
+    if kind == "mahalanobis":
+        depths = _mahalanobis_batch(pts, q)
+        return depths, depths
+    m = pts.shape[0]
+    if m < 3:
+        raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
+    lo, hi = _chunked(_count_bounds, pts, q, threads).T
+    total = math.comb(m, 3)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(_span(pts, q).sum()):
+            # only here can |dx| + |dy| overflow; those rows lose their sectors
+            over = [np.isinf(np.abs(pts - point).sum(axis=1)).any() for point in q]
+            lo[over], hi[over] = 0, total
+    return lo / total, hi / total
 
 
 # -- depth-based p-values -----------------------------------------------------
@@ -392,7 +561,55 @@ def check_region_dim(region: RegionND, dim: int) -> None:
         raise ValueError(f"region dimension {region.dim} differs from the cloud's {dim}")
 
 
-# _depths: replicate depths already computed; p_multi_max and the benchmark's traced replay pass it
+def _settle(pts, queries, lo, hi, mask, kind: str, threads: int) -> None:
+    """Replace the bounds of the masked queries whose bounds differ by their
+    exact depths, in one ``depth_of`` call; the call is made even when none
+    differ, so that the calls a p-value makes do not depend on the data."""
+    idx = np.flatnonzero(mask & (lo < hi))
+    lo[idx] = hi[idx] = depth_of(pts, queries[idx], kind, threads)
+
+
+def _multi(pts, kind: str, region: RegionND, threads: int, bounds, corners) -> MultiPValue:
+    """The one path of ``p_multi`` and ``p_multi_max``, from bounds on the
+    replicate depths.
+
+    The floor is settled exactly among the candidates whose lower bound is
+    at most the least upper bound; then every replicate whose bounds
+    straddle the floor (outside ones) or a corner depth is settled in one
+    more ``depth_of`` call.  Every comparison then reads a bound that equals
+    the exact depth or lies on the same side of the threshold, so the result
+    equals the one from all exact depths.
+    """
+    inside = region.contains(pts)
+    lo, hi = _depth_bounds(pts, pts, kind, threads) if bounds is None else bounds
+    if inside.any():
+        queries, cand_lo, cand_hi, cand = pts, lo, hi, inside
+        source = "inside-replicates"
+    else:
+        queries = region.boundary_grid(*_grid_box(pts))
+        cand_lo, cand_hi = _depth_bounds(pts, queries, kind, threads)
+        cand = np.ones(queries.shape[0], dtype=bool)
+        source = "boundary-grid"
+    _settle(pts, queries, cand_lo, cand_hi, cand & (cand_lo <= cand_hi[cand].min()),
+            kind, threads)
+    floor = float(cand_lo[cand].min())
+    corner_depths = () if corners is None else depth_of(pts, corners, kind, threads)
+    straddle = ~inside & (lo <= floor) & (hi > floor)
+    for d in corner_depths:
+        straddle |= (lo <= d) & (hi > d)
+    _settle(pts, pts, lo, hi, straddle, kind, threads)
+    esp = float(inside.mean())
+    tail = float(((~inside) & (hi <= floor)).mean())
+    res = MultiPValue(
+        p=min(esp + tail, 1.0), esp=esp, tail=tail, depth_floor=floor, floor_source=source
+    )
+    if corners is None:
+        return res
+    corner_p = tuple(float((hi <= d).mean()) for d in corner_depths)
+    return replace(res, p=max(res.p, *corner_p), corner_p=corner_p)
+
+
+# _depths: exact replicate depths already computed; the benchmark's traced replay passes them
 def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) -> MultiPValue:
     """Inside fraction plus the low-depth outside fraction.
 
@@ -400,25 +617,15 @@ def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) 
     region; when none falls inside it is the smallest depth over a
     deterministic grid on the region boundary spanning the cloud's bounding
     box.  Outside replicates at or below the floor count into the tail.
-    Depths run on ``threads`` workers, with the same result for any count.
-    A region of another dimension than the cloud is rejected.
+    Exact depths are computed only where certified bounds cannot decide
+    (see ``_multi``).  Depths run on ``threads`` workers, with the same
+    result for any count.  A region of another dimension than the cloud is
+    rejected.
     """
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])
-    inside = region.contains(pts)
-    depths = depth_of(pts, pts, kind, threads) if _depths is None else _depths
-    esp = float(inside.mean())
-    if inside.any():
-        floor = float(depths[inside].min())
-        source = "inside-replicates"
-    else:
-        grid = region.boundary_grid(*_grid_box(pts))
-        floor = float(depth_of(pts, grid, kind, threads).min())
-        source = "boundary-grid"
-    tail = float(((~inside) & (depths <= floor)).mean())
-    return MultiPValue(
-        p=min(esp + tail, 1.0), esp=esp, tail=tail, depth_floor=floor, floor_source=source
-    )
+    bounds = None if _depths is None else (np.array(_depths, dtype=float),) * 2
+    return _multi(pts, kind, region, threads, bounds, None)
 
 
 def p_multi_max(cloud, kind: str, region: RegionND, threads: int = 1) -> MultiPValue:
@@ -427,11 +634,7 @@ def p_multi_max(cloud, kind: str, region: RegionND, threads: int = 1) -> MultiPV
     if region.corners.size == 0:
         raise ValueError("region has no designated corner points")
     check_region_dim(region, pts.shape[1])
-    depths = depth_of(pts, pts, kind, threads)
-    base = p_multi(pts, kind, region, threads, _depths=depths)
-    corner_depths = depth_of(pts, region.corners, kind, threads)
-    corner_p = tuple(float((depths <= d).mean()) for d in corner_depths)
-    return replace(base, p=max(base.p, *corner_p), corner_p=corner_p)
+    return _multi(pts, kind, region, threads, None, region.corners)
 
 
 # bivariate method name -> depth p-value; univariate methods are support.METHODS

@@ -234,6 +234,10 @@ def bioeq_cd(
     """
     if n1 < 2 or n2 < 2:
         raise ValueError(f"need n1, n2 >= 2, got n1={n1}, n2={n2}")
+    if not (math.isfinite(mean_t) and math.isfinite(mean_r)):
+        raise ValueError(f"means must be finite, got mean_t={mean_t}, mean_r={mean_r}")
+    if not math.isfinite(var_d):
+        raise ValueError(f"pooled variance must be finite, got {var_d}")
     if not var_d > 0.0:
         raise ValueError(f"pooled variance must be positive, got {var_d}")
     se = math.sqrt(var_d) * math.sqrt(1.0 / n1 + 1.0 / n2)

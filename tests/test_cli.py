@@ -345,6 +345,14 @@ BAD_INPUT = [
      "parse", "config key 'cov': rows of unequal length in '1,0 ; 0'"),
     ("pval2d-ragged-corners", PVAL2D + ["--config", "{d}/ragged_corners.cfg"],
      "parse", "config key 'corners': rows of unequal length in '0,0 ; 1'"),
+    ("bioeq-mean-t-nan", BIOEQ + ["--mean-t", "nan", "--var-d", "4", "--lower", "-8",
+                                  "--upper", "8"],
+     "validation", "means must be finite, got mean_t=nan, mean_r=5.0"),
+    ("bioeq-var-d-inf", BIOEQ + ["--var-d", "inf", "--lower", "-8", "--upper", "8"],
+     "validation", "pooled variance must be finite, got inf"),
+    ("bioeq-alphas-nan", BIOEQ + ["--var-d", "4", "--lower", "-8", "--upper", "8",
+                                  "--alphas", "nan"],
+     "validation", "--alphas must lie in (0, 1), got [nan]"),
 ] + [
     (f"{cmd}-{k}d-{depth}", argv + ["--config", f"{{d}}/box{k}.cfg", "--depth", depth],
      "validation", message.format(k=k))

@@ -1,0 +1,285 @@
+"""Certified bounds on simplicial depth, and the depth p-values built on them.
+
+``p_multi`` and ``p_multi_max`` compute exact depths only where the bounds of
+``depth._depth_bounds`` cannot decide.  The reference below computes every
+replicate's exact depth, as both functions did before the screen; the two
+must agree bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdsupport import (
+    PART2_COV,
+    QuadrantComplement,
+    Rectangle,
+    bootstrap_cloud,
+    p_multi,
+    p_multi_max,
+)
+from cdsupport import depth as depth_module
+from cdsupport.depth import (
+    SECTORS,
+    MultiPValue,
+    _count_bounds,
+    _depth_bounds,
+    _grid_box,
+    _sector_histograms,
+    _simplicial_counts,
+    check_region_dim,
+    depth_of,
+)
+
+# -- the all-depths reference ---------------------------------------------------
+
+
+def reference_p_multi(cloud, kind, region, threads=1, depths=None):
+    """Inside fraction plus the outside fraction at or below the floor, from
+    the exact depth of every replicate."""
+    pts = np.atleast_2d(cloud.points if hasattr(cloud, "points") else cloud)
+    check_region_dim(region, pts.shape[1])
+    inside = region.contains(pts)
+    depths = depth_of(pts, pts, kind, threads) if depths is None else depths
+    esp = float(inside.mean())
+    if inside.any():
+        floor = float(depths[inside].min())
+        source = "inside-replicates"
+    else:
+        grid = region.boundary_grid(*_grid_box(pts))
+        floor = float(depth_of(pts, grid, kind, threads).min())
+        source = "boundary-grid"
+    tail = float(((~inside) & (depths <= floor)).mean())
+    return MultiPValue(
+        p=min(esp + tail, 1.0), esp=esp, tail=tail, depth_floor=floor, floor_source=source
+    )
+
+
+def reference_p_multi_max(cloud, kind, region, threads=1):
+    pts = np.atleast_2d(cloud.points if hasattr(cloud, "points") else cloud)
+    depths = depth_of(pts, pts, kind, threads)
+    base = reference_p_multi(pts, kind, region, threads, depths=depths)
+    corner_depths = depth_of(pts, region.corners, kind, threads)
+    corner_p = tuple(float((depths <= d).mean()) for d in corner_depths)
+    return replace(base, p=max(base.p, *corner_p), corner_p=corner_p)
+
+
+# the regions and methods of scripts/run_part2.py, and one no region reaches
+PART2_REGIONS = {
+    "a_interior": (Rectangle(lower=[-1, -1], upper=[1, 1]), ("multi",)),
+    "b_smooth_boundary": (Rectangle(lower=[-1, -4], upper=[0, 4]), ("multi",)),
+    "c_concave": (QuadrantComplement(corner=[0.0, 0.0]), ("multi",)),
+    "d_corner": (Rectangle(lower=[-1, -4], upper=[0, 0],
+                           corners=[[0, 0], [0, -4], [-1, -4], [-1, 0]]), ("multi", "multi-max")),
+    "e_small_box": (Rectangle(lower=[-0.1, -0.1], upper=[0.1, 0.1]), ("multi", "multi-max")),
+    "far_box": (Rectangle(lower=[5, 5], upper=[6, 6]), ("multi", "multi-max")),
+}
+CASES = [(name, method) for name, (_, methods) in PART2_REGIONS.items() for method in methods]
+
+
+def part2_cloud(rep, m=400, n=200):
+    rng = np.random.default_rng([9, rep, 0])
+    data = rng.standard_normal((n, 2)) @ np.linalg.cholesky(PART2_COV).T
+    return bootstrap_cloud(data, m, seed=[9, rep, 1])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+@pytest.mark.parametrize("name,method", CASES)
+def test_p_values_equal_the_all_depths_reference(name, method, kind, threads):
+    region = PART2_REGIONS[name][0]
+    sources = set()
+    for rep in range(3):
+        cloud = part2_cloud(rep)
+        if method == "multi":
+            got = p_multi(cloud, kind, region, threads=threads)
+            assert got == reference_p_multi(cloud, kind, region, threads)
+        else:
+            got = p_multi_max(cloud, kind, region, threads=threads)
+            assert got == reference_p_multi_max(cloud, kind, region, threads)
+        sources.add(got.floor_source)
+    assert sources == ({"boundary-grid"} if name == "far_box" else {"inside-replicates"})
+
+
+@pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+@pytest.mark.parametrize("name", ["e_small_box", "far_box"])
+def test_given_depths_equal_the_reference(name, kind):
+    region = PART2_REGIONS[name][0]
+    cloud = part2_cloud(5)
+    depths = depth_of(cloud, cloud.points, kind)
+    got = p_multi(cloud, kind, region, _depths=depths)
+    assert got == reference_p_multi(cloud, kind, region, depths=depths)
+    assert got == p_multi(cloud, kind, region)
+
+
+@pytest.mark.parametrize("m", [150, 2000])
+def test_bootstrap_cloud_at_the_oneshot_box(m):
+    box = Rectangle(lower=[-0.1, -0.2], upper=[0.1, 0.2])
+    data = np.random.default_rng(10).standard_normal((200, 2)) @ np.linalg.cholesky(PART2_COV).T
+    cloud = bootstrap_cloud(data, m, seed=11)
+    assert p_multi(cloud, "simplicial", box) == reference_p_multi(cloud, "simplicial", box)
+    assert p_multi_max(cloud, "simplicial", box) == reference_p_multi_max(
+        cloud, "simplicial", box)
+
+
+# -- the screen does its job ------------------------------------------------------
+
+
+@pytest.fixture
+def exact_queries(monkeypatch):
+    """Number of queries given to each ``depth_of`` call, and its threads."""
+    calls = []
+    real = depth_module.depth_of
+
+    def counting(cloud, queries, kind, threads=1):
+        calls.append((np.atleast_2d(queries).shape[0], threads))
+        return real(cloud, queries, kind, threads)
+
+    monkeypatch.setattr(depth_module, "depth_of", counting)
+    return calls
+
+
+def test_p_multi_settles_few_replicates(exact_queries):
+    cloud = part2_cloud(0, m=2000)
+    region = PART2_REGIONS["d_corner"][0]
+    res = p_multi(cloud, "simplicial", region, threads=2)
+    assert res == reference_p_multi(cloud, "simplicial", region)
+    # one call for the floor candidates, one for replicates straddling the floor
+    assert len(exact_queries) == 2 and {threads for _, threads in exact_queries} == {2}
+    assert sum(count for count, _ in exact_queries) < 2000 // 20
+
+
+def test_bounds_take_the_worker_count(monkeypatch):
+    calls = []
+    real = depth_module._depth_bounds
+
+    def recording(cloud, queries, kind, threads=1):
+        calls.append(threads)
+        return real(cloud, queries, kind, threads)
+
+    monkeypatch.setattr(depth_module, "_depth_bounds", recording)
+    cloud = part2_cloud(1, m=300)
+    for name in ("e_small_box", "far_box"):
+        p_multi_max(cloud, "simplicial", PART2_REGIONS[name][0], threads=2)
+    assert calls == [2, 2, 2]  # replicates; replicates and the boundary grid
+
+
+# -- the bounds bracket the kernel's count ----------------------------------------
+
+
+@st.composite
+def bounds_cases(draw):
+    """A cloud of 3..120 points and queries on and off its points.
+
+    Shapes: Gaussian; integer lattice; few distinct points, many repeated;
+    a lattice cloud symmetric about the origin; all on one line; a line
+    jittered by 1e-15; and Gaussian clouds scaled by 1e-300 or 1e300.
+    """
+    m = draw(st.integers(3, 120))
+    shape = draw(st.sampled_from(
+        ["gaussian", "lattice", "duplicates", "symmetric", "line", "near-line", "tiny", "huge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "lattice":
+        pts = rng.integers(-4, 5, size=(m, 2)).astype(float)
+    elif shape == "symmetric":  # exact antipodes through the mean
+        half = rng.integers(-4, 5, size=((m + 1) // 2, 2)).astype(float)
+        pts = np.vstack([half, -half])[:m]
+    elif shape == "duplicates":
+        base = rng.integers(-4, 5, size=(max(1, m // 8), 2)).astype(float)
+        pts = base[rng.integers(0, base.shape[0], size=m)]
+    elif shape in ("line", "near-line"):
+        pts = rng.standard_normal((m, 1)) * rng.standard_normal(2) + rng.standard_normal(2)
+        if shape == "near-line":
+            pts = pts + 1e-15 * rng.standard_normal((m, 2))
+    else:
+        pts = rng.standard_normal((m, 2)) * {"gaussian": 1.0, "tiny": 1e-300, "huge": 1e300}[shape]
+    scale = np.abs(pts).max() or 1.0
+    queries = np.vstack([
+        pts[rng.integers(0, m, size=5)],
+        rng.standard_normal((4, 2)) * scale,
+        pts.mean(axis=0),
+        [0.0, 0.0],
+        # sees that point at (scale, -scale * 1e-20), whose diamond angle rounds to 4
+        pts[rng.integers(0, m)] + [-scale, scale * 1e-20],
+    ])
+    return pts, queries
+
+
+@given(bounds_cases())
+@settings(max_examples=300, deadline=None)
+def test_bounds_bracket_the_kernel_count(case):
+    pts, queries = case
+    counts = _simplicial_counts(pts, queries)
+    lo, hi = _count_bounds(pts, queries).T
+    assert (lo <= counts).all() and (counts <= hi).all()
+    lo_d, hi_d = _depth_bounds(pts, queries, "simplicial")
+    exact = depth_of(pts, queries, "simplicial")
+    assert (lo_d <= exact).all() and (exact <= hi_d).all()
+
+
+def test_diamond_angle_four_wraps_to_sector_zero():
+    # seen from the origin, (1, -1e-20) has r = 1 / (1 + 1e-20) = 1, so t = 3 + r = 4
+    pts = np.array([[1.0, -1e-20], [1.0, 1e-20], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    hist = _sector_histograms(pts, np.zeros((1, 2)))[:, 0]
+    assert hist.shape == (SECTORS + 1,)
+    assert hist[0] == 3 and hist[SECTORS // 2] == 1 and hist[SECTORS] == 1
+    lo, hi = _count_bounds(pts, np.zeros((1, 2)))[0]
+    assert lo <= _simplicial_counts(pts, np.zeros((1, 2)))[0] <= hi
+
+
+def test_mahalanobis_bounds_are_the_depths():
+    cloud = part2_cloud(2, m=200)
+    lo, hi = _depth_bounds(cloud, cloud.points, "mahalanobis")
+    exact = depth_of(cloud, cloud.points, "mahalanobis")
+    assert np.array_equal(lo, exact) and np.array_equal(hi, exact)
+
+
+def test_far_query_bounds_are_exact():
+    pts = np.random.default_rng(12).standard_normal((300, 2))
+    lo, hi = _depth_bounds(pts, [[50.0, 50.0], [0.0, -80.0]], "simplicial")
+    assert lo.tolist() == hi.tolist() == [0.0, 0.0]
+
+
+# -- coordinates whose range overflows ----------------------------------------------
+
+# points at +-1e308 on both axes, (1, 1) and (1.5e308, 1.5e308): the range is
+# infinite on both axes; the kernel gave 0.5 at the origin where enumeration gives 0.05
+OVERFLOW_CLOUD = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308], [0.0, -1e308],
+                           [1.0, 1.0], [1.5e308, 1.5e308]])
+
+
+@pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+@pytest.mark.parametrize("query", [[0.0, 0.0], [1e308, 1e308]])
+def test_overflowing_range_is_rejected_by_name(kind, query):
+    message = "^coordinate range overflows: cloud and query values on axis 0 differ by"
+    with pytest.raises(ValueError, match=message):
+        depth_of(OVERFLOW_CLOUD, [query], kind)
+    with pytest.raises(ValueError, match=message):
+        _depth_bounds(OVERFLOW_CLOUD, [query], kind)
+    box = Rectangle(lower=[-1.0, -1.0], upper=[2.0, 2.0])
+    for p_value in (p_multi, p_multi_max):
+        with pytest.raises(ValueError, match=message):
+            p_value(OVERFLOW_CLOUD, kind, box)
+
+
+def test_query_alone_can_overflow_the_range():
+    # every cloud coordinate is at least 1e307, so y spans more than 1.8e308
+    cloud = (np.random.default_rng(13).standard_normal((30, 2)) ** 2 + 1.0) * 1e307
+    with pytest.raises(ValueError, match="on axis 1 differ"):
+        depth_of(cloud, [[0.0, -1.7e308]], "simplicial")
+
+
+def test_overflowing_direction_sums_get_trivial_bounds():
+    # each axis spans 1.6e308, a finite range, but |dx| + |dy| overflows
+    # between opposite corners
+    pts = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.8e308, -0.8e308],
+                    [-0.8e308, 0.8e308], [0.0, 0.0], [1.0, 2.0]])
+    queries = np.vstack([pts, [[0.1e308, -0.3e308]]])
+    lo, hi = _depth_bounds(pts, queries, "simplicial")
+    exact = depth_of(pts, queries, "simplicial")
+    assert (lo <= exact).all() and (exact <= hi).all()
+    assert lo[0] == 0.0 and hi[0] == 1.0  # (0.8e308, 0.8e308) sees its opposite corner
+    assert np.isfinite(exact).all()
