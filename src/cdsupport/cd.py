@@ -125,11 +125,15 @@ def _location_scale(n: int, mean, sd) -> tuple:
     if isinstance(mean, np.ndarray) or isinstance(sd, np.ndarray):
         mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
         positive = (sd > 0.0).all()
+        finite = np.isfinite(mean).all() and np.isfinite(sd).all()
     else:
         mean, sd = float(mean), float(sd)
         positive = sd > 0.0
+        finite = math.isfinite(mean) and math.isfinite(sd)
     if not positive:
         raise ValueError(f"sample sd must be positive, got {sd}")
+    if not finite:
+        raise ValueError(f"sample mean and sd must be finite, got mean={mean}, sd={sd}")
     return mean, sd / math.sqrt(n)
 
 
@@ -172,13 +176,14 @@ def make_bootstrap_cd(sample, reps: int, seed) -> ConfidenceDistribution:
         raise ValueError(f"need reps >= 100 bootstrap replicates, got {reps}")
     if np.all(x == x[0]):
         raise ValueError("degenerate sample: all observations equal")
-    means = resample_means(x[:, None], reps, seed)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of huge values overflow
+        means = resample_means(x[:, None], reps, seed)[:, 0]
+        center, scale = float(x.mean()), float(means.std(ddof=1))
+    if not (math.isfinite(center) and math.isfinite(scale)):
+        raise ValueError(
+            f"bootstrap mean and sd must be finite, got mean={center}, sd={scale}")
     grid = np.unique(means)
     if grid.size < 2:
         raise ValueError("degenerate bootstrap distribution: replicates all equal")
     return ConfidenceDistribution(
-        kind="bootstrap-empirical",
-        center=float(x.mean()),
-        scale=float(means.std(ddof=1)),
-        grid=grid,
-    )
+        kind="bootstrap-empirical", center=center, scale=scale, grid=grid)

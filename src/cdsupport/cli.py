@@ -16,6 +16,7 @@ JSON error with a machine-readable ``category`` goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -33,6 +34,7 @@ from .regions import (
     Rectangle,
     RegionND,
     format_region,
+    json_bound,
     parse_region,
 )
 from .simulate import PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
@@ -166,7 +168,13 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
 
 
 def emit_report(report: dict, out_path) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    """Write the report as strict JSON to ``out_path``, or to stdout.  A
+    report holding NaN or infinity raises ``ValueError`` before anything is
+    written."""
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ValueError("report holds a non-finite number, which JSON cannot carry") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
@@ -186,7 +194,10 @@ def cmd_pval(args) -> dict:
     except ValueError as exc:
         raise CliError("parse", str(exc)) from None
     n = int(sample.size)
-    mean, sd = float(sample.mean()), float(sample.std(ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, sd = float(sample.mean()), float(sample.std(ddof=1))
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise CliError("validation", f"sample mean and sd must be finite, got mean={mean}, sd={sd}")
     if args.cd == "t":
         cd = make_student_t_cd(n, mean, sd)
     elif args.cd == "z":
@@ -281,8 +292,8 @@ def cmd_bioeq(args) -> dict:
             "mean_t": args.mean_t,
             "mean_r": args.mean_r,
             "var_d": args.var_d,
-            "lower": args.lower,
-            "upper": args.upper,
+            "lower": json_bound(args.lower),
+            "upper": json_bound(args.upper),
             "alphas": alphas,
         },
         "df": cd.df,
@@ -346,7 +357,10 @@ def cmd_simulate(args) -> dict:
 # -- entry point ---------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then shared; parsing
+    reads it and never changes it."""
     parser = argparse.ArgumentParser(prog="cdsupport", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -407,12 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        report = args.fn(args)
+        emit_report(args.fn(args), args.out)
     except (CliError, ValueError) as exc:  # a library ValueError is a validation error
         category = getattr(exc, "category", "validation")
         print(json.dumps({"error": {"category": category, "message": str(exc)}}), file=sys.stderr)
         return 1
-    emit_report(report, args.out)
     return 0
 
 

@@ -13,14 +13,20 @@ through ``MULTI_METHODS``; their ``threads`` reach every depth computation.
 in blocks of ``max(1, CHUNK_PAIRS // n)`` replicates, so a cloud of m
 replicates of n rows peaks at its (m x n) index draw plus one block.
 
-``depth_of`` is the one place that decides how depths are computed.
+``_CheckedCloud`` is the one place that decides how depths are computed.
 Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
 memory stays bounded as the cloud grows for every caller; the chunks may run
 on a thread pool and are joined in index order, so the depths do not depend
 on the worker count.  Mahalanobis depth needs only O(queries) memory and is
-computed in one pass.  Both reject non-finite clouds and queries, and
-coordinates whose range over the cloud and queries overflows on some axis,
-where differences, and so depths, would be wrong.
+computed in one pass, from the cloud's mean and inverse covariance.
+
+The checks run where input enters: ``depth_of`` and ``_depth_bounds`` check
+the cloud and their one query set, and the p-values check the cloud once
+and each query set they evaluate (the replicates, the boundary grid, the
+corners) once, then evaluate through the same unchecked core.  They reject
+non-finite clouds and queries, and coordinates whose range over the cloud
+and queries overflows on some axis, where differences, and so depths,
+would be wrong.  A p-value derives the Mahalanobis factors once.
 
 Simplicial depth follows the angular sweep of Rousseeuw & Ruts (AS 307,
 1996) without any search: each direction from a query is folded into the
@@ -55,6 +61,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -162,13 +169,19 @@ def _cloud_points(cloud) -> np.ndarray:
 # -- Mahalanobis depth -------------------------------------------------------
 
 
-def _mahalanobis_batch(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _mahalanobis_factors(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cloud's mean and inverse covariance; a singular or ill-conditioned
+    covariance is rejected."""
     mu = pts.mean(axis=0)
     cov = np.atleast_2d(np.cov(pts.T, ddof=1))
     if not np.isfinite(cov).all() or 1.0 / np.linalg.cond(cov) < 1e-12:
         raise ValueError("degenerate cloud: covariance is singular or ill-conditioned")
+    return mu, np.linalg.inv(cov)
+
+
+def _mahalanobis_batch(mu: np.ndarray, inv_cov: np.ndarray, queries: np.ndarray) -> np.ndarray:
     centered = queries - mu
-    q = np.einsum("ij,jk,ik->i", centered, np.linalg.inv(cov), centered)
+    q = np.einsum("ij,jk,ik->i", centered, inv_cov, centered)
     return 1.0 / (1.0 + q)
 
 
@@ -349,36 +362,94 @@ def parallel_map_indexed(fn, count: int, threads: int) -> list:
         return list(pool.map(fn, range(count)))
 
 
-def _checked(cloud, queries, kind: str, threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cloud and queries as float arrays, after the checks both depth
-    paths share."""
-    _check_threads(threads)
-    pts = _cloud_points(cloud)
-    q = np.atleast_2d(np.asarray(queries, dtype=float))
-    if q.shape[1] != pts.shape[1]:
-        raise ValueError(f"query dimension {q.shape[1]} differs from the cloud's {pts.shape[1]}")
-    if not np.isfinite(pts).all():
-        raise ValueError("cloud contains non-finite values")
-    if not np.isfinite(q).all():
-        raise ValueError("queries contain non-finite values")
-    span = _span(pts, q)
-    if not np.isfinite(span).all():
-        axis = int(np.argmin(np.isfinite(span)))
-        raise ValueError(
-            f"coordinate range overflows: cloud and query values on axis {axis} "
-            "differ by more than the largest float")
-    if kind not in DEPTH_KINDS:
-        raise ValueError(f"unknown depth kind {kind!r}; expected one of {DEPTH_KINDS}")
-    if kind == "simplicial" and pts.shape[1] != 2:
-        raise ValueError("simplicial depth is implemented for 2-D clouds only")
-    return pts, q
+@dataclass(frozen=True, eq=False)
+class _CheckedCloud:
+    """A cloud that passed the cloud checks of ``depth_of`` for one depth kind
+    and worker count.
+
+    ``queries`` runs the checks of one query set against it; ``depths`` and
+    ``bounds`` evaluate checked query sets without checking again.  The
+    Mahalanobis mean and inverse covariance are derived on first use and
+    kept, so a p-value that evaluates several query sets derives them once.
+    """
+
+    pts: np.ndarray
+    kind: str
+    threads: int
+
+    @classmethod
+    def check(cls, cloud, kind: str, threads: int) -> _CheckedCloud:
+        _check_threads(threads)
+        pts = _cloud_points(cloud)
+        if not np.isfinite(pts).all():
+            raise ValueError("cloud contains non-finite values")
+        if kind not in DEPTH_KINDS:
+            raise ValueError(f"unknown depth kind {kind!r}; expected one of {DEPTH_KINDS}")
+        if kind == "simplicial" and pts.shape[1] != 2:
+            raise ValueError("simplicial depth is implemented for 2-D clouds only")
+        return cls(pts, kind, threads)
+
+    def queries(self, queries) -> tuple[np.ndarray, np.ndarray]:
+        """The query points as a float array, and the per-axis range of the
+        cloud and queries together, after the checks every query set gets."""
+        q = np.atleast_2d(np.asarray(queries, dtype=float))
+        if q.shape[1] != self.pts.shape[1]:
+            raise ValueError(
+                f"query dimension {q.shape[1]} differs from the cloud's {self.pts.shape[1]}")
+        if not np.isfinite(q).all():
+            raise ValueError("queries contain non-finite values")
+        span = _span(self.pts, q)
+        if not np.isfinite(span).all():
+            axis = int(np.argmin(np.isfinite(span)))
+            raise ValueError(
+                f"coordinate range overflows: cloud and query values on axis {axis} "
+                "differ by more than the largest float")
+        return q, span
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        return _mahalanobis_factors(self.pts)
+
+    def depths(self, q: np.ndarray) -> np.ndarray:
+        """Exact depths of checked queries: the core of ``depth_of``."""
+        if self.kind == "mahalanobis":
+            return _mahalanobis_batch(*self.factors, q)
+        return _chunked(_simplicial_counts, self.pts, q, self.threads) / math.comb(
+            self.pts.shape[0], 3)
+
+    def bounds(self, q: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds on the depths of checked queries with range ``span``: the
+        core of ``_depth_bounds``."""
+        if self.kind == "mahalanobis":
+            depths = self.depths(q)
+            return depths, depths
+        m = self.pts.shape[0]
+        if m < 3:
+            raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
+        lo, hi = _chunked(_count_bounds, self.pts, q, self.threads).T
+        total = math.comb(m, 3)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(span.sum()):
+                # only here can |dx| + |dy| overflow; those rows lose their sectors
+                over = [np.isinf(np.abs(self.pts - point).sum(axis=1)).any() for point in q]
+                lo[over], hi[over] = 0, total
+        return lo / total, hi / total
+
+
+def _extent(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis minimum and maximum of the rows of ``a``.  Reducing each
+    column alone is several times faster than an axis-0 reduction of a
+    narrow (rows x 2) array, and min and max are exact either way."""
+    cols = a.T
+    return np.array([col.min() for col in cols]), np.array([col.max() for col in cols])
 
 
 def _span(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Per axis, the range (``np.ptp``) of the cloud and queries together."""
-    top, bottom = pts.max(axis=0), pts.min(axis=0)
-    if q.shape[0]:
-        top, bottom = np.maximum(top, q.max(axis=0)), np.minimum(bottom, q.min(axis=0))
+    bottom, top = _extent(pts)
+    if q.shape[0] and q is not pts:
+        q_bottom, q_top = _extent(q)
+        top, bottom = np.maximum(top, q_top), np.minimum(bottom, q_bottom)
     with np.errstate(over="ignore"):
         return top - bottom
 
@@ -399,14 +470,15 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
 
     Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
     on ``threads`` workers; the result is the same for any worker count.
-    A cloud or queries holding NaN or infinity, queries of another dimension
-    than the cloud, coordinates whose range over the cloud and queries
-    overflows on some axis, and a worker count below 1 are rejected.
+    A worker count below 1, a cloud holding NaN or infinity, an unknown
+    depth kind, then queries of another dimension than the cloud, queries
+    holding NaN or infinity, and coordinates whose range over the cloud and
+    queries overflows on some axis are rejected, in that order.  These
+    checks run on every call; the p-values run them once for the cloud and
+    once per query set, and share the unchecked core, ``_CheckedCloud``.
     """
-    pts, q = _checked(cloud, queries, kind, threads)
-    if kind == "mahalanobis":
-        return _mahalanobis_batch(pts, q)
-    return _chunked(_simplicial_counts, pts, q, threads) / math.comb(pts.shape[0], 3)
+    checked = _CheckedCloud.check(cloud, kind, threads)
+    return checked.depths(checked.queries(queries)[0])
 
 
 # -- certified bounds on simplicial depth --------------------------------------
@@ -510,21 +582,8 @@ def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarr
     degenerate ones included.  A query for which some |dx| + |dy| overflows
     gets the trivial bounds 0 and 1.
     """
-    pts, q = _checked(cloud, queries, kind, threads)
-    if kind == "mahalanobis":
-        depths = _mahalanobis_batch(pts, q)
-        return depths, depths
-    m = pts.shape[0]
-    if m < 3:
-        raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-    lo, hi = _chunked(_count_bounds, pts, q, threads).T
-    total = math.comb(m, 3)
-    with np.errstate(over="ignore"):
-        if not np.isfinite(_span(pts, q).sum()):
-            # only here can |dx| + |dy| overflow; those rows lose their sectors
-            over = [np.isinf(np.abs(pts - point).sum(axis=1)).any() for point in q]
-            lo[over], hi[over] = 0, total
-    return lo / total, hi / total
+    checked = _CheckedCloud.check(cloud, kind, threads)
+    return checked.bounds(*checked.queries(queries))
 
 
 # -- depth-based p-values -----------------------------------------------------
@@ -549,7 +608,7 @@ class MultiPValue:
 
 
 def _grid_box(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    lo, hi = _extent(pts)
     pad = 0.05 * np.maximum(hi - lo, 1e-12)
     return lo - pad, hi + pad
 
@@ -561,43 +620,46 @@ def check_region_dim(region: RegionND, dim: int) -> None:
         raise ValueError(f"region dimension {region.dim} differs from the cloud's {dim}")
 
 
-def _settle(pts, queries, lo, hi, mask, kind: str, threads: int) -> None:
+def _settle(cloud: _CheckedCloud, queries, lo, hi, mask) -> None:
     """Replace the bounds of the masked queries whose bounds differ by their
-    exact depths, in one ``depth_of`` call; the call is made even when none
+    exact depths, in one ``depths`` call; the call is made even when none
     differ, so that the calls a p-value makes do not depend on the data."""
     idx = np.flatnonzero(mask & (lo < hi))
-    lo[idx] = hi[idx] = depth_of(pts, queries[idx], kind, threads)
+    lo[idx] = hi[idx] = cloud.depths(queries[idx])
 
 
-def _multi(pts, kind: str, region: RegionND, threads: int, bounds, corners) -> MultiPValue:
+def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPValue:
     """The one path of ``p_multi`` and ``p_multi_max``, from bounds on the
     replicate depths.
 
-    The floor is settled exactly among the candidates whose lower bound is
-    at most the least upper bound; then every replicate whose bounds
-    straddle the floor (outside ones) or a corner depth is settled in one
-    more ``depth_of`` call.  Every comparison then reads a bound that equals
-    the exact depth or lies on the same side of the threshold, so the result
-    equals the one from all exact depths.
+    The replicates, the boundary grid and the corners each get the query
+    checks of ``depth_of`` once, against a cloud checked once.  The floor is
+    settled exactly among the candidates whose lower bound is at most the
+    least upper bound; then every replicate whose bounds straddle the floor
+    (outside ones) or a corner depth is settled in one more ``depths`` call.
+    Every comparison then reads a bound that equals the exact depth or lies
+    on the same side of the threshold, so the result equals the one from
+    all exact depths.
     """
+    pts = cloud.pts
     inside = region.contains(pts)
-    lo, hi = _depth_bounds(pts, pts, kind, threads) if bounds is None else bounds
+    _, span = cloud.queries(pts)
+    lo, hi = cloud.bounds(pts, span) if bounds is None else bounds
     if inside.any():
         queries, cand_lo, cand_hi, cand = pts, lo, hi, inside
         source = "inside-replicates"
     else:
-        queries = region.boundary_grid(*_grid_box(pts))
-        cand_lo, cand_hi = _depth_bounds(pts, queries, kind, threads)
+        queries, grid_span = cloud.queries(region.boundary_grid(*_grid_box(pts)))
+        cand_lo, cand_hi = cloud.bounds(queries, grid_span)
         cand = np.ones(queries.shape[0], dtype=bool)
         source = "boundary-grid"
-    _settle(pts, queries, cand_lo, cand_hi, cand & (cand_lo <= cand_hi[cand].min()),
-            kind, threads)
+    _settle(cloud, queries, cand_lo, cand_hi, cand & (cand_lo <= cand_hi[cand].min()))
     floor = float(cand_lo[cand].min())
-    corner_depths = () if corners is None else depth_of(pts, corners, kind, threads)
+    corner_depths = () if corners is None else cloud.depths(cloud.queries(corners)[0])
     straddle = ~inside & (lo <= floor) & (hi > floor)
     for d in corner_depths:
         straddle |= (lo <= d) & (hi > d)
-    _settle(pts, pts, lo, hi, straddle, kind, threads)
+    _settle(cloud, pts, lo, hi, straddle)
     esp = float(inside.mean())
     tail = float(((~inside) & (hi <= floor)).mean())
     res = MultiPValue(
@@ -625,7 +687,7 @@ def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) 
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])
     bounds = None if _depths is None else (np.array(_depths, dtype=float),) * 2
-    return _multi(pts, kind, region, threads, bounds, None)
+    return _multi(_CheckedCloud.check(pts, kind, threads), region, bounds, None)
 
 
 def p_multi_max(cloud, kind: str, region: RegionND, threads: int = 1) -> MultiPValue:
@@ -634,7 +696,7 @@ def p_multi_max(cloud, kind: str, region: RegionND, threads: int = 1) -> MultiPV
     if region.corners.size == 0:
         raise ValueError("region has no designated corner points")
     check_region_dim(region, pts.shape[1])
-    return _multi(pts, kind, region, threads, None, region.corners)
+    return _multi(_CheckedCloud.check(pts, kind, threads), region, None, region.corners)
 
 
 # bivariate method name -> depth p-value; univariate methods are support.METHODS

@@ -200,6 +200,12 @@ def _as_corners(corners, dim: int) -> np.ndarray:
     return arr
 
 
+def json_bound(value: float):
+    """A bound as a report value: strict JSON has no infinity, so an infinite
+    bound is written as the text the region grammar reads, "inf" or "-inf"."""
+    return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
+
+
 def _edge_points(a, b, count: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, count)[:, None]
     return np.asarray(a) * (1.0 - t) + np.asarray(b) * t
@@ -264,8 +270,8 @@ class Rectangle(RegionND):
     def describe(self) -> dict:
         return {
             "shape": "rectangle",
-            "lower": self.lower.tolist(),
-            "upper": self.upper.tolist(),
+            "lower": [json_bound(v) for v in self.lower.tolist()],
+            "upper": [json_bound(v) for v in self.upper.tolist()],
             "corners": self.corners.tolist(),
         }
 

@@ -114,6 +114,28 @@ class TestBootstrap:
             cd.pdf(0.0)
 
 
+BIG = np.array([1e200, -1e200, 2e200, -3e200, 1.5e200])  # finite, but their squares overflow
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [make_student_t_cd, make_asymptotic_normal_cd])
+@pytest.mark.parametrize("mean,sd", [(np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf),
+                                     (np.array([0.0, np.inf]), np.array([1.0, 1.0])),
+                                     (np.array([0.0, 1.0]), np.array([1.0, np.inf]))])
+def test_location_scale_must_be_finite(make, mean, sd):
+    with pytest.raises(ValueError, match="^sample mean and sd must be finite, got mean="):
+        make(5, mean, sd)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_bootstrap_spread_that_overflows_is_rejected():
+    with pytest.raises(ValueError, match=r"^bootstrap mean and sd must be finite, got .*sd=inf"):
+        make_bootstrap_cd(BIG, 200, seed=0)
+    # every resampled mean of values near the largest float overflows
+    with pytest.raises(ValueError, match=r"^bootstrap mean and sd must be finite, got mean=inf"):
+        make_bootstrap_cd([1.7e308, 1.6e308, 1.75e308], 200, seed=0)
+
+
 class TestQuantile:
     def test_median_is_center(self):
         for cd in (make_student_t_cd(7, 1.5, 2.0), make_asymptotic_normal_cd(9, 1.5, 2.0)):

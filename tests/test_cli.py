@@ -1,10 +1,19 @@
+import argparse
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import test_golden
 
-from cdsupport import direct_support, make_student_t_cd, parse_region
+from cdsupport import cli, direct_support, make_student_t_cd, parse_region
 from cdsupport.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(args, capsys):
@@ -354,6 +363,10 @@ BAD_INPUT = [
                                   "--alphas", "nan"],
      "validation", "--alphas must lie in (0, 1), got [nan]"),
 ] + [
+    (f"pval-overflow-{cd}", ["pval", "--input", "{d}/big.csv", "--region", "[0,1]", "--cd", cd],
+     "validation", "sample mean and sd must be finite, got mean=9.999999999999999e+198, sd=inf")
+    for cd in ("t", "z", "bootstrap")
+] + [
     (f"{cmd}-{k}d-{depth}", argv + ["--config", f"{{d}}/box{k}.cfg", "--depth", depth],
      "validation", message.format(k=k))
     for depth in ("mahalanobis", "simplicial")
@@ -374,6 +387,8 @@ def bad_input_dir(tmp_path, table1):
             f"shape = rectangle\nlo = {', '.join(['-0.1'] * k)}\nhi = {', '.join(['0.1'] * k)}\n"
         )
     (tmp_path / "inf.csv").write_text("1.0\ninf\n2.0\n")
+    # finite values whose squares overflow
+    (tmp_path / "big.csv").write_text("1e200\n-1e200\n2e200\n-3e200\n1.5e200\n")
     for name, value in (("offset_text", "abc"), ("offset_pair", "1, 2")):
         (tmp_path / f"{name}.cfg").write_text(
             f"shape = halfspace\nnormal = 1, 0\noffset = {value}\n")
@@ -384,6 +399,9 @@ def bad_input_dir(tmp_path, table1):
     return tmp_path
 
 
+# pytest captures warnings, so a numpy warning would never reach the captured
+# stderr that the error line is compared with; it fails the test instead
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("argv,category,message", [case[1:] for case in BAD_INPUT],
                          ids=[case[0] for case in BAD_INPUT])
 def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, capsys):
@@ -392,3 +410,65 @@ def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, cap
     assert (code, out) == (1, "")
     line = json.dumps({"error": {"category": category, "message": message.format(d=d)}})
     assert err == line + "\n"
+
+
+def test_non_finite_report_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # a command that returns NaN: the report cannot leave as strict JSON
+    stub = argparse.ArgumentParser(prog="cdsupport")
+    stub.set_defaults(fn=lambda args: {"p": math.nan}, out=str(tmp_path / "report.json"))
+    monkeypatch.setattr(cli, "build_parser", lambda: stub)
+    code, out, err = run_cli([], capsys)
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": {
+        "category": "validation",
+        "message": "report holds a non-finite number, which JSON cannot carry"}}) + "\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_infinite_bounds_are_reported_as_text(table1_csv, tmp_path, capsys):
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text("shape = rectangle\nlo = -inf, 0\nhi = inf, inf\n")
+    code, out, _ = run_cli(["pval2d", "--input", str(table1_csv), "--config", str(cfg),
+                            "--boot-reps", "200"], capsys)
+    assert code == 0
+    region = strict_json(out)["config"]["region"]
+    assert (region["lower"], region["upper"]) == (["-inf", 0.0], ["inf", "inf"])
+    code, out, _ = run_cli(BIOEQ + ["--var-d", "4", "--lower=-inf", "--upper", "8"], capsys)
+    assert code == 0
+    report = strict_json(out)
+    assert (report["config"]["lower"], report["lower_tail"]) == ("-inf", 0.0)
+
+
+# -- one parser per process ---------------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_reused_after_a_bad_flag_gives_golden_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    test_golden._write_inputs()
+    with pytest.raises(SystemExit) as exit_info:
+        main(test_golden.CLI_CASES["bioeq"][0] + ["--no-such-flag"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    for name in ("bioeq", "pval2d_simplicial_rect_m300"):
+        assert test_golden.cli_digests(name) == test_golden.GOLDEN_CLI[name]
+
+
+def test_importing_the_cli_builds_no_parser():
+    # a fresh interpreter: earlier tests in this process have built the parser
+    script = ("import cdsupport.cli as cli\n"
+              "assert cli.build_parser.cache_info().currsize == 0\n"
+              "cli.build_parser()\n"
+              "assert cli.build_parser.cache_info().currsize == 1\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert result.returncode == 0, result.stderr

@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 import tracemalloc
@@ -634,14 +633,17 @@ def test_closed_form_counts_on_gaussian_clouds(m):
 
 @pytest.fixture
 def depth_calls(monkeypatch):
+    """The threads of each depth or bound evaluation of a checked cloud: the
+    core that ``depth_of`` and the p-values share."""
     calls = []
-    real = depth_module.depth_of
+    for name in ("depths", "bounds"):
+        real = getattr(depth_module._CheckedCloud, name)
 
-    def counting(*args, **kwargs):
-        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
-        return real(*args, **kwargs)
+        def counting(self, *args, real=real):
+            calls.append(self.threads)
+            return real(self, *args)
 
-    monkeypatch.setattr(depth_module, "depth_of", counting)
+        monkeypatch.setattr(depth_module._CheckedCloud, name, counting)
     return calls
 
 
@@ -673,4 +675,4 @@ def test_pval2d_threads_reach_every_depth_call(depth_calls, tmp_path, capsys, ta
                  "--depth", "simplicial", "--boot-reps", "300", "--threads", "2"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["floor_source"] == "boundary-grid"
-    assert [call.get("threads", 1) for call in depth_calls] == [2, 2, 2]
+    assert depth_calls == [2, 2, 2, 2, 2]

@@ -6,6 +6,7 @@ replicate's exact depth, as both functions did before the screen; the two
 must agree bit for bit.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,9 @@ from cdsupport import (
     p_multi_max,
 )
 from cdsupport import depth as depth_module
+from cdsupport.cli import load_region_config, main
 from cdsupport.depth import (
+    MULTI_METHODS,
     SECTORS,
     MultiPValue,
     _count_bounds,
@@ -130,23 +133,25 @@ def test_bootstrap_cloud_at_the_oneshot_box(m):
 
 @pytest.fixture
 def exact_queries(monkeypatch):
-    """Number of queries given to each ``depth_of`` call, and its threads."""
+    """Number of queries given to each exact-depth evaluation of a checked
+    cloud, and its threads; the p-values reach exact depths only through it."""
     calls = []
-    real = depth_module.depth_of
+    real = depth_module._CheckedCloud.depths
 
-    def counting(cloud, queries, kind, threads=1):
-        calls.append((np.atleast_2d(queries).shape[0], threads))
-        return real(cloud, queries, kind, threads)
+    def counting(self, q):
+        calls.append((q.shape[0], self.threads))
+        return real(self, q)
 
-    monkeypatch.setattr(depth_module, "depth_of", counting)
+    monkeypatch.setattr(depth_module._CheckedCloud, "depths", counting)
     return calls
 
 
 def test_p_multi_settles_few_replicates(exact_queries):
     cloud = part2_cloud(0, m=2000)
     region = PART2_REGIONS["d_corner"][0]
-    res = p_multi(cloud, "simplicial", region, threads=2)
-    assert res == reference_p_multi(cloud, "simplicial", region)
+    want = reference_p_multi(cloud, "simplicial", region)
+    exact_queries.clear()
+    assert p_multi(cloud, "simplicial", region, threads=2) == want
     # one call for the floor candidates, one for replicates straddling the floor
     assert len(exact_queries) == 2 and {threads for _, threads in exact_queries} == {2}
     assert sum(count for count, _ in exact_queries) < 2000 // 20
@@ -154,13 +159,13 @@ def test_p_multi_settles_few_replicates(exact_queries):
 
 def test_bounds_take_the_worker_count(monkeypatch):
     calls = []
-    real = depth_module._depth_bounds
+    real = depth_module._CheckedCloud.bounds
 
-    def recording(cloud, queries, kind, threads=1):
-        calls.append(threads)
-        return real(cloud, queries, kind, threads)
+    def recording(self, q, span):
+        calls.append(self.threads)
+        return real(self, q, span)
 
-    monkeypatch.setattr(depth_module, "_depth_bounds", recording)
+    monkeypatch.setattr(depth_module._CheckedCloud, "bounds", recording)
     cloud = part2_cloud(1, m=300)
     for name in ("e_small_box", "far_box"):
         p_multi_max(cloud, "simplicial", PART2_REGIONS[name][0], threads=2)
@@ -283,3 +288,80 @@ def test_overflowing_direction_sums_get_trivial_bounds():
     assert (lo <= exact).all() and (exact <= hi).all()
     assert lo[0] == 0.0 and hi[0] == 1.0  # (0.8e308, 0.8e308) sees its opposite corner
     assert np.isfinite(exact).all()
+
+
+# -- one set of checks per p-value ------------------------------------------------
+
+
+@pytest.fixture
+def set_up_calls(monkeypatch):
+    """Calls of ``_span`` (one per checked query set) and of the Mahalanobis
+    factorisation."""
+    calls = {"span": 0, "factors": 0}
+    for key, name in (("span", "_span"), ("factors", "_mahalanobis_factors")):
+        real = getattr(depth_module, name)
+
+        def counting(*args, key=key, real=real):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(depth_module, name, counting)
+    return calls
+
+
+# region -> query sets checked: the replicates, the boundary grid, the corners
+QUERY_SETS = {"d_corner": (1, 2), "far_box": (2, 3)}
+
+
+@pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+@pytest.mark.parametrize("name", sorted(QUERY_SETS))
+def test_each_query_set_is_checked_once(name, kind, set_up_calls):
+    cloud = part2_cloud(4, m=300)
+    region = PART2_REGIONS[name][0]
+    for p_value, sets in zip((p_multi, p_multi_max), QUERY_SETS[name]):
+        set_up_calls.update(span=0, factors=0)
+        p_value(cloud, kind, region, threads=2)
+        assert set_up_calls["span"] == sets
+        assert set_up_calls["factors"] == (kind == "mahalanobis")
+
+
+# the data of the precedence cases: a modest cloud, far from the largest float
+# on axis 0 so that a query at 1.75e308 overflows the range
+FAR_DATA = np.random.default_rng(14).standard_normal((20, 2)) * [1e305, 1.0] + [-5e306, 0.0]
+LINE_DATA = np.outer(np.random.default_rng(15).standard_normal(20), [1.0, 2.0])
+OVERFLOW = ("coordinate range overflows: cloud and query values on axis 0 differ by more "
+            "than the largest float")
+# (id, data, kind, region config, methods that raise, message)
+PRECEDENCE = [
+    ("grid-overflows", FAR_DATA, "simplicial",
+     "shape = rectangle\nlo = 1.7e308, -1\nhi = 1.75e308, 1\n", ("multi", "multi-max"), OVERFLOW),
+    ("corner-overflows", FAR_DATA, "simplicial",
+     "shape = rectangle\nlo = -1e308, -5\nhi = 0, 5\ncorners = 1.75e308, 0\n",
+     ("multi-max",), OVERFLOW),
+    ("region-dimension", FAR_DATA, "mahalanobis",
+     "shape = rectangle\nlo = 0, 0, 0\nhi = 1, 1, 1\n", ("multi", "multi-max"),
+     "region dimension 3 differs from the cloud's 2"),
+    ("singular-covariance", LINE_DATA, "mahalanobis",
+     "shape = rectangle\nlo = 1.7e308, -1\nhi = 1.75e308, 1\ncorners = 1.75e308, 0\n",
+     ("multi", "multi-max"), "degenerate cloud: covariance is singular or ill-conditioned"),
+]
+
+
+@pytest.mark.parametrize("data,kind,config,methods,message",
+                         [case[1:] for case in PRECEDENCE], ids=[case[0] for case in PRECEDENCE])
+def test_error_precedence_of_the_p_values(data, kind, config, methods, message, tmp_path,
+                                          capsys):
+    (tmp_path / "data.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in data.tolist()))
+    (tmp_path / "region.cfg").write_text(config)
+    region, _ = load_region_config(tmp_path / "region.cfg")
+    cloud = bootstrap_cloud(data, 200, seed=1)
+    for method in methods:
+        with pytest.raises(ValueError) as info:
+            MULTI_METHODS[method](cloud, kind, region)
+        assert str(info.value) == message, method
+    code = main(["pval2d", "--input", str(tmp_path / "data.csv"),
+                 "--config", str(tmp_path / "region.cfg"), "--depth", kind,
+                 "--boot-reps", "200", "--seed", "1"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "category": "validation", "message": message}
