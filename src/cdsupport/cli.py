@@ -16,6 +16,7 @@ JSON error with a machine-readable ``category`` goes to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -167,6 +168,15 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
     return region, cov
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an ``OSError`` raised while writing ``path`` into an ``io`` error."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError("io", f"cannot write {path}: {exc}") from None
+
+
 def emit_report(report: dict, out_path) -> None:
     """Write the report as strict JSON to ``out_path``, or to stdout.  A
     report holding NaN or infinity raises ``ValueError`` before anything is
@@ -176,8 +186,9 @@ def emit_report(report: dict, out_path) -> None:
     except ValueError:
         raise ValueError("report holds a non-finite number, which JSON cannot carry") from None
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        with _writing(out_path):
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
     else:
         print(text)
 
@@ -332,7 +343,8 @@ def cmd_simulate(args) -> dict:
     report = run_experiment(spec, threads=args.threads)
     qq_path = args.qq_out or (str(args.out) + ".qq.csv" if args.out else None)
     if qq_path:
-        write_qq_csv(report, qq_path)
+        with _writing(qq_path):
+            write_qq_csv(report, qq_path)
     return {
         "schema": SCHEMA_VERSION,
         "command": "simulate",

@@ -9,9 +9,9 @@ maximum with singleton p-values at designated corner points.  Both return a
 ``MultiPValue`` (the corner p-values in ``corner_p``) and are selected by name
 through ``MULTI_METHODS``; their ``threads`` reach every depth computation.
 
-``resample_means`` draws a cloud's indices at once but gathers and sums them
-in blocks of ``max(1, CHUNK_PAIRS // n)`` replicates, so a cloud of m
-replicates of n rows peaks at its (m x n) index draw plus one block.
+``resample_means`` draws, gathers and sums a cloud's indices in blocks of
+``max(1, CHUNK_PAIRS // n)`` replicates from one generator, so a cloud of m
+replicates of n rows holds one block at a time, not its (m x n) index draw.
 
 ``_CheckedCloud`` is the one place that decides how depths are computed.
 Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
@@ -46,8 +46,14 @@ sectors.  A computed diamond angle is a few ulps from the exact one, so a
 computed sector is at most one off, the triples that fit in H - 1
 consecutive sectors (H = SECTORS / 2, a half-circle) surely miss the query,
 and those that miss it surely fit in H + 2; this brackets the kernel's own
-count on every input.  Exact depths
-are then computed only for the replicates or grid points whose bounds hold
+count on every input.  When the queries are the cloud itself, as the
+replicates are, each unordered pair's sector is computed once, in square
+tiles over the upper triangle of the pair matrix, and counted for both of
+its points, the reverse direction half a circle on; other query sets are
+tiled in chunks of queries against the whole cloud.  Either way the
+finished histograms are counted in blocks of ``CHUNK_PAIRS // (2 *
+SECTORS)`` queries by one kernel, ``_count_bounds``.  Exact depths are
+then computed only for the replicates or grid points whose bounds hold
 the floor or a corner depth.  At seed 1 of the benchmark that is 0.5-2.3%
 of the replicates for ``p_multi`` on the ``run_part2`` regions (m = 500)
 and 1.0% at m = 2000, but 12-22% for ``p_multi_max``, whose corner depths
@@ -58,7 +64,9 @@ p-values equal those from all exact depths, bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -93,6 +101,12 @@ _KEY_AT_QUERY = np.iinfo(np.uint64).max
 # that scaling a diamond angle by SECTORS / 4 is exact
 SECTORS = 128
 
+# codes of a direction in ``_sector_histograms``: the sectors, t = 4, at the query
+_WIDTH = SECTORS + 2
+# code of the reverse direction of a code, once t = 4 is folded into sector 0
+_REVERSE = np.r_[(np.arange(SECTORS) + SECTORS // 2) % SECTORS, SECTORS, SECTORS + 1]
+
+
 
 @dataclass(frozen=True, eq=False)
 class BootstrapCloud:
@@ -115,12 +129,13 @@ def resample_means(x: np.ndarray, reps: int, seed) -> np.ndarray:
     """Means of ``reps`` resamples, with replacement, of the rows of the
     (n x k) matrix ``x``, as a (reps x k) array; k is 1 or 2.
 
-    The indices are one ``rng.integers(0, n, size=(reps, n))`` draw, and
-    the means equal ``x[idx].mean(axis=1)`` bit for bit.  The draw is
+    The indices equal one ``rng.integers(0, n, size=(reps, n))`` draw, and
+    the means equal ``x[idx].mean(axis=1)`` bit for bit.  They are drawn,
     gathered and summed in blocks of ``max(1, CHUNK_PAIRS // n)``
-    replicates, so the memory held at once is the draw plus one block
-    rather than twice the draw.  ``np.take`` gathers several times faster
-    than fancy indexing.  For k = 1 a block is gathered as (block x n),
+    replicates from the one generator, whose consecutive draws continue one
+    stream (an odd-sized block included), so the memory held at once is one
+    block rather than the whole draw.  ``np.take`` gathers several times
+    faster than fancy indexing.  For k = 1 a block is gathered as (block x n),
     whose contiguous n axis numpy sums pairwise, as it does for
     ``x[idx]``.  For k = 2 numpy sums each replicate in plain order over
     n, and reducing the middle axis of (block x n x 2) is slow, so the
@@ -129,15 +144,16 @@ def resample_means(x: np.ndarray, reps: int, seed) -> np.ndarray:
     exception, since its inner axis still holds the 2 columns.
     """
     n, k = x.shape
-    idx = np.random.default_rng(seed).integers(0, n, size=(reps, n))
+    rng = np.random.default_rng(seed)
     out = np.empty((reps, k))
     step = max(1, CHUNK_PAIRS // n)
     for start in range(0, reps, step):
+        idx = rng.integers(0, n, size=(min(step, reps - start), n))
         rows = slice(start, start + step)
         if k == 1:
-            out[rows, 0] = np.take(x[:, 0], idx[rows]).mean(axis=1)
+            out[rows, 0] = np.take(x[:, 0], idx).mean(axis=1)
         else:
-            out[rows] = np.take(x, idx[rows].T, axis=0).sum(axis=0) / n
+            out[rows] = np.take(x, idx.T, axis=0).sum(axis=0) / n
     return out
 
 
@@ -414,8 +430,9 @@ class _CheckedCloud:
         """Exact depths of checked queries: the core of ``depth_of``."""
         if self.kind == "mahalanobis":
             return _mahalanobis_batch(*self.factors, q)
-        return _chunked(_simplicial_counts, self.pts, q, self.threads) / math.comb(
-            self.pts.shape[0], 3)
+        m = self.pts.shape[0]
+        return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
+                          max(1, CHUNK_PAIRS // m), self.threads) / math.comb(m, 3)
 
     def bounds(self, q: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds on the depths of checked queries with range ``span``: the
@@ -426,7 +443,9 @@ class _CheckedCloud:
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-        lo, hi = _chunked(_count_bounds, self.pts, q, self.threads).T
+        hist = _sector_histograms(self.pts, q, self.threads)
+        lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), q.shape[0],
+                            max(1, CHUNK_PAIRS // (2 * SECTORS)), self.threads).T
         total = math.comb(m, 3)
         with np.errstate(over="ignore"):
             if not np.isfinite(span.sum()):
@@ -454,13 +473,12 @@ def _span(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
         return top - bottom
 
 
-def _chunked(fn, pts: np.ndarray, q: np.ndarray, threads: int) -> np.ndarray:
-    """fn over chunks of ``CHUNK_PAIRS // m`` queries on ``threads`` workers,
+def _in_blocks(fn, n: int, rows: int, threads: int) -> np.ndarray:
+    """fn over slices of ``rows`` of n queries on ``threads`` workers,
     joined in query order."""
-    rows = max(1, CHUNK_PAIRS // pts.shape[0])
     return np.concatenate(parallel_map_indexed(
-        lambda i: fn(pts, q[i * rows: (i + 1) * rows]),
-        max(1, -(-q.shape[0] // rows)),  # one empty chunk for zero queries
+        lambda i: fn(slice(i * rows, (i + 1) * rows)),
+        max(1, -(-n // rows)),  # one empty block for zero queries
         threads,
     ))
 
@@ -484,42 +502,138 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
 # -- certified bounds on simplicial depth --------------------------------------
 
 
-def _sector_histograms(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per query, the number of cloud directions in each of ``SECTORS``
-    sectors, then those at the query, as a ((SECTORS + 1) x queries) array.
+def _sector_codes(pts: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Per (query, cloud point) pair, the sector code of the direction from
+    the query to the point, plus the query's row offset ``row * _WIDTH``, as
+    a (queries x points) integer array.
 
     The sector of a direction (dx, dy) is ``floor(t * SECTORS / 4)`` for its
     diamond angle t = 1 - r on and above the x axis and t = 3 + r below it,
-    with r = dx / (|dx| + |dy|); t = 4, the positive x axis approached from
-    below, is sector 0.  The diamond angle is a continuous increasing
-    function of the angle, with the antipode at t + 2.  A point at the query
-    makes r = 0 / 0 = NaN and lands in the last column.  A direction whose
-    |dx| + |dy| overflows gets r = 0 and a wrong sector; ``_depth_bounds``
-    gives its query trivial bounds.
+    with r = dx / (|dx| + |dy|).  The code is the sector; t = 4, the positive
+    x axis approached from below, gets code ``SECTORS`` and counts as sector
+    0.  The diamond angle is a continuous increasing function of the angle,
+    with the antipode at t + 2.  A point at the query makes r = 0 / 0 = NaN
+    and gets code ``SECTORS + 1``.  A direction whose |dx| + |dy| overflows
+    gets r = 0 and a wrong sector; ``_depth_bounds`` gives its query trivial
+    bounds.
+
+    ``work`` is a (4 x cells) float array with cells >= queries x points,
+    which the computation overwrites; the codes are returned in its last row.
     """
-    n = queries.shape[0]
-    width = SECTORS + 2  # sectors, t = 4, at the query
-    dx = pts[:, 0][None, :] - queries[:, 0][:, None]
-    dy = pts[:, 1][None, :] - queries[:, 1][:, None]
-    t = np.abs(dx)
+    size = queries.shape[0] * pts.shape[0]
+    dx, dy, t, codes = (row[:size].reshape(queries.shape[0], -1) for row in work)
+    np.subtract(pts[:, 0], queries[:, 0, None], out=dx)
+    np.subtract(pts[:, 1], queries[:, 1, None], out=dy)
+    np.abs(dx, out=t)
     with np.errstate(over="ignore", invalid="ignore"):
-        t += np.abs(dy)
+        t += np.abs(dy, out=codes)
         np.divide(dx, t, out=t)  # r, exact up to rounding for any scale
     t *= SECTORS / 4  # a power of two: exact
     t += SECTORS / 4
     np.copysign(t, dy, out=t)  # -0.0 counts as below: t = 4 on the positive x axis
-    base = np.arange(n, dtype=float) * width
+    base = np.arange(queries.shape[0], dtype=float) * _WIDTH
     np.subtract((base + SECTORS / 2)[:, None], t, out=t)  # row offset + t * SECTORS / 4
-    np.fmin(t, (base + width - 1)[:, None], out=t)  # NaN -> the at-query column
-    counts = np.bincount(t.astype(np.intp).ravel(), minlength=n * width).reshape(n, width)
-    counts[:, 0] += counts[:, SECTORS]
-    return np.delete(counts, SECTORS, axis=1).T.copy()
+    np.fmin(t, (base + _WIDTH - 1)[:, None], out=t)  # NaN -> the at-query code
+    codes = codes.view(np.intp)
+    np.copyto(codes, t, casting="unsafe")  # truncates, as ``astype`` does
+    return codes
 
 
-def _count_bounds(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def _tally(codes: np.ndarray, rows: int) -> np.ndarray:
+    """The (rows x _WIDTH) histograms of codes offset by their row."""
+    return np.bincount(codes.ravel(), minlength=rows * _WIDTH).reshape(rows, _WIDTH)
+
+
+@functools.cache  # one side per CHUNK_PAIRS; a fresh array would cost page faults per call
+def _column_shift(side: int) -> np.ndarray:
+    """(side x side) array whose entry (i, j) moves a code from row i's
+    offset to row j's: (j - i) * _WIDTH.  Callers only read it."""
+    offsets = np.arange(0, side * _WIDTH, _WIDTH)
+    return offsets - offsets[:, None]
+
+
+# per thread, the kept buffers of ``_tile_buffers``
+_KEPT = threading.local()
+
+
+def _tile_buffers(cells: int) -> np.ndarray:
+    """This thread's (4 x cells) buffers for ``_sector_codes``.  Buffers of up
+    to ``CHUNK_PAIRS`` cells, which every tile of the self-screen and every
+    chunk of a cloud of at most ``CHUNK_PAIRS`` points fits, are kept from
+    call to call: a fresh buffer costs a page fault per 4 KiB, about 2.75 us
+    on a 2-core virtual machine, as long as the arithmetic on the page."""
+    work = getattr(_KEPT, "work", None)
+    if work is not None and work.shape[1] >= cells:
+        return work
+    if cells > CHUNK_PAIRS:
+        return np.empty((4, cells))
+    work = _KEPT.work = np.empty((4, CHUNK_PAIRS))
+    return work
+
+
+def _sector_histograms(pts: np.ndarray, queries: np.ndarray, threads: int = 1) -> np.ndarray:
+    """Per query, the number of cloud directions with each code of
+    ``_sector_codes``, as a (queries x _WIDTH) array computed on ``threads``
+    workers; code ``SECTORS`` is counted as sector 0, so its column is 0.
+
+    Other query sets are tiled in chunks of ``CHUNK_PAIRS // m`` queries
+    against the whole cloud.  When the queries are the cloud itself, the
+    upper triangle of the m x m pair matrix is tiled in squares of side
+    ``isqrt(CHUNK_PAIRS)``: a tile on the diagonal counts its directions from
+    each of its rows, and a tile off it computes the code s of each direction
+    i -> j once and counts it for row i, and the reverse code for row j:
+    (s + H) mod ``SECTORS`` for a sector (H = SECTORS / 2), H for code
+    ``SECTORS``, and itself at the query (see ``_depth_bounds`` for why that
+    is certified).
+
+    Each worker takes every ``threads``-th tile and adds its integer counts
+    as soon as it has them, under a lock per band of rows, so that memory
+    stays one tile per worker and the sums do not depend on the worker
+    count.
+    """
+    n, m = queries.shape[0], pts.shape[0]
+    hist = np.zeros((n, _WIDTH), dtype=np.int64)
+    if queries is pts:
+        side = math.isqrt(CHUNK_PAIRS)
+        bands = [slice(start, start + side) for start in range(0, m, side)]
+        tiles = [(i, j) for i in range(len(bands)) for j in range(i, len(bands))]
+        cells = min(side, m) ** 2
+        shift = _column_shift(side)
+    else:
+        rows = max(1, CHUNK_PAIRS // m)
+        bands = [slice(start, start + rows) for start in range(0, n, rows)]
+        tiles = [(i, None) for i in range(len(bands))]
+        cells = min(rows, n) * m
+    locks = [threading.Lock() for _ in bands]
+    workers = min(threads, len(tiles))
+
+    def run(worker: int) -> None:
+        work = _tile_buffers(cells)
+        for i, j in tiles[worker::workers]:
+            codes = _sector_codes(pts if j is None else pts[bands[j]], queries[bands[i]], work)
+            counts = _tally(codes, codes.shape[0])
+            with locks[i]:
+                hist[bands[i]] += counts
+            if j is None or j == i:
+                continue
+            codes += shift[: codes.shape[0], : codes.shape[1]]
+            counts = _tally(codes, codes.shape[1])
+            counts[:, 0] += counts[:, SECTORS]
+            counts[:, SECTORS] = 0
+            with locks[j]:
+                hist[bands[j]] += counts[:, _REVERSE]
+
+    parallel_map_indexed(run, workers, threads)
+    hist[:, 0] += hist[:, SECTORS]
+    hist[:, SECTORS] = 0
+    return hist
+
+
+def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
     """(queries x 2) lower and upper bounds on ``_simplicial_counts`` (see
-    ``_depth_bounds``), from the triples of directions whose sectors fit in
-    H + 2, and in H - 1, cyclically consecutive sectors (H = SECTORS / 2).
+    ``_depth_bounds``) from the queries' ``_sector_histograms`` over a cloud
+    of m points, from the triples of directions whose sectors fit in H + 2,
+    and in H - 1, cyclically consecutive sectors (H = SECTORS / 2).
 
     A triple is counted from each of its own sectors s that starts such a
     run.  With h_s directions in s and R in the next span - 1 sectors, those
@@ -529,24 +643,27 @@ def _count_bounds(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     after it starts a run, so that count is exact; the H + 2 count may
     count a triple twice, which keeps it an upper bound on the misses.
     """
-    counts = _sector_histograms(pts, queries)
-    h = counts[:SECTORS]
+    h = hist[:, :SECTORS]
     half = SECTORS // 2
-    # running[i]: the first i entries of h, h repeated, summed; R = a difference
-    running = np.zeros((SECTORS + half + 2, h.shape[1]), dtype=np.int64)
-    np.cumsum(h, axis=0, out=running[1: SECTORS + 1])
-    np.add(running[SECTORS], running[1: half + 2], out=running[SECTORS + 1:])
+    # running[:, i]: the first i entries of a row of h, h repeated, summed;
+    # R = a difference
+    running = np.zeros((h.shape[0], SECTORS + half + 2), dtype=np.int64)
+    np.cumsum(h, axis=1, out=running[:, 1: SECTORS + 1])
+    np.add(running[:, SECTORS, None], running[:, 1: half + 2], out=running[:, SECTORS + 1:])
     h_less_2 = h - 2
-    six_same = np.einsum("ij,ij->j", h * (h - 1), h_less_2)
+    r = h - 1
+    r *= h
+    six_same = np.einsum("ij,ij->i", r, h_less_2)
+    hr = np.empty_like(r)
     misses = []
     for span in (half + 2, half - 1):
-        r = running[span: span + SECTORS] - running[1: SECTORS + 1]
-        hr = h * r
+        np.subtract(running[:, span: span + SECTORS], running[:, 1: SECTORS + 1], out=r)
+        np.multiply(h, r, out=hr)
         r += h_less_2
-        misses.append((six_same + 3 * np.einsum("ij,ij->j", hr, r)) // 6)
-    live = pts.shape[0] - counts[SECTORS]
+        misses.append((six_same + 3 * np.einsum("ij,ij->i", hr, r)) // 6)
+    live = m - hist[:, SECTORS + 1]
     misses[0] = np.minimum(misses[0], live * (live - 1) * (live - 2) // 6)
-    return math.comb(pts.shape[0], 3) - np.stack(misses, axis=1)
+    return math.comb(m, 3) - np.stack(misses, axis=1)
 
 
 def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -554,8 +671,8 @@ def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarr
 
     Mahalanobis depth is cheap, and both bounds are its exact depths.  For
     simplicial depth each query gets a histogram of its directions over
-    ``SECTORS`` sectors (``_sector_histograms``), in the chunks and on the
-    workers of ``depth_of``, and the misses of ``_simplicial_counts`` are
+    ``SECTORS`` sectors (``_sector_histograms``), on the workers of
+    ``depth_of``, and the misses of ``_simplicial_counts`` are
     bracketed by counting triples of directions by their sectors, with
     H = SECTORS / 2 sectors to a half-circle:
 
@@ -565,6 +682,16 @@ def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarr
       (dx, dy) by an ``arctan2`` that is also a few ulps from the exact
       angle, and counts a triple as a miss exactly when one of its
       directions sees the other two in its open half-circle of keys.
+    * When the queries are the cloud, the direction j -> i gets the reverse
+      of the code s that i -> j computed.  The kernel's rounded difference
+      for j -> i is fl(a - b) = -fl(b - a), since IEEE subtraction rounds
+      symmetrically; only the sign of a zero difference may differ, and it
+      moves neither the exact angle nor the kernel's key.  The exact diamond
+      angle satisfies t(-d) = t(d) + 2 (mod 4), so the sector of -d is the
+      sector of d plus H (mod SECTORS), and (s + H) mod SECTORS is the
+      sector of the computed angle of d plus 2, some ulps from the exact
+      angle of -d, like any computed sector.  Code ``SECTORS`` (t = 4,
+      sector 0) reverses to H, and the at-query code to itself.
     * A triple whose computed sectors fit in H - 1 consecutive sectors
       spans less than 2 - 4 / SECTORS of computed, so of exact, diamond
       angle up to some ulps.  A half-circle adds exactly 2 to t, and the

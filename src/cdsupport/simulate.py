@@ -33,6 +33,7 @@ replications, each of which costs milliseconds, call ``default_rng``.
 from __future__ import annotations
 
 import csv
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -107,8 +108,12 @@ class ExperimentSpec:
                 raise ValueError("univariate runs need a NullRegion")
             if np.ndim(self.true_mean) != 0:
                 raise ValueError("univariate truth must be a scalar")
+            if not math.isfinite(float(self.true_mean)):
+                raise ValueError(f"true_mean must be finite, got {float(self.true_mean)}")
             if not self.sd > 0:
                 raise ValueError("sd must be positive")
+            if not math.isfinite(self.sd):
+                raise ValueError(f"sd must be finite, got {self.sd}")
         else:
             if self.method not in MULTI_METHODS:
                 raise ValueError(f"method {self.method!r} not valid for bivariate runs")
@@ -129,6 +134,8 @@ class ExperimentSpec:
             truth = np.asarray(self.true_mean, dtype=float).ravel()
             if truth.size != 2:
                 raise ValueError("bivariate truth must be a 2-vector")
+            if not np.isfinite(truth).all():
+                raise ValueError(f"true_mean must be finite, got {truth.tolist()}")
             object.__setattr__(self, "true_mean", truth)
         if self.boot_m < 100:
             raise ValueError(f"need boot_m >= 100, got {self.boot_m}")

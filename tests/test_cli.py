@@ -362,6 +362,25 @@ BAD_INPUT = [
     ("bioeq-alphas-nan", BIOEQ + ["--var-d", "4", "--lower", "-8", "--upper", "8",
                                   "--alphas", "nan"],
      "validation", "--alphas must lie in (0, 1), got [nan]"),
+    ("bioeq-out-missing-dir", BIOEQ + ["--var-d", "4", "--lower", "-8", "--upper", "8",
+                                       "--out", "{d}/missing/report.json"],
+     "io", "cannot write {d}/missing/report.json: [Errno 2] No such file or directory: "
+           "'{d}/missing/report.json'"),
+    ("pval2d-out-is-dir", PVAL2D + ["--config", "{d}/half.cfg", "--out", "{d}"],
+     "io", "cannot write {d}: [Errno 21] Is a directory: '{d}'"),
+    ("uni-qq-out-missing-dir", UNI + ["--qq-out", "{d}/missing/qq.csv"],
+     "io", "cannot write {d}/missing/qq.csv: [Errno 2] No such file or directory: "
+           "'{d}/missing/qq.csv'"),
+    ("uni-out-missing-dir", UNI + ["--out", "{d}/missing/run.json"],
+     "io", "cannot write {d}/missing/run.json.qq.csv: [Errno 2] No such file or directory: "
+           "'{d}/missing/run.json.qq.csv'"),
+    ("uni-true-mean-inf", UNI + ["--true-mean", "inf"],
+     "validation", "true_mean must be finite, got inf"),
+    ("uni-true-mean-nan", UNI + ["--true-mean", "nan"],
+     "validation", "true_mean must be finite, got nan"),
+    ("biv-true-mean-inf", BIV + ["--config", "{d}/half.cfg", "--method", "multi",
+                                 "--true-mean", "0,inf"],
+     "validation", "true_mean must be finite, got [0.0, inf]"),
 ] + [
     (f"pval-overflow-{cd}", ["pval", "--input", "{d}/big.csv", "--region", "[0,1]", "--cd", cd],
      "validation", "sample mean and sd must be finite, got mean=9.999999999999999e+198, sd=inf")

@@ -88,6 +88,8 @@ def test_resampled_means_equal_gather_and_mean(n, k, reps, scale, seed):
         (200, 2001, 2),
         (9, 4000, 1),  # 9 rows: numpy sums them pairwise
         (40000, 3, 2),  # blocks of one replicate, which numpy would sum pairwise as (n x 1)
+        (5, 10000, 1),  # blocks of 6553 replicates: 32765 draws, an odd number
+        (5, 10000, 2),
     ],
 )
 def test_resampled_means_over_several_blocks(n, k, reps):
@@ -107,6 +109,19 @@ def test_bootstrap_cloud_memory_is_the_draw_plus_a_block():
         tracemalloc.stop()
     # gathering the whole (reps x n) index draw at once doubles it, near 64 MB
     assert peak <= reps * n * 8 + 2 * 2**20
+
+
+def test_bootstrap_cloud_never_holds_the_whole_draw():
+    n, reps = 200, 20000
+    data = np.random.default_rng(65).standard_normal((n, 2))
+    tracemalloc.start()
+    try:
+        bootstrap_cloud(data, reps, seed=6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole (reps x n) int64 index draw alone is 30.5 MB
+    assert peak < reps * n * 8 // 8
 
 
 class TestMahalanobisDepth:
@@ -376,6 +391,18 @@ class TestDepthPath:
         finally:
             tracemalloc.stop()
         # computing all 2000 x 2000 (query, point) pairs at once peaks near 324 MB
+        assert peak < 16 * 2**20
+
+    def test_p_multi_memory_is_bounded_on_two_workers(self):
+        cloud = bootstrap_cloud(np.random.default_rng(63).standard_normal((40, 2)), 2000, seed=4)
+        box = Rectangle(lower=[-0.1, -0.1], upper=[0.1, 0.1])
+        tracemalloc.start()
+        try:
+            p_multi(cloud, "simplicial", box, threads=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # holding every tile's counts of the self-screen at once would take about 29 MB
         assert peak < 16 * 2**20
 
     def test_all_replicate_depths_memory_is_bounded(self):

@@ -7,6 +7,8 @@ must agree bit for bit.
 """
 
 import json
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -218,20 +220,96 @@ def bounds_cases(draw):
 def test_bounds_bracket_the_kernel_count(case):
     pts, queries = case
     counts = _simplicial_counts(pts, queries)
-    lo, hi = _count_bounds(pts, queries).T
+    lo, hi = _count_bounds(_sector_histograms(pts, queries), pts.shape[0]).T
     assert (lo <= counts).all() and (counts <= hi).all()
     lo_d, hi_d = _depth_bounds(pts, queries, "simplicial")
     exact = depth_of(pts, queries, "simplicial")
     assert (lo_d <= exact).all() and (exact <= hi_d).all()
 
 
+# (query, point) pairs of a chunk in the self-screen tests below: tiles of 7 points
+SMALL_CHUNK = 49
+
+
+@given(bounds_cases())
+@settings(max_examples=300, deadline=None)
+def test_self_screen_bounds_bracket_the_kernel_count(case):
+    pts, _ = case
+    m = pts.shape[0]
+    counts = _simplicial_counts(pts, pts)
+    direct = _sector_histograms(pts, pts.copy())  # every ordered pair computed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depth_module, "CHUNK_PAIRS", SMALL_CHUNK)
+        hist = _sector_histograms(pts, pts)
+        lo_d, hi_d = _depth_bounds(pts, pts, "simplicial")
+    lo, hi = _count_bounds(hist, m).T
+    assert (lo <= counts).all() and (counts <= hi).all()
+    assert (hist.sum(axis=1) == m).all()
+    assert np.array_equal(hist[:, SECTORS + 1], direct[:, SECTORS + 1])
+    exact = counts / math.comb(m, 3)
+    assert (lo_d <= exact).all() and (exact <= hi_d).all()
+
+
+# signed zeros: from (0, 0) the point (1, -0.0) is at dy = -0.0, so t = 4 (code
+# SECTORS), and the way back is at dy = +0.0, t = 2 (sector H)
+SIGNED_ZEROS = np.array([[0.0, 0.0], [1.0, -0.0], [2.0, 0.0], [-0.0, -0.0], [0.5, -0.0],
+                         [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [3.0, -0.0], [-2.0, -0.0]])
+
+
+@pytest.mark.parametrize("chunk", [4, SMALL_CHUNK, depth_module.CHUNK_PAIRS])
+def test_self_screen_reverses_the_wrapped_code(chunk, monkeypatch):
+    pts = SIGNED_ZEROS
+    codes = depth_module._sector_codes(pts, pts, np.empty((4, pts.size ** 2)))
+    wrapped = codes % depth_module._WIDTH == SECTORS
+    assert wrapped[0].sum() == 3  # (1, -0.0), (0.5, -0.0) and (3, -0.0) from (0, 0)
+    direct = _sector_histograms(pts, pts.copy())  # every ordered pair computed
+    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", chunk)
+    hist = _sector_histograms(pts, pts)
+    # exact coordinates: every reverse code equals the code computed directly
+    assert np.array_equal(hist, direct)
+    # (3, -0.0) sees the other 7 points on the x axis at t = 2
+    assert hist[0, 0] == 4 and hist[8, SECTORS // 2] == 7
+    counts = _simplicial_counts(pts, pts)
+    lo, hi = _count_bounds(hist, pts.shape[0]).T
+    assert (lo <= counts).all() and (counts <= hi).all()
+
+
+@pytest.mark.parametrize("chunk", [SMALL_CHUNK, depth_module.CHUNK_PAIRS])
+def test_self_screen_bounds_do_not_depend_on_the_worker_count(chunk, monkeypatch):
+    pts = part2_cloud(6, m=600).points
+    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", chunk)
+    one = _depth_bounds(pts, pts, "simplicial", threads=1)
+    two = _depth_bounds(pts, pts, "simplicial", threads=2)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+    assert np.array_equal(_sector_histograms(pts, pts, 1), _sector_histograms(pts, pts, 2))
+
+
+def test_self_screen_counts_survive_contending_workers(monkeypatch):
+    # tiles of 128 points: 15 tiles over 5 bands of rows, on more workers than
+    # cores and with the interpreter switching threads as often as it can; a
+    # lost update of a band's counts changes the histograms (without the
+    # locks, about one run in 16 lost one)
+    pts = part2_cloud(7, m=600).points
+    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", 128 * 128)
+    want = _sector_histograms(pts, pts, 1)
+    assert (want.sum(axis=1) == pts.shape[0]).all()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(150):
+            assert np.array_equal(_sector_histograms(pts, pts, 4), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_diamond_angle_four_wraps_to_sector_zero():
     # seen from the origin, (1, -1e-20) has r = 1 / (1 + 1e-20) = 1, so t = 3 + r = 4
     pts = np.array([[1.0, -1e-20], [1.0, 1e-20], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
-    hist = _sector_histograms(pts, np.zeros((1, 2)))[:, 0]
-    assert hist.shape == (SECTORS + 1,)
-    assert hist[0] == 3 and hist[SECTORS // 2] == 1 and hist[SECTORS] == 1
-    lo, hi = _count_bounds(pts, np.zeros((1, 2)))[0]
+    hist = _sector_histograms(pts, np.zeros((1, 2)))
+    assert hist.shape == (1, SECTORS + 2)
+    assert hist[0, 0] == 3 and hist[0, SECTORS] == 0  # t = 4 is counted as sector 0
+    assert hist[0, SECTORS // 2] == 1 and hist[0, SECTORS + 1] == 1
+    lo, hi = _count_bounds(hist, pts.shape[0])[0]
     assert lo <= _simplicial_counts(pts, np.zeros((1, 2)))[0] <= hi
 
 

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -80,6 +81,39 @@ class TestExperimentSpec:
             ExperimentSpec(
                 model="univariate-normal", true_mean=truth,
                 region=parse_region("0"), n=20, reps=50,
+            )
+
+    @pytest.mark.parametrize("truth,message", [
+        (math.inf, "true_mean must be finite, got inf"),
+        (np.float64(-math.inf), "true_mean must be finite, got -inf"),
+        (math.nan, "true_mean must be finite, got nan"),
+    ])
+    def test_rejects_non_finite_univariate_truth(self, truth, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="univariate-normal", true_mean=truth,
+                region=parse_region("0"), n=20, reps=50,
+            )
+
+    @pytest.mark.parametrize("truth", [(0.0, math.inf), (math.nan, 0.0)])
+    def test_rejects_non_finite_bivariate_truth(self, truth):
+        message = f"true_mean must be finite, got {list(truth)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="bivariate-normal", true_mean=truth,
+                region=Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0]), n=50, method="multi",
+            )
+
+    @pytest.mark.parametrize("sd,message", [
+        (math.inf, "sd must be finite, got inf"),
+        (math.nan, "sd must be positive"),
+        (-math.inf, "sd must be positive"),
+    ])
+    def test_rejects_non_finite_sd(self, sd, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="univariate-normal", true_mean=0.0,
+                region=parse_region("0"), n=20, reps=50, sd=sd,
             )
 
     @pytest.mark.parametrize("seed,message", [
