@@ -54,12 +54,24 @@ tiled in chunks of queries against the whole cloud.  Either way the
 finished histograms are counted in blocks of ``CHUNK_PAIRS // (2 *
 SECTORS)`` queries by one kernel, ``_count_bounds``.  Exact depths are
 then computed only for the replicates or grid points whose bounds hold
-the floor or a corner depth.  At seed 1 of the benchmark that is 0.5-2.3%
-of the replicates for ``p_multi`` on the ``run_part2`` regions (m = 500)
-and 1.0% at m = 2000, but 12-22% for ``p_multi_max``, whose corner depths
-sit in the dense middle of the depth distribution.  Every decision compares
-depths that are exact or surely on one side of the threshold, so the
-p-values equal those from all exact depths, bit for bit.
+the floor or a corner depth: 12-22% of the replicates for ``p_multi_max``
+at seed 1 of the benchmark, whose corner depths sit in the dense middle of
+the depth distribution.
+
+``p_multi`` often needs no screen at all.  Every cloud point has simplicial
+depth at least C(m - 1, 2) / C(m, 3), and only vertices of the convex hull
+reach it (Liu, Ann. Statist. 18, 1990), so when a hull vertex lies inside
+the region that is the floor, and only outside hull vertices can join the
+tail.  ``_CheckedCloud.least_bounds`` codes the sectors from the points
+extreme along 16 fixed axes (5 to 14 distinct witnesses, about 10) to every
+replicate, and certifies a witness at exactly that depth and most other
+replicates above it; the screen runs only when no inside witness is
+certified.  At seed 1 of the benchmark it decides 209 of the 250 ``p_multi``
+replications on the ``run_part2`` regions (m = 500: all 200 of regions a-d,
+9 of 50 of the small box), which then compute exact depths for 0-2% of the
+replicates, and 6 of 40 of the one-shot library queries (m = 2000).  Every
+decision compares depths that are exact or surely on one side of the
+threshold, so the p-values equal those from all exact depths, bit for bit.
 """
 
 from __future__ import annotations
@@ -106,6 +118,10 @@ _WIDTH = SECTORS + 2
 # code of the reverse direction of a code, once t = 4 is folded into sector 0
 _REVERSE = np.r_[(np.arange(SECTORS) + SECTORS // 2) % SECTORS, SECTORS, SECTORS + 1]
 
+# (16 x 2) unit vectors at angles k pi / 16; the points least and most along
+# each are the witnesses of ``_CheckedCloud.least_bounds``
+_WITNESS_AXES = np.array([[math.cos(k * math.pi / 16), math.sin(k * math.pi / 16)]
+                          for k in range(16)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,7 +400,8 @@ class _CheckedCloud:
     and worker count.
 
     ``queries`` runs the checks of one query set against it; ``depths`` and
-    ``bounds`` evaluate checked query sets without checking again.  The
+    ``bounds`` evaluate checked query sets without checking again, and
+    ``least_bounds`` bounds the depths of the cloud's own points.  The
     Mahalanobis mean and inverse covariance are derived on first use and
     kept, so a p-value that evaluates several query sets derives them once.
     """
@@ -403,6 +420,11 @@ class _CheckedCloud:
             raise ValueError(f"unknown depth kind {kind!r}; expected one of {DEPTH_KINDS}")
         if kind == "simplicial" and pts.shape[1] != 2:
             raise ValueError("simplicial depth is implemented for 2-D clouds only")
+        if pts.shape[0] == 0:
+            raise ValueError("cloud has no points")
+        if kind == "mahalanobis" and pts.shape[0] < 2:
+            raise ValueError(
+                f"Mahalanobis depth needs at least 2 cloud points, got {pts.shape[0]}")
         return cls(pts, kind, threads)
 
     def queries(self, queries) -> tuple[np.ndarray, np.ndarray]:
@@ -454,6 +476,64 @@ class _CheckedCloud:
                 lo[over], hi[over] = 0, total
         return lo / total, hi / total
 
+    def least_bounds(self, inside: np.ndarray, span: np.ndarray):
+        """Bounds on the simplicial depths of the cloud's own points that
+        certify the least one, or None.
+
+        Every point of the cloud has depth at least C(m - 1, 2) / C(m, 3),
+        and only vertices of its convex hull reach it.  The witnesses are the
+        points least and most along each of ``_WITNESS_AXES``, so hull
+        vertices whenever they are unique.  The ``_sector_codes`` from the
+        witnesses to every point, read backwards for the other direction,
+        give three kinds of bounds (see ``_depth_bounds`` for why each is
+        certified): a witness at a position of its own whose directions fit
+        in H - 1 consecutive sectors gets exactly the least depth; a point
+        from which three witnesses have cyclic sector gaps of at most H - 2
+        each gets at least the next count, C(m - 1, 2) + 1, when a search
+        for them from three of the witnesses finds them; every other point
+        gets 0 and 1.  The result is None when no witness at the least depth
+        is ``inside``, or when some |dx| + |dy| may overflow (per-axis ranges
+        ``span``); the full screen, ``bounds``, then decides.  The witnesses
+        inside are coded first, so that a failed attempt stops after them.
+        Memory is O(witnesses x m).
+        """
+        pts = self.pts
+        m = pts.shape[0]
+        if self.kind != "simplicial" or m < 4 or not math.isfinite(sum(span.tolist())):
+            return None
+        extent = _WITNESS_AXES @ pts.T
+        wit = np.zeros(m, dtype=bool)
+        wit[extent.argmin(axis=1)] = wit[extent.argmax(axis=1)] = True
+        inner = np.flatnonzero(wit & inside)
+        if not inner.size:
+            return None
+        # the witnesses inside first: when none is at the least count, stop there
+        work = _tile_buffers(np.count_nonzero(wit) * m)
+        codes, least = _least_witnesses(pts, inner, work)
+        if not least.any():
+            return None
+        outer = np.flatnonzero(wit & ~inside)
+        more, more_least = _least_witnesses(pts, outer, work[:, codes.size:])
+        wit, codes = np.r_[inner, outer], np.vstack([codes, more])
+        least = wit[np.r_[least, more_least]]
+        half = SECTORS // 2
+        # per witness and point, the sector from the point to the witness; a
+        # witness at the point's own position gets a copy of another's, which
+        # adds no triple
+        back = _REVERSE[codes]
+        back = np.where(back > SECTORS, back.min(axis=0), back)
+        # from each of three witnesses a, the sectors b and c of two others as
+        # far on as gaps of at most H - 2 allow; the triple counts when the
+        # gap from c back to a is at most H - 2 too
+        starts = [0, wit.size // 3, 2 * wit.size // 3]
+        ahead = (back[:, None] - back[starts]) & (SECTORS - 1)
+        reach = np.where(ahead <= half - 2, ahead, 0).max(axis=0)
+        reach = np.where(ahead <= reach + (half - 2), ahead, 0).max(axis=0)
+        lo = np.where((reach >= half + 2).any(axis=0), math.comb(m - 1, 2) + 1, 0)
+        hi = np.full(m, math.comb(m, 3))
+        lo[least] = hi[least] = math.comb(m - 1, 2)
+        return lo / math.comb(m, 3), hi / math.comb(m, 3)
+
 
 def _extent(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis minimum and maximum of the rows of ``a``.  Reducing each
@@ -489,11 +569,14 @@ def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
     Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
     on ``threads`` workers; the result is the same for any worker count.
     A worker count below 1, a cloud holding NaN or infinity, an unknown
-    depth kind, then queries of another dimension than the cloud, queries
-    holding NaN or infinity, and coordinates whose range over the cloud and
-    queries overflows on some axis are rejected, in that order.  These
-    checks run on every call; the p-values run them once for the cloud and
-    once per query set, and share the unchecked core, ``_CheckedCloud``.
+    depth kind, a cloud that is not 2-D for simplicial depth, an empty
+    cloud, a one-point cloud for Mahalanobis depth, then queries of another
+    dimension than the cloud, queries holding NaN or infinity, and
+    coordinates whose range over the cloud and queries overflows on some
+    axis are rejected, in that order; simplicial depth of fewer than 3
+    cloud points fails when it is computed.  These checks run on every
+    call; the p-values run them once for the cloud and once per query set,
+    and share the unchecked core, ``_CheckedCloud``.
     """
     checked = _CheckedCloud.check(cloud, kind, threads)
     return checked.depths(checked.queries(queries)[0])
@@ -521,7 +604,7 @@ def _sector_codes(pts: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.
     which the computation overwrites; the codes are returned in its last row.
     """
     size = queries.shape[0] * pts.shape[0]
-    dx, dy, t, codes = (row[:size].reshape(queries.shape[0], -1) for row in work)
+    dx, dy, t, codes = (row[:size].reshape(queries.shape[0], pts.shape[0]) for row in work)
     np.subtract(pts[:, 0], queries[:, 0, None], out=dx)
     np.subtract(pts[:, 1], queries[:, 1, None], out=dy)
     np.abs(dx, out=t)
@@ -537,6 +620,25 @@ def _sector_codes(pts: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.
     codes = codes.view(np.intp)
     np.copyto(codes, t, casting="unsafe")  # truncates, as ``astype`` does
     return codes
+
+
+def _least_witnesses(pts: np.ndarray, wit: np.ndarray, work: np.ndarray):
+    """The codes of ``_sector_codes`` from the points ``wit`` of the cloud to
+    every point, without their row offsets and with code ``SECTORS`` read as
+    sector 0, and which of those points are at the least simplicial count:
+    alone at their position, with all their directions in H - 1 consecutive
+    sectors (see ``_depth_bounds``)."""
+    e, half = wit.size, SECTORS // 2
+    codes = _sector_codes(pts, pts[wit], work)
+    hist = _tally(codes, e)
+    hist[:, 0] += hist[:, SECTORS]
+    # running count of the occupied sectors, once round and H + 1 more
+    occupied = np.cumsum(np.hstack([hist[:, :SECTORS], hist[:, : half + 1]]) > 0, axis=1)
+    # H + 1 empty sectors in a row: the live directions fit in H - 1
+    fits = (occupied[:, half + 1:] == occupied[:, :SECTORS]).any(axis=1)
+    codes -= np.arange(0, e * _WIDTH, _WIDTH)[:, None]
+    codes[codes == SECTORS] = 0
+    return codes, fits & (hist[:, SECTORS + 1] == 1)
 
 
 def _tally(codes: np.ndarray, rows: int) -> np.ndarray:
@@ -703,6 +805,20 @@ def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarr
       most 2 plus some ulps, and its computed sectors fit in H + 2
       consecutive sectors from its first one: the upper bound, capped at
       the C(L, 3) triples of the L directions not at the query.
+    * The least count, for ``_CheckedCloud.least_bounds``.  A query that is
+      a point of the cloud is a vertex of C(m - 1, 2) triangles, all hits,
+      and the kernel counts each triple of its L <= m - 1 live directions
+      as a miss at most once, so its count is at least C(m - 1, 2).  When
+      the point is alone at its position (L = m - 1) and all its computed
+      sectors fit in H - 1 consecutive sectors, every triple fits and is a
+      miss by the third point above: the count is exactly C(m - 1, 2).
+      When three other points, none at the query, have computed sectors
+      whose three cyclic gaps are at most H - 2 each, no gap reaches the
+      H - 1 that fitting in H + 2 consecutive sectors needs, so by the
+      fourth point that triple is a hit: the count is at least
+      C(m - 1, 2) + 1.  The sectors from a point to the witnesses are the
+      reverse codes of the second point, so both facts hold per triple
+      like the bounds above.
 
     Both are integer counts, turned into depths by the same division as
     ``depth_of``, which is monotone; so lo <= depth_of <= hi on every input,
@@ -760,17 +876,21 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     replicate depths.
 
     The replicates, the boundary grid and the corners each get the query
-    checks of ``depth_of`` once, against a cloud checked once.  The floor is
-    settled exactly among the candidates whose lower bound is at most the
-    least upper bound; then every replicate whose bounds straddle the floor
-    (outside ones) or a corner depth is settled in one more ``depths`` call.
-    Every comparison then reads a bound that equals the exact depth or lies
-    on the same side of the threshold, so the result equals the one from
-    all exact depths.
+    checks of ``depth_of`` once, against a cloud checked once.  Without
+    corners and with replicates inside, the bounds are those of
+    ``least_bounds`` when it certifies the least depth, else the screen's.
+    The floor is settled exactly among the candidates whose lower bound is
+    at most the least upper bound; then every replicate whose bounds
+    straddle the floor (outside ones) or a corner depth is settled in one
+    more ``depths`` call.  Every comparison then reads a bound that equals
+    the exact depth or lies on the same side of the threshold, so the
+    result equals the one from all exact depths.
     """
     pts = cloud.pts
     inside = region.contains(pts)
     _, span = cloud.queries(pts)
+    if bounds is None and corners is None and inside.any():
+        bounds = cloud.least_bounds(inside, span)
     lo, hi = cloud.bounds(pts, span) if bounds is None else bounds
     if inside.any():
         queries, cand_lo, cand_hi, cand = pts, lo, hi, inside
@@ -807,9 +927,14 @@ def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) 
     deterministic grid on the region boundary spanning the cloud's bounding
     box.  Outside replicates at or below the floor count into the tail.
     Exact depths are computed only where certified bounds cannot decide
-    (see ``_multi``).  Depths run on ``threads`` workers, with the same
-    result for any count.  A region of another dimension than the cloud is
-    rejected.
+    (see ``_multi``).  For simplicial depth with replicates inside, the
+    bounds come first from ``_CheckedCloud.least_bounds``, which certifies
+    an inside hull vertex at the least depth C(m - 1, 2) / C(m, 3), and
+    so the floor, from the sectors between a few extreme replicates and
+    every replicate; only when it cannot does the full screen of
+    ``_depth_bounds`` run.  Depths run on ``threads`` workers, with the
+    same result for any count.  A region of another dimension than the
+    cloud is rejected.
     """
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])

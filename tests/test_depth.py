@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -703,3 +705,59 @@ def test_pval2d_threads_reach_every_depth_call(depth_calls, tmp_path, capsys, ta
     assert code == 0
     assert json.loads(capsys.readouterr().out)["floor_source"] == "boundary-grid"
     assert depth_calls == [2, 2, 2, 2, 2]
+
+
+class TestTooFewPoints:
+    """An empty cloud, and a one-point cloud for Mahalanobis depth, are named
+    errors raised before any query is checked, and no numpy warning comes
+    first."""
+
+    BOX = Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0],
+                    corners=[[-1.0, -1.0], [1.0, 1.0]])
+
+    def raises(self, message, fn, *args, **kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fn(*args, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
+    def test_empty_cloud_is_rejected(self, kind):
+        cloud = np.zeros((0, 2))
+        self.raises("cloud has no points", depth_of, cloud, [[0.0, 0.0]], kind)
+        self.raises("cloud has no points", depth_module._depth_bounds, cloud, [[0.0, 0.0]], kind)
+        self.raises("cloud has no points", p_multi, cloud, kind, self.BOX)
+        self.raises("cloud has no points", p_multi_max, cloud, kind, self.BOX)
+
+    def test_one_point_cloud_is_rejected_for_mahalanobis_depth(self):
+        message = "Mahalanobis depth needs at least 2 cloud points, got 1"
+        cloud = np.zeros((1, 2))
+        self.raises(message, depth_of, cloud, [[0.0, 0.0]], "mahalanobis")
+        self.raises(message, mahalanobis_depth, cloud, [0.0, 0.0])
+        self.raises(message, p_multi, cloud, "mahalanobis", self.BOX)
+        self.raises(message, p_multi_max, cloud, "mahalanobis", self.BOX)
+        # simplicial depth keeps its own minimum
+        self.raises("simplicial depth needs at least 3 cloud points, got 1",
+                    depth_of, cloud, [[0.0, 0.0]], "simplicial")
+
+    # (id, cloud, queries, kind, threads, message): earlier checks win
+    PRECEDENCE = [
+        ("threads-before-empty", np.zeros((0, 2)), [[0.0, 0.0]], "simplicial", 0,
+         "threads must be >= 1, got 0"),
+        ("kind-before-empty", np.zeros((0, 2)), [[0.0, 0.0]], "tukey", 1,
+         "unknown depth kind 'tukey'; expected one of ('mahalanobis', 'simplicial')"),
+        ("dimension-before-empty", np.zeros((0, 3)), [[0.0, 0.0, 0.0]], "simplicial", 1,
+         "simplicial depth is implemented for 2-D clouds only"),
+        ("empty-before-query-dimension", np.zeros((0, 2)), [[0.0, 0.0, 0.0]], "mahalanobis",
+         1, "cloud has no points"),
+        ("one-point-before-query-values", np.zeros((1, 2)), [[np.nan, 0.0]], "mahalanobis",
+         1, "Mahalanobis depth needs at least 2 cloud points, got 1"),
+        ("non-finite-before-one-point", np.full((1, 2), np.inf), [[0.0, 0.0]], "mahalanobis",
+         1, "cloud contains non-finite values"),
+    ]
+
+    @pytest.mark.parametrize("cloud,queries,kind,threads,message",
+                             [case[1:] for case in PRECEDENCE],
+                             ids=[case[0] for case in PRECEDENCE])
+    def test_error_precedence(self, cloud, queries, kind, threads, message):
+        self.raises(re.escape(message), depth_of, cloud, queries, kind, threads)

@@ -443,3 +443,178 @@ def test_error_precedence_of_the_p_values(data, kind, config, methods, message, 
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == {
         "category": "validation", "message": message}
+
+
+# -- least-depth bounds: the shortcut past the full screen --------------------------
+
+
+def least_depth(m):
+    """C(m - 1, 2) / C(m, 3), the least simplicial depth of a cloud point, as
+    the kernel's division gives it."""
+    return (np.array([math.comb(m - 1, 2)]) / math.comb(m, 3))[0]
+
+
+def least_bounds(pts, inside=None):
+    """``_CheckedCloud.least_bounds`` of a cloud's own points, every point
+    inside unless said otherwise."""
+    checked = depth_module._CheckedCloud.check(pts, "simplicial", 1)
+    _, span = checked.queries(checked.pts)
+    inside = np.ones(checked.pts.shape[0], dtype=bool) if inside is None else inside
+    return checked.least_bounds(inside, span)
+
+
+@st.composite
+def least_cases(draw):
+    """A cloud of 4..300 points and a box that takes in, or misses, one of its
+    outermost points.
+
+    Shapes: Gaussian; Gaussian with its rightmost point duplicated; all on one
+    line; integer lattice; a lattice cloud symmetric about the origin (exact
+    antipodes); and Gaussian with three added hull vertices, the middle one
+    1e-9 out of the edge between the other two, so its angle is nearly flat.
+    """
+    m = draw(st.integers(4, 300))
+    shape = draw(st.sampled_from(
+        ["gaussian", "duplicate-vertex", "line", "lattice", "antipodes", "flat-vertex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "line":
+        pts = rng.standard_normal((m, 1)) * rng.standard_normal(2) + rng.standard_normal(2)
+    elif shape == "lattice":
+        pts = rng.integers(-4, 5, size=(m, 2)).astype(float)
+    elif shape == "antipodes":
+        half = rng.integers(-4, 5, size=((m + 1) // 2, 2)).astype(float)
+        pts = np.vstack([half, -half])[:m]
+    else:
+        pts = rng.standard_normal((m, 2))
+    if shape == "duplicate-vertex":
+        pts[rng.integers(0, m)] = pts[np.argmax(pts[:, 0])]
+    elif shape == "flat-vertex":  # (10, 0), (0, 10) and just outside their midpoint
+        pts[:3] = [[10.0, 0.0], [0.0, 10.0], [5.0 + 1e-9, 5.0 + 1e-9]]
+    angle = draw(st.floats(0.0, 2 * np.pi))
+    centre = pts[np.argmax(pts @ [np.cos(angle), np.sin(angle)])]
+    if draw(st.booleans()):  # miss the outermost point, but maybe not the cloud
+        centre = centre - draw(st.sampled_from([0.05, 0.3, 1.0])) * (centre - pts.mean(axis=0))
+    width = draw(st.sampled_from([1e-12, 0.01, 0.2, 1.0, 5.0]))
+    return pts, Rectangle(lower=centre - width, upper=centre + width)
+
+
+@given(least_cases())
+@settings(max_examples=300, deadline=None)
+def test_p_multi_with_least_bounds_equals_the_reference(case):
+    pts, region = case
+    assert p_multi(pts, "simplicial", region) == reference_p_multi(pts, "simplicial", region)
+
+
+@given(bounds_cases())
+@settings(max_examples=300, deadline=None)
+def test_least_bounds_bracket_the_kernel_depth(case):
+    pts, _ = case
+    m = pts.shape[0]
+    exact = depth_of(pts, pts, "simplicial")
+    # every point is a vertex of the C(m - 1, 2) triangles through it
+    assert (exact >= least_depth(m)).all()
+    bounds = least_bounds(pts)
+    if bounds is None:
+        return
+    lo, hi = bounds
+    assert (lo <= exact).all() and (exact <= hi).all()
+    certified = lo == hi
+    assert certified.any() and (exact[certified] == least_depth(m)).all()
+    assert set(np.unique(lo[~certified])) <= {0.0, lo.max()}
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "lattice", "duplicates", "line"])
+def test_every_point_is_at_least_at_the_least_depth(shape):
+    rng = np.random.default_rng(16)
+    m = 200
+    if shape == "gaussian":
+        pts = rng.standard_normal((m, 2))
+    elif shape == "lattice":
+        pts = rng.integers(-3, 4, size=(m, 2)).astype(float)
+    elif shape == "duplicates":
+        pts = rng.standard_normal((20, 2))[rng.integers(0, 20, size=m)]
+    else:
+        pts = np.outer(rng.standard_normal(m), [1.0, -3.0]) + [0.5, 2.0]
+    exact = depth_of(pts, pts, "simplicial")
+    assert (exact >= least_depth(m)).all()
+    bounds = least_bounds(pts)
+    if shape in ("gaussian", "line"):  # unique extreme points
+        assert bounds is not None
+    if bounds is not None:
+        certified = bounds[0] == bounds[1]
+        assert (exact[certified] == least_depth(m)).all()
+
+
+def test_next_count_is_above_the_least_depth_as_a_float():
+    # so that a point certified above the least count is no floor candidate
+    m = [*range(4, 20001), 10**5, 10**6, 3 * 10**6]
+    least = np.array([math.comb(k - 1, 2) for k in m])
+    total = np.array([math.comb(k, 3) for k in m])
+    assert ((least + 1) / total > least / total).all()
+
+
+def test_duplicated_inside_vertex_falls_back_to_the_screen():
+    # the rightmost point is doubled, so it is no certified witness; the box
+    # holds it and nothing else of the hull
+    pts = np.random.default_rng(17).standard_normal((120, 2))
+    right = np.argmax(pts[:, 0])
+    pts[0 if right else 1] = pts[right]
+    box = Rectangle(lower=pts[right] - 1e-6, upper=pts[right] + 1e-6)
+    assert least_bounds(pts, box.contains(pts)) is None
+    assert p_multi(pts, "simplicial", box) == reference_p_multi(pts, "simplicial", box)
+
+
+def test_least_bounds_decline_overflowing_direction_sums():
+    # each axis spans 1.6e308, but |dx| + |dy| overflows between opposite corners
+    pts = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.8e308, -0.8e308],
+                    [-0.8e308, 0.8e308], [0.0, 0.0], [1.0, 2.0]])
+    assert least_bounds(pts) is None
+    box = Rectangle(lower=[0.7e308, 0.7e308], upper=[0.9e308, 0.9e308])
+    assert p_multi(pts, "simplicial", box) == reference_p_multi(pts, "simplicial", box)
+
+
+@pytest.fixture
+def screens(monkeypatch):
+    """Number of rows of each ``_sector_histograms`` call: the full screen."""
+    calls = []
+    real = depth_module._sector_histograms
+
+    def counting(pts, queries, threads=1):
+        calls.append(queries.shape[0])
+        return real(pts, queries, threads)
+
+    monkeypatch.setattr(depth_module, "_sector_histograms", counting)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_interior_region_skips_the_screen(threads, screens):
+    region = PART2_REGIONS["a_interior"][0]
+    for rep in range(3):
+        cloud = part2_cloud(rep, m=500)
+        got = p_multi(cloud, "simplicial", region, threads=threads)
+        assert got == reference_p_multi(cloud, "simplicial", region)
+        assert got == p_multi(cloud, "simplicial", region, threads=3 - threads)
+    assert screens == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_far_box_and_p_multi_max_still_screen(threads, screens):
+    cloud = part2_cloud(8, m=500)
+    far = p_multi(cloud, "simplicial", PART2_REGIONS["far_box"][0], threads=threads)
+    assert far.floor_source == "boundary-grid"
+    assert screens[0] == 500 and len(screens) == 2  # the replicates, then the grid
+    screens.clear()
+    region = PART2_REGIONS["a_interior"][0]
+    got = p_multi_max(cloud, "simplicial", region, threads=threads)
+    assert got == reference_p_multi_max(cloud, "simplicial", region, threads)
+    assert screens == [500]
+
+
+def test_least_bounds_settle_few_replicates(exact_queries):
+    cloud = part2_cloud(0, m=2000)
+    region = PART2_REGIONS["a_interior"][0]
+    want = reference_p_multi(cloud, "simplicial", region)
+    exact_queries.clear()
+    assert p_multi(cloud, "simplicial", region) == want
+    assert len(exact_queries) == 2 and sum(count for count, _ in exact_queries) < 2000 // 100
