@@ -15,12 +15,13 @@ JSON error with a machine-readable ``category`` goes to stderr.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import json
 import math
+import re
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,6 +40,9 @@ from .regions import (
     parse_region,
 )
 from .simulate import PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = 1
 
@@ -372,7 +376,9 @@ def cmd_simulate(args) -> dict:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared; parsing
-    reads it and never changes it."""
+    reads it and never changes it.  argparse loads here, not on import."""
+    import argparse
+
     parser = argparse.ArgumentParser(prog="cdsupport", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -427,6 +433,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads for bivariate runs; univariate runs are batched")
     p.add_argument("--qq-out", help="QQ CSV path (default: <out>.qq.csv)")
     p.set_defaults(fn=cmd_simulate)
+    # an argument that starts like a negative number is a value, never a flag:
+    # argparse's own test takes -12 and -1.5 but not -1e1, -inf or "-0.5;0.5"
+    negative = re.compile(r"-(?:[\d.]|inf)", re.IGNORECASE)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = negative
     return parser
 
 

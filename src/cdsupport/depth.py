@@ -79,7 +79,6 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -141,6 +140,14 @@ class BootstrapCloud:
         return self.points.shape[1]
 
 
+def _check_seed(seed) -> None:
+    """Reject a negative integer seed, alone or as an entry of a sequence,
+    with a message that names it; generators and other seeds go to numpy."""
+    for entry in seed if isinstance(seed, (list, tuple, np.ndarray)) else [seed]:
+        if isinstance(entry, (int, np.integer)) and entry < 0:
+            raise ValueError(f"seed must be >= 0, got {int(entry)}")
+
+
 def resample_means(x: np.ndarray, reps: int, seed) -> np.ndarray:
     """Means of ``reps`` resamples, with replacement, of the rows of the
     (n x k) matrix ``x``, as a (reps x k) array; k is 1 or 2.
@@ -160,6 +167,7 @@ def resample_means(x: np.ndarray, reps: int, seed) -> np.ndarray:
     exception, since its inner axis still holds the 2 columns.
     """
     n, k = x.shape
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     out = np.empty((reps, k))
     step = max(1, CHUNK_PAIRS // n)
@@ -202,10 +210,11 @@ def _cloud_points(cloud) -> np.ndarray:
 
 
 def _mahalanobis_factors(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cloud's mean and inverse covariance; a singular or ill-conditioned
-    covariance is rejected."""
-    mu = pts.mean(axis=0)
-    cov = np.atleast_2d(np.cov(pts.T, ddof=1))
+    """The cloud's mean and inverse covariance; a singular, ill-conditioned or
+    overflowing covariance is rejected, with no numpy warning first."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = pts.mean(axis=0)
+        cov = np.atleast_2d(np.cov(pts.T, ddof=1))
     if not np.isfinite(cov).all() or 1.0 / np.linalg.cond(cov) < 1e-12:
         raise ValueError("degenerate cloud: covariance is singular or ill-conditioned")
     return mu, np.linalg.inv(cov)
@@ -386,10 +395,13 @@ def _check_threads(threads: int) -> None:
 
 def parallel_map_indexed(fn, count: int, threads: int) -> list:
     """Evaluate fn(i) for i in range(count); results ordered by index, so the
-    outcome is independent of the worker count (which must be at least 1)."""
+    outcome is independent of the worker count (which must be at least 1).
+    The thread pool module loads on the first call with more than one."""
     _check_threads(threads)
     if threads == 1:
         return list(map(fn, range(count)))
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(count)))
 

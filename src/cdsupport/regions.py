@@ -57,13 +57,6 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def contains(self, theta: float) -> bool:
-        return self.lo <= theta <= self.hi
-
-    def finite_endpoints(self) -> list[float]:
-        out = [e for e in (self.lo, self.hi) if math.isfinite(e)]
-        return out[:1] if self.is_singleton and out else out
-
 
 @dataclass(frozen=True)
 class NullRegion:
@@ -75,16 +68,6 @@ class NullRegion:
         if not self.pieces:
             raise ValueError("a null region needs at least one piece")
         object.__setattr__(self, "pieces", _normalize(self.pieces))
-
-    def contains(self, theta: float) -> bool:
-        return any(p.contains(theta) for p in self.pieces)
-
-    def boundary_points(self) -> list[float]:
-        """All finite piece endpoints, ascending."""
-        out: list[float] = []
-        for p in self.pieces:
-            out.extend(e for e in p.finite_endpoints() if e not in out)
-        return out
 
     def describe(self) -> str:
         """Report form: the region grammar text, as :class:`RegionND` gives a dict."""

@@ -28,17 +28,18 @@ row's stream is the one ``np.random.default_rng([seed, r, 0])`` gives, bit
 for bit, with no ``SeedSequence`` object built per replication; the
 bootstrap CD's stream (seed, r, 1) comes the same way.  Bivariate
 replications, each of which costs milliseconds, call ``default_rng``.
+``_Words`` is defined on first use, and ``write_qq_csv`` imports ``csv``,
+so that importing the harness loads neither ``numpy.random`` nor ``csv``.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
@@ -235,19 +236,33 @@ def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-class _Words(ISeedSequence):
-    """Precomputed ``generate_state`` words; PCG64 seeds itself from them."""
+@functools.cache
+def _words_class() -> type:
+    """``_Words``, defined on first use: its base class loads ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    class _Words(ISeedSequence):
+        """Precomputed ``generate_state`` words; PCG64 seeds itself from them."""
 
-    def generate_state(self, n_words, dtype=np.uint64):
-        return self.words
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return self.words
+
+    return _Words
+
+
+def __getattr__(name: str):
+    if name == "_Words":
+        return _words_class()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _streams(seed: int, reps: range, stream: int):
     """``np.random.default_rng([seed, r, stream])`` for every r in ``reps``."""
-    return (np.random.Generator(np.random.PCG64(_Words(words)))
+    words_type = _words_class()
+    return (np.random.Generator(np.random.PCG64(words_type(words)))
             for words in _stream_words(seed, reps, stream))
 
 
@@ -326,6 +341,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1) -> UniformityReport:
 
 def write_qq_csv(report: UniformityReport, path) -> None:
     """QQ table: rank, empirical p-value, theoretical uniform quantile."""
+    import csv
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "empirical_p", "uniform_quantile"])

@@ -60,14 +60,10 @@ class PieceSupport:
 
 @dataclass(frozen=True)
 class SupportReport:
-    """Per-piece supports plus the combined p-value and the rule that made it."""
+    """Per-piece supports plus the union p-value, the largest full support."""
 
     pieces: tuple[PieceSupport, ...]
     p: float
-    rule: str
-
-    def piece_full(self) -> list[float]:
-        return [ps.full for ps in self.pieces]
 
 
 def _clamp01(x):
@@ -196,7 +192,7 @@ def full_support(cd: ConfidenceDistribution, piece: Interval) -> float:
 def p_value(cd: ConfidenceDistribution, region: NullRegion) -> SupportReport:
     """Union p-value: the largest per-piece full support."""
     table = support_table(cd, region)
-    return SupportReport(pieces=table.pieces(), p=_max_full(table).item(), rule="max-full")
+    return SupportReport(pieces=table.pieces(), p=_max_full(table).item())
 
 
 def max_direct_p(cd: ConfidenceDistribution, region: NullRegion) -> float:

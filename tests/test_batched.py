@@ -35,6 +35,7 @@ from cdsupport import (
     support,
 )
 from cdsupport.regions import Interval, NullRegion
+from helpers import boundary_points
 
 # -- scalar reference --------------------------------------------------------
 
@@ -77,7 +78,7 @@ def _ref_p_star(cd, region):
 
 def _ref_p_max(cd, region):
     sd = _ref_direct(cd, region)
-    boundary = region.boundary_points()
+    boundary = boundary_points(region)
     if not boundary:
         return sd
     return max(sd, max(_clamp01(_ref_tail(cd, v)) for v in boundary))

@@ -381,6 +381,14 @@ BAD_INPUT = [
     ("biv-true-mean-inf", BIV + ["--config", "{d}/half.cfg", "--method", "multi",
                                  "--true-mean", "0,inf"],
      "validation", "true_mean must be finite, got [0.0, inf]"),
+    ("pval-bootstrap-seed", ["pval", "--input", "{d}/one.csv", "--region", "0", "--cd",
+                             "bootstrap", "--seed", "-1"],
+     "validation", "seed must be >= 0, got -1"),
+    ("pval2d-seed", PVAL2D + ["--config", "{d}/half.cfg", "--seed", "-3"],
+     "validation", "seed must be >= 0, got -3"),
+    ("pval2d-overflow-mahalanobis", ["pval2d", "--input", "{d}/huge.csv", "--config",
+                                     "{d}/half.cfg", "--boot-reps", "200"],
+     "validation", "degenerate cloud: covariance is singular or ill-conditioned"),
 ] + [
     (f"pval-overflow-{cd}", ["pval", "--input", "{d}/big.csv", "--region", "[0,1]", "--cd", cd],
      "validation", "sample mean and sd must be finite, got mean=9.999999999999999e+198, sd=inf")
@@ -406,6 +414,9 @@ def bad_input_dir(tmp_path, table1):
             f"shape = rectangle\nlo = {', '.join(['-0.1'] * k)}\nhi = {', '.join(['0.1'] * k)}\n"
         )
     (tmp_path / "inf.csv").write_text("1.0\ninf\n2.0\n")
+    (tmp_path / "one.csv").write_text("0.5\n-0.25\n1.5\n0.75\n")
+    # finite rows whose covariance overflows
+    (tmp_path / "huge.csv").write_text("1e300,-1e300\n-1e300,1e300\n1e300,1e300\n-1e300,-1e300\n")
     # finite values whose squares overflow
     (tmp_path / "big.csv").write_text("1e200\n-1e200\n2e200\n-3e200\n1.5e200\n")
     for name, value in (("offset_text", "abc"), ("offset_pair", "1, 2")):
@@ -462,6 +473,25 @@ def test_infinite_bounds_are_reported_as_text(table1_csv, tmp_path, capsys):
     assert code == 0
     report = strict_json(out)
     assert (report["config"]["lower"], report["lower_tail"]) == ("-inf", 0.0)
+
+
+# (id, argv, flag, negative value): a value argparse alone would take for a flag
+NEGATIVE_VALUES = [
+    ("bioeq-exponent", BIOEQ + ["--var-d", "4", "--upper", "8"], "--lower", "-1e1"),
+    ("bioeq-inf", BIOEQ + ["--var-d", "4", "--upper", "8"], "--lower", "-inf"),
+    ("pval-region", ["pval", "--input", "{d}/one.csv"], "--region", "-0.5;0.5"),
+    ("simulate-true-mean", BIV + ["--config", "{d}/half.cfg", "--method", "multi"],
+     "--true-mean", "-0.5,0.5"),
+]
+
+
+@pytest.mark.parametrize("argv,flag,value", [case[1:] for case in NEGATIVE_VALUES],
+                         ids=[case[0] for case in NEGATIVE_VALUES])
+def test_negative_number_after_its_flag_is_a_value(argv, flag, value, bad_input_dir, capsys):
+    argv = [arg.format(d=bad_input_dir) for arg in argv]
+    code, out, err = run_cli(argv + [flag, value], capsys)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(argv + [f"{flag}={value}"], capsys)
 
 
 # -- one parser per process ---------------------------------------------------------

@@ -761,3 +761,43 @@ class TestTooFewPoints:
                              ids=[case[0] for case in PRECEDENCE])
     def test_error_precedence(self, cloud, queries, kind, threads, message):
         self.raises(re.escape(message), depth_of, cloud, queries, kind, threads)
+
+
+class TestNegativeSeed:
+    """A negative integer seed, alone or in a sequence, is named where it enters
+    the library, not with numpy's "expected non-negative integer"."""
+
+    DATA = np.random.default_rng(3).standard_normal((12, 2))
+
+    @pytest.mark.parametrize("seed,bad", [(-1, -1), (np.int64(-2), -2), ([4, -3], -3),
+                                          ((0, 1, -7), -7), (np.array([5, -9]), -9)])
+    def test_negative_seed_is_named(self, seed, bad):
+        message = f"^seed must be >= 0, got {bad}$"
+        with pytest.raises(ValueError, match=message):
+            resample_means(self.DATA, 100, seed)
+        with pytest.raises(ValueError, match=message):
+            bootstrap_cloud(self.DATA, 100, seed=seed)
+        with pytest.raises(ValueError, match=message):
+            make_bootstrap_cd(self.DATA[:, 0], 100, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**40, [7, 0, 1], (3, 2**33), np.uint32(5)])
+    def test_other_seeds_give_numpy_streams(self, seed):
+        # the means of resample_means equal a gather and mean of numpy's own draw
+        idx = np.random.default_rng(seed).integers(0, 12, size=(100, 12))
+        assert np.array_equal(resample_means(self.DATA, 100, seed), self.DATA[idx].mean(axis=1))
+
+    def test_generator_seed_is_passed_on(self):
+        cloud = bootstrap_cloud(self.DATA, 100, seed=np.random.default_rng(11))
+        assert np.array_equal(cloud.points, bootstrap_cloud(self.DATA, 100, seed=11).points)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_covariance_is_named_without_a_warning():
+    # finite points whose squared deviations overflow the covariance
+    cloud = np.random.default_rng(4).choice([-1e300, 1e300], size=(200, 2))
+    box = Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    message = "degenerate cloud: covariance is singular or ill-conditioned"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        p_multi(cloud, "mahalanobis", box)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        depth_of(cloud, [[0.0, 0.0]], "mahalanobis")

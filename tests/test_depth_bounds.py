@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsupport import (
@@ -507,6 +507,10 @@ def test_p_multi_with_least_bounds_equals_the_reference(case):
 
 @given(bounds_cases())
 @settings(max_examples=300, deadline=None)
+# m = 4, one point inside the triangle of the other three: its lower bound,
+# C(3, 2) + 1 = C(4, 3), meets its upper bound at depth 1, not the least depth
+@example((np.array([[-0.39530129, 0.26391489], [0.60712827, -0.9721598],
+                    [0.76766425, 0.25505812], [0.78297987, 0.27241823]]), np.zeros((1, 2))))
 def test_least_bounds_bracket_the_kernel_depth(case):
     pts, _ = case
     m = pts.shape[0]
@@ -518,7 +522,7 @@ def test_least_bounds_bracket_the_kernel_depth(case):
         return
     lo, hi = bounds
     assert (lo <= exact).all() and (exact <= hi).all()
-    certified = lo == hi
+    certified = (lo == hi) & (lo == least_depth(m))
     assert certified.any() and (exact[certified] == least_depth(m)).all()
     assert set(np.unique(lo[~certified])) <= {0.0, lo.max()}
 
