@@ -213,6 +213,11 @@ def cmd_pval(args) -> dict:
         mean, sd = float(sample.mean()), float(sample.std(ddof=1))
     if not (math.isfinite(mean) and math.isfinite(sd)):
         raise CliError("validation", f"sample mean and sd must be finite, got mean={mean}, sd={sd}")
+    # every CD's report carries --boot-reps and --seed, so every CD checks them
+    if args.boot_reps < 100:
+        raise CliError("validation", f"need reps >= 100 bootstrap replicates, got {args.boot_reps}")
+    if args.seed < 0:
+        raise CliError("validation", f"seed must be >= 0, got {args.seed}")
     if args.cd == "t":
         cd = make_student_t_cd(n, mean, sd)
     elif args.cd == "z":
@@ -267,7 +272,7 @@ def cmd_pval2d(args) -> dict:
     check_region_dim(region, data.shape[1])
     cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
     method = "multi-max" if region.corners.size else "multi"
-    res = MULTI_METHODS[method](cloud, args.depth, region, threads=args.threads)
+    res = MULTI_METHODS[method](cloud, args.depth, region)
     extra = {"corner_p": list(res.corner_p), "p_max": res.p} if res.corner_p else {}
     return {
         "schema": SCHEMA_VERSION,
@@ -403,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, input_file=True, config=True)
     p.add_argument("--depth", choices=DEPTH_KINDS, default="mahalanobis")
     p.add_argument("--boot-reps", type=int, default=2000)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for the simplicial depth chunks")
     p.set_defaults(fn=cmd_pval2d)
 
     p = sub.add_parser("bioeq", help="equivalence p-value from summary statistics")
@@ -430,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", choices=DEPTH_KINDS, default="simplicial")
     p.add_argument("--boot-reps", type=int, default=500)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for bivariate runs; univariate runs are batched")
+                   help="replication workers for bivariate runs; univariate runs are batched")
     p.add_argument("--qq-out", help="QQ CSV path (default: <out>.qq.csv)")
     p.set_defaults(fn=cmd_simulate)
     # an argument that starts like a negative number is a value, never a flag:
@@ -445,9 +448,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         emit_report(args.fn(args), args.out)
-    except (CliError, ValueError) as exc:  # a library ValueError is a validation error
+    # a library ValueError, or an allocation too large for the machine, is a validation error
+    except (CliError, ValueError, MemoryError) as exc:
         category = getattr(exc, "category", "validation")
-        print(json.dumps({"error": {"category": category, "message": str(exc)}}), file=sys.stderr)
+        message = str(exc) or "out of memory"
+        print(json.dumps({"error": {"category": category, "message": message}}), file=sys.stderr)
         return 1
     return 0
 

@@ -7,7 +7,9 @@ floor of the region (the least-deep inside replicate, or a deterministic
 boundary grid when nothing falls inside).  A boundary-max variant takes the
 maximum with singleton p-values at designated corner points.  Both return a
 ``MultiPValue`` (the corner p-values in ``corner_p``) and are selected by name
-through ``MULTI_METHODS``; their ``threads`` reach every depth computation.
+through ``MULTI_METHODS``.  Every depth computation runs on the calling
+thread; concurrent callers, such as the replication workers of
+``simulate.run_experiment``, each keep their own tile buffers.
 
 ``resample_means`` draws, gathers and sums a cloud's indices in blocks of
 ``max(1, CHUNK_PAIRS // n)`` replicates from one generator, so a cloud of m
@@ -15,10 +17,9 @@ replicates of n rows holds one block at a time, not its (m x n) index draw.
 
 ``_CheckedCloud`` is the one place that decides how depths are computed.
 Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
-memory stays bounded as the cloud grows for every caller; the chunks may run
-on a thread pool and are joined in index order, so the depths do not depend
-on the worker count.  Mahalanobis depth needs only O(queries) memory and is
-computed in one pass, from the cloud's mean and inverse covariance.
+memory stays bounded as the cloud grows for every caller.  Mahalanobis depth
+needs only O(queries) memory and is computed in one pass, from the cloud's
+mean and inverse covariance.
 
 The checks run where input enters: ``depth_of`` and ``_depth_bounds`` check
 the cloud and their one query set, and the p-values check the cloud once
@@ -93,7 +94,6 @@ __all__ = [
     "simplicial_depth",
     "simplicial_depth_brute",
     "depth_of",
-    "parallel_map_indexed",
     "MultiPValue",
     "p_multi",
     "p_multi_max",
@@ -388,28 +388,9 @@ def _triangle_contains(a, b, c, w) -> bool:
     return min(xs) <= w[0] <= max(xs) and min(ys) <= w[1] <= max(ys)
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
-def parallel_map_indexed(fn, count: int, threads: int) -> list:
-    """Evaluate fn(i) for i in range(count); results ordered by index, so the
-    outcome is independent of the worker count (which must be at least 1).
-    The thread pool module loads on the first call with more than one."""
-    _check_threads(threads)
-    if threads == 1:
-        return list(map(fn, range(count)))
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 @dataclass(frozen=True, eq=False)
 class _CheckedCloud:
-    """A cloud that passed the cloud checks of ``depth_of`` for one depth kind
-    and worker count.
+    """A cloud that passed the cloud checks of ``depth_of`` for one depth kind.
 
     ``queries`` runs the checks of one query set against it; ``depths`` and
     ``bounds`` evaluate checked query sets without checking again, and
@@ -420,11 +401,9 @@ class _CheckedCloud:
 
     pts: np.ndarray
     kind: str
-    threads: int
 
     @classmethod
-    def check(cls, cloud, kind: str, threads: int) -> _CheckedCloud:
-        _check_threads(threads)
+    def check(cls, cloud, kind: str) -> _CheckedCloud:
         pts = _cloud_points(cloud)
         if not np.isfinite(pts).all():
             raise ValueError("cloud contains non-finite values")
@@ -437,7 +416,7 @@ class _CheckedCloud:
         if kind == "mahalanobis" and pts.shape[0] < 2:
             raise ValueError(
                 f"Mahalanobis depth needs at least 2 cloud points, got {pts.shape[0]}")
-        return cls(pts, kind, threads)
+        return cls(pts, kind)
 
     def queries(self, queries) -> tuple[np.ndarray, np.ndarray]:
         """The query points as a float array, and the per-axis range of the
@@ -466,7 +445,7 @@ class _CheckedCloud:
             return _mahalanobis_batch(*self.factors, q)
         m = self.pts.shape[0]
         return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
-                          max(1, CHUNK_PAIRS // m), self.threads) / math.comb(m, 3)
+                          max(1, CHUNK_PAIRS // m)) / math.comb(m, 3)
 
     def bounds(self, q: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bounds on the depths of checked queries with range ``span``: the
@@ -477,9 +456,9 @@ class _CheckedCloud:
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-        hist = _sector_histograms(self.pts, q, self.threads)
+        hist = _sector_histograms(self.pts, q)
         lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), q.shape[0],
-                            max(1, CHUNK_PAIRS // (2 * SECTORS)), self.threads).T
+                            max(1, CHUNK_PAIRS // (2 * SECTORS))).T
         total = math.comb(m, 3)
         with np.errstate(over="ignore"):
             if not np.isfinite(span.sum()):
@@ -565,32 +544,26 @@ def _span(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
         return top - bottom
 
 
-def _in_blocks(fn, n: int, rows: int, threads: int) -> np.ndarray:
-    """fn over slices of ``rows`` of n queries on ``threads`` workers,
-    joined in query order."""
-    return np.concatenate(parallel_map_indexed(
-        lambda i: fn(slice(i * rows, (i + 1) * rows)),
-        max(1, -(-n // rows)),  # one empty block for zero queries
-        threads,
-    ))
+def _in_blocks(fn, n: int, rows: int) -> np.ndarray:
+    """fn over slices of ``rows`` of n queries, joined in query order; zero
+    queries make one empty slice."""
+    return np.concatenate([fn(slice(i, i + rows)) for i in range(0, max(n, 1), rows)])
 
 
-def depth_of(cloud, queries, kind: str, threads: int = 1) -> np.ndarray:
+def depth_of(cloud, queries, kind: str) -> np.ndarray:
     """Depths of many query points with respect to the cloud.
 
-    Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries
-    on ``threads`` workers; the result is the same for any worker count.
-    A worker count below 1, a cloud holding NaN or infinity, an unknown
-    depth kind, a cloud that is not 2-D for simplicial depth, an empty
-    cloud, a one-point cloud for Mahalanobis depth, then queries of another
-    dimension than the cloud, queries holding NaN or infinity, and
-    coordinates whose range over the cloud and queries overflows on some
-    axis are rejected, in that order; simplicial depth of fewer than 3
-    cloud points fails when it is computed.  These checks run on every
-    call; the p-values run them once for the cloud and once per query set,
-    and share the unchecked core, ``_CheckedCloud``.
+    Simplicial depths are computed in chunks of ``CHUNK_PAIRS // m`` queries.
+    A cloud holding NaN or infinity, an unknown depth kind, a cloud that is
+    not 2-D for simplicial depth, an empty cloud, a one-point cloud for
+    Mahalanobis depth, then queries of another dimension than the cloud,
+    queries holding NaN or infinity, and coordinates whose range over the
+    cloud and queries overflows on some axis are rejected, in that order;
+    simplicial depth of fewer than 3 cloud points fails when it is computed.
+    These checks run on every call; the p-values run them once for the cloud
+    and once per query set, and share the unchecked core, ``_CheckedCloud``.
     """
-    checked = _CheckedCloud.check(cloud, kind, threads)
+    checked = _CheckedCloud.check(cloud, kind)
     return checked.depths(checked.queries(queries)[0])
 
 
@@ -666,7 +639,8 @@ def _column_shift(side: int) -> np.ndarray:
     return offsets - offsets[:, None]
 
 
-# per thread, the kept buffers of ``_tile_buffers``
+# per thread, the kept buffers of ``_tile_buffers``: the replication workers of
+# ``simulate.run_experiment`` screen their clouds at the same time
 _KEPT = threading.local()
 
 
@@ -685,10 +659,10 @@ def _tile_buffers(cells: int) -> np.ndarray:
     return work
 
 
-def _sector_histograms(pts: np.ndarray, queries: np.ndarray, threads: int = 1) -> np.ndarray:
+def _sector_histograms(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Per query, the number of cloud directions with each code of
-    ``_sector_codes``, as a (queries x _WIDTH) array computed on ``threads``
-    workers; code ``SECTORS`` is counted as sector 0, so its column is 0.
+    ``_sector_codes``, as a (queries x _WIDTH) array; code ``SECTORS`` is
+    counted as sector 0, so its column is 0.
 
     Other query sets are tiled in chunks of ``CHUNK_PAIRS // m`` queries
     against the whole cloud.  When the queries are the cloud itself, the
@@ -698,12 +672,8 @@ def _sector_histograms(pts: np.ndarray, queries: np.ndarray, threads: int = 1) -
     i -> j once and counts it for row i, and the reverse code for row j:
     (s + H) mod ``SECTORS`` for a sector (H = SECTORS / 2), H for code
     ``SECTORS``, and itself at the query (see ``_depth_bounds`` for why that
-    is certified).
-
-    Each worker takes every ``threads``-th tile and adds its integer counts
-    as soon as it has them, under a lock per band of rows, so that memory
-    stays one tile per worker and the sums do not depend on the worker
-    count.
+    is certified).  Each tile's integer counts are added as soon as they are
+    known, so memory stays one tile.
     """
     n, m = queries.shape[0], pts.shape[0]
     hist = np.zeros((n, _WIDTH), dtype=np.int64)
@@ -718,26 +688,17 @@ def _sector_histograms(pts: np.ndarray, queries: np.ndarray, threads: int = 1) -
         bands = [slice(start, start + rows) for start in range(0, n, rows)]
         tiles = [(i, None) for i in range(len(bands))]
         cells = min(rows, n) * m
-    locks = [threading.Lock() for _ in bands]
-    workers = min(threads, len(tiles))
-
-    def run(worker: int) -> None:
-        work = _tile_buffers(cells)
-        for i, j in tiles[worker::workers]:
-            codes = _sector_codes(pts if j is None else pts[bands[j]], queries[bands[i]], work)
-            counts = _tally(codes, codes.shape[0])
-            with locks[i]:
-                hist[bands[i]] += counts
-            if j is None or j == i:
-                continue
-            codes += shift[: codes.shape[0], : codes.shape[1]]
-            counts = _tally(codes, codes.shape[1])
-            counts[:, 0] += counts[:, SECTORS]
-            counts[:, SECTORS] = 0
-            with locks[j]:
-                hist[bands[j]] += counts[:, _REVERSE]
-
-    parallel_map_indexed(run, workers, threads)
+    work = _tile_buffers(cells)
+    for i, j in tiles:
+        codes = _sector_codes(pts if j is None else pts[bands[j]], queries[bands[i]], work)
+        hist[bands[i]] += _tally(codes, codes.shape[0])
+        if j is None or j == i:
+            continue
+        codes += shift[: codes.shape[0], : codes.shape[1]]
+        counts = _tally(codes, codes.shape[1])
+        counts[:, 0] += counts[:, SECTORS]
+        counts[:, SECTORS] = 0
+        hist[bands[j]] += counts[:, _REVERSE]
     hist[:, 0] += hist[:, SECTORS]
     hist[:, SECTORS] = 0
     return hist
@@ -780,15 +741,14 @@ def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
     return math.comb(m, 3) - np.stack(misses, axis=1)
 
 
-def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on ``depth_of(cloud, queries, kind, threads)``.
+def _depth_bounds(cloud, queries, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on ``depth_of(cloud, queries, kind)``.
 
     Mahalanobis depth is cheap, and both bounds are its exact depths.  For
     simplicial depth each query gets a histogram of its directions over
-    ``SECTORS`` sectors (``_sector_histograms``), on the workers of
-    ``depth_of``, and the misses of ``_simplicial_counts`` are
-    bracketed by counting triples of directions by their sectors, with
-    H = SECTORS / 2 sectors to a half-circle:
+    ``SECTORS`` sectors (``_sector_histograms``), and the misses of
+    ``_simplicial_counts`` are bracketed by counting triples of directions
+    by their sectors, with H = SECTORS / 2 sectors to a half-circle:
 
     * The computed sector of a direction is at most one off the exact sector
       of its rounded (dx, dy): the rounding errors of r and of t are some
@@ -837,7 +797,7 @@ def _depth_bounds(cloud, queries, kind: str, threads: int = 1) -> tuple[np.ndarr
     degenerate ones included.  A query for which some |dx| + |dy| overflows
     gets the trivial bounds 0 and 1.
     """
-    checked = _CheckedCloud.check(cloud, kind, threads)
+    checked = _CheckedCloud.check(cloud, kind)
     return checked.bounds(*checked.queries(queries))
 
 
@@ -931,7 +891,7 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
 
 
 # _depths: exact replicate depths already computed; the benchmark's traced replay passes them
-def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) -> MultiPValue:
+def p_multi(cloud, kind: str, region: RegionND, _depths=None) -> MultiPValue:
     """Inside fraction plus the low-depth outside fraction.
 
     The depth floor is the smallest depth among replicates inside the
@@ -944,23 +904,22 @@ def p_multi(cloud, kind: str, region: RegionND, threads: int = 1, _depths=None) 
     an inside hull vertex at the least depth C(m - 1, 2) / C(m, 3), and
     so the floor, from the sectors between a few extreme replicates and
     every replicate; only when it cannot does the full screen of
-    ``_depth_bounds`` run.  Depths run on ``threads`` workers, with the
-    same result for any count.  A region of another dimension than the
-    cloud is rejected.
+    ``_depth_bounds`` run.  A region of another dimension than the cloud
+    is rejected.
     """
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])
     bounds = None if _depths is None else (np.array(_depths, dtype=float),) * 2
-    return _multi(_CheckedCloud.check(pts, kind, threads), region, bounds, None)
+    return _multi(_CheckedCloud.check(pts, kind), region, bounds, None)
 
 
-def p_multi_max(cloud, kind: str, region: RegionND, threads: int = 1) -> MultiPValue:
+def p_multi_max(cloud, kind: str, region: RegionND) -> MultiPValue:
     """Max of the region p-value and singleton p-values at designated corners."""
     pts = _cloud_points(cloud)
     if region.corners.size == 0:
         raise ValueError("region has no designated corner points")
     check_region_dim(region, pts.shape[1])
-    return _multi(_CheckedCloud.check(pts, kind, threads), region, None, region.corners)
+    return _multi(_CheckedCloud.check(pts, kind), region, None, region.corners)
 
 
 # bivariate method name -> depth p-value; univariate methods are support.METHODS

@@ -12,10 +12,10 @@ CD with array center and scale feeds the support kernel for the whole block.
 A block holds at most ``BLOCK_FLOATS`` sample values, so memory stays
 bounded as ``reps`` grows.  The bootstrap CD, whose grid differs per
 replication, is still built per replication.  The ``threads`` argument
-applies to bivariate runs only: their replications run on a thread pool
-through ``depth.parallel_map_indexed``, and each computes its depths in
-bounded chunks on its own worker.  Univariate runs stay on the calling thread;
-either way ``threads`` must be at least 1.
+counts replication workers and applies to bivariate runs only: their
+replications run on a thread pool through ``parallel_map_indexed``, and each
+computes its depths in bounded chunks on its own worker.  Univariate runs stay
+on the calling thread; either way ``threads`` must be at least 1.
 A failure inside a replication raises a ``ValueError`` naming the
 replication and its seed tuple.
 
@@ -43,13 +43,7 @@ import numpy as np
 
 from . import support
 from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import (
-    DEPTH_KINDS,
-    MULTI_METHODS,
-    _check_threads,
-    bootstrap_cloud,
-    parallel_map_indexed,
-)
+from .depth import DEPTH_KINDS, MULTI_METHODS, bootstrap_cloud
 from .regions import NullRegion, RegionND
 
 __all__ = [
@@ -172,6 +166,24 @@ def ks_uniform(pvals) -> float:
     return float(max(np.max(i / p.size - p), np.max(p - (i - 1) / p.size)))
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
+def parallel_map_indexed(fn, count: int, threads: int) -> list:
+    """Evaluate fn(i) for i in range(count); results ordered by index, so the
+    outcome is independent of the worker count (which must be at least 1).
+    The thread pool module loads on the first call with more than one."""
+    _check_threads(threads)
+    if threads == 1:
+        return list(map(fn, range(count)))
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, range(count)))
+
+
 def _replication_error(spec: ExperimentSpec, rep: int, exc: ValueError) -> ValueError:
     return ValueError(f"replication rep={rep} with seed ({spec.seed}, {rep}, 0) failed: {exc}")
 
@@ -215,7 +227,10 @@ def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
     The hash constants depend only on the entropy's length, which is the
     same for every r below 2**32, so each step of numpy's pool mix and of
     ``generate_state`` is one wrapping uint32 array operation over the block.
+    ``reps`` must be a range of step 1.
     """
+    if reps.step != 1:
+        raise ValueError(f"replication ranges need step 1, got step {reps.step}")
     if reps.stop > 1 << 32:
         raise ValueError(f"replication index {reps.stop - 1} needs more than 32 bits")
     r = np.arange(reps.start, reps.stop, dtype=np.uint32)
@@ -317,8 +332,9 @@ def _bivariate_p(spec: ExperimentSpec, rep: int, chol: np.ndarray) -> float:
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> UniformityReport:
     """Run all replications and assemble the uniformity report.
 
-    ``threads`` is the worker count for bivariate runs; univariate runs are
-    batched on the calling thread.  Either way it must be at least 1.
+    ``threads`` is the number of replication workers for bivariate runs;
+    univariate runs are batched on the calling thread.  Either way it must
+    be at least 1.
     """
     _check_threads(threads)
     if spec.model == "univariate-normal":

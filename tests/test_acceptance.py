@@ -259,11 +259,11 @@ def test_criterion_12_deterministic_reports(tmp_path, capsys):
         assert code == 0
         sim_blobs.append(sim_out.read_bytes())
         sim_qq.append(qq_out.read_bytes())
+        # pval2d has no worker count; its report must repeat between the runs
         p2_out = tmp_path / "p2.json"
         code = cli_main(
             ["pval2d", "--input", str(table), "--config", str(cfg),
-             "--boot-reps", "500", "--seed", "6", "--threads", str(threads),
-             "--out", str(p2_out)]
+             "--boot-reps", "500", "--seed", "6", "--out", str(p2_out)]
         )
         assert code == 0
         p2_blobs.append(p2_out.read_bytes())

@@ -213,6 +213,15 @@ def test_stream_words_reject_replication_index_beyond_32_bits():
         simulate._stream_words(0, range(2**32 - 1, 2**32 + 1), 0)
 
 
+@pytest.mark.parametrize("reps", [range(0, 40, 13), range(10, 0, -1)])
+def test_streams_reject_a_range_whose_step_is_not_one(reps):
+    message = f"^replication ranges need step 1, got step {reps.step}$"
+    with pytest.raises(ValueError, match=message):
+        simulate._stream_words(1, reps, 0)
+    with pytest.raises(ValueError, match=message):
+        simulate._streams(1, reps, 0)
+
+
 # -- one cdf call per p-value --------------------------------------------------
 
 

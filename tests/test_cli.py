@@ -158,20 +158,29 @@ class TestPval2d:
         assert code == 0
         assert json.loads(out)["p_multi"] == 1.0
 
-    def test_deterministic_bytes_across_threads(self, table1_csv, rect_config,
-                                                tmp_path, capsys):
+    def test_deterministic_bytes_across_runs(self, table1_csv, rect_config,
+                                             tmp_path, capsys):
+        # a larger cloud in between leaves other numbers in the kept tile buffers
         blobs = []
-        for threads in (1, 4, 8):
+        for reps in (500, 2000, 500):
             out_path = tmp_path / "report.json"
             code, _, _ = run_cli(
                 ["pval2d", "--input", str(table1_csv), "--config", str(rect_config),
-                 "--boot-reps", "500", "--seed", "5", "--threads", str(threads),
+                 "--depth", "simplicial", "--boot-reps", str(reps), "--seed", "5",
                  "--out", str(out_path)],
                 capsys,
             )
             assert code == 0
             blobs.append(out_path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        assert blobs[0] == blobs[2] != blobs[1]
+
+    def test_threads_flag_is_gone(self, table1_csv, rect_config, capsys):
+        # depths run on the calling thread; only simulate counts workers
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pval2d", "--input", str(table1_csv), "--config", str(rect_config),
+                  "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_quadrant_complement_config(self, table1_csv, tmp_path, capsys):
         cfg = tmp_path / "quad.cfg"
@@ -340,8 +349,6 @@ BAD_INPUT = [
      "validation", "equivalence limits must satisfy lower < upper, got [1.0, 1.0]"),
     ("pval2d-boot-reps", PVAL2D + ["--config", "{d}/half.cfg", "--boot-reps", "50"],
      "validation", "need reps >= 100, got 50"),
-    ("pval2d-threads", PVAL2D + ["--config", "{d}/half.cfg", "--threads", "0"],
-     "validation", "threads must be >= 1, got 0"),
     ("inf-row", ["pval", "--input", "{d}/inf.csv", "--region", "0"],
      "parse", "{d}/inf.csv:2: infinite values are rejected"),
     ("pval2d-offset-text", PVAL2D + ["--config", "{d}/offset_text.cfg"],
@@ -402,6 +409,16 @@ BAD_INPUT = [
         ("pval2d", PVAL2D, "region dimension {k} differs from the cloud's 2"),
         ("simulate", BIV + ["--method", "multi"], "bivariate runs need a 2-D region, not {k}-D"),
     )
+] + [
+    (f"pval-{cd}-seed", ["pval", "--input", "{d}/one.csv", "--region", "0", "--cd", cd,
+                         "--seed", "-1"],
+     "validation", "seed must be >= 0, got -1")
+    for cd in ("t", "z")
+] + [
+    (f"pval-{cd}-boot-reps", ["pval", "--input", "{d}/one.csv", "--region", "0", "--cd", cd,
+                              "--boot-reps", "50"],
+     "validation", "need reps >= 100 bootstrap replicates, got 50")
+    for cd in ("t", "z", "bootstrap")
 ]
 
 
@@ -440,6 +457,18 @@ def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, cap
     assert (code, out) == (1, "")
     line = json.dumps({"error": {"category": category, "message": message.format(d=d)}})
     assert err == line + "\n"
+
+
+def test_memory_error_is_one_error_line(bad_input_dir, capsys):
+    # 10**15 replicate means take 8 PB, beyond a 47-bit address space: numpy
+    # refuses the allocation at once, whatever the overcommit setting
+    code, out, err = run_cli(["pval", "--input", f"{bad_input_dir}/one.csv", "--region", "0",
+                              "--cd", "bootstrap", "--boot-reps", "1000000000000000"], capsys)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert error["category"] == "validation"
+    assert error["message"].startswith("Unable to allocate")
 
 
 def test_non_finite_report_is_one_error_line(tmp_path, monkeypatch, capsys):

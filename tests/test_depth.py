@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdsupport import (
+    ExperimentSpec,
     Halfspace,
     PointSet,
     Rectangle,
@@ -18,12 +19,14 @@ from cdsupport import (
     mahalanobis_depth,
     p_multi,
     p_multi_max,
+    run_experiment,
     simplicial_depth,
     simplicial_depth_brute,
 )
 from cdsupport import depth as depth_module
 from cdsupport.cli import main
 from cdsupport.depth import _simplicial_counts, depth_of, resample_means
+from cdsupport.simulate import parallel_map_indexed
 
 # computed directly from the paired differences in conftest.TABLE1
 TABLE1_MEAN = (0.17713333333333334, 0.26)
@@ -329,21 +332,35 @@ def test_singleton_p_uniform_at_truth():
 
 class TestDepthPath:
     def test_thread_count_does_not_change_depths(self):
+        # replication workers compute depths and screen their own clouds at
+        # the same time, each on its own tile buffers
         rng = np.random.default_rng(61)
-        pts = rng.standard_normal((700, 2)) @ np.array([[1.0, 0.0], [0.8, 1.8]])
-        queries = np.vstack([pts, rng.standard_normal((800, 2))])
-        one = depth_of(pts, queries, "simplicial", threads=1)
-        assert one.shape == (1500,)
-        assert np.array_equal(one, depth_of(pts, queries, "simplicial", threads=3))
+        clouds = [rng.standard_normal((700, 2)) @ np.array([[1.0, 0.0], [0.8, 1.8]])
+                  for _ in range(3)]
+        queries = np.vstack([clouds[0], rng.standard_normal((800, 2))])
+
+        def run(i):
+            pts = clouds[i]
+            return depth_of(pts, queries, "simplicial"), *depth_module._depth_bounds(
+                pts, pts, "simplicial")
+
+        one = parallel_map_indexed(run, 3, 1)
+        assert one[0][0].shape == (1500,)
+        for want, got in zip(one, parallel_map_indexed(run, 3, 3)):
+            assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
     @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
     @pytest.mark.parametrize("threads", [0, -5])
     def test_worker_count_below_one_is_rejected(self, kind, threads):
+        # the worker count is the harness's: it counts replication workers
+        spec = ExperimentSpec(model="bivariate-normal", true_mean=(0.0, 0.0),
+                              region=Rectangle(lower=[-1, -1], upper=[1, 1]), n=20, reps=50,
+                              method="multi", depth=kind, boot_m=100)
         message = f"^threads must be >= 1, got {threads}$"
         with pytest.raises(ValueError, match=message):
-            depth_of(self.DATA, self.DATA, kind, threads=threads)
+            run_experiment(spec, threads=threads)
         with pytest.raises(ValueError, match=message):
-            depth_module.parallel_map_indexed(lambda i: i, 3, threads)
+            parallel_map_indexed(lambda i: i, 3, threads)
 
     DATA = np.random.default_rng(62).standard_normal((50, 2)) + [0.1, 0.0]
 
@@ -353,7 +370,7 @@ class TestDepthPath:
         cfg = tmp_path / "region.cfg"
         cfg.write_text(config)
         code = main(["pval2d", "--input", str(csv_path), "--config", str(cfg),
-                     "--depth", depth, "--boot-reps", "700", "--seed", "3", "--threads", "2"])
+                     "--depth", depth, "--boot-reps", "700", "--seed", "3"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["m"] == 700
@@ -364,8 +381,7 @@ class TestDepthPath:
         report, cloud = self.pval2d_report(
             "shape = rectangle\nlo = -0.1, -0.2\nhi = 0.2, 0.1\n", depth, tmp_path, capsys)
         box = Rectangle(lower=[-0.1, -0.2], upper=[0.2, 0.1])
-        top = p_multi_max(cloud, depth, box, threads=2)
-        assert top == p_multi_max(cloud, depth, box)
+        top = p_multi_max(cloud, depth, box)
         assert (report["esp"], report["tail"], report["p_multi"]) == (
             top.base.esp, top.base.tail, top.base.p)
         assert report["corner_p"] == list(top.corner_p)
@@ -377,7 +393,7 @@ class TestDepthPath:
             self, depth, offset, tmp_path, capsys):
         report, cloud = self.pval2d_report(
             f"shape = halfspace\nnormal = 1, 0\noffset = {offset}\n", depth, tmp_path, capsys)
-        res = p_multi(cloud, depth, Halfspace(normal=[1.0, 0.0], offset=offset), threads=2)
+        res = p_multi(cloud, depth, Halfspace(normal=[1.0, 0.0], offset=offset))
         assert res.corner_p == () and res.base == res
         assert "corner_p" not in report and "p_max" not in report
         assert (report["esp"], report["tail"], report["depth_floor"], report["floor_source"],
@@ -396,15 +412,17 @@ class TestDepthPath:
         assert peak < 16 * 2**20
 
     def test_p_multi_memory_is_bounded_on_two_workers(self):
-        cloud = bootstrap_cloud(np.random.default_rng(63).standard_normal((40, 2)), 2000, seed=4)
+        # two replication workers, each screening its own cloud
+        data = np.random.default_rng(63).standard_normal((40, 2))
+        clouds = [bootstrap_cloud(data, 2000, seed=seed) for seed in (4, 5)]
         box = Rectangle(lower=[-0.1, -0.1], upper=[0.1, 0.1])
         tracemalloc.start()
         try:
-            p_multi(cloud, "simplicial", box, threads=2)
+            parallel_map_indexed(lambda i: p_multi(clouds[i], "simplicial", box), 2, 2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # holding every tile's counts of the self-screen at once would take about 29 MB
+        # each worker holds its own tile buffers, 1 MiB, and one cloud's bounds at a time
         assert peak < 16 * 2**20
 
     def test_all_replicate_depths_memory_is_bounded(self):
@@ -662,14 +680,14 @@ def test_closed_form_counts_on_gaussian_clouds(m):
 
 @pytest.fixture
 def depth_calls(monkeypatch):
-    """The threads of each depth or bound evaluation of a checked cloud: the
+    """The name of each depth or bound evaluation of a checked cloud: the
     core that ``depth_of`` and the p-values share."""
     calls = []
     for name in ("depths", "bounds"):
         real = getattr(depth_module._CheckedCloud, name)
 
-        def counting(self, *args, real=real):
-            calls.append(self.threads)
+        def counting(self, *args, name=name, real=real):
+            calls.append(name)
             return real(self, *args)
 
         monkeypatch.setattr(depth_module._CheckedCloud, name, counting)
@@ -692,19 +710,6 @@ def test_wrong_region_dimension_fails_before_any_depth(depth_calls, tmp_path, ca
     assert json.loads(capsys.readouterr().err)["error"]["message"] == (
         "region dimension 3 differs from the cloud's 2")
     assert depth_calls == []
-
-
-def test_pval2d_threads_reach_every_depth_call(depth_calls, tmp_path, capsys, table1):
-    # far from the cloud: replicate, boundary-grid and corner depths are all computed
-    csv_path = tmp_path / "table1.csv"
-    csv_path.write_text("".join(f"{a},{b}\n" for a, b in table1))
-    cfg = tmp_path / "far.cfg"
-    cfg.write_text("shape = rectangle\nlo = 5, 5\nhi = 6, 6\n")
-    code = main(["pval2d", "--input", str(csv_path), "--config", str(cfg),
-                 "--depth", "simplicial", "--boot-reps", "300", "--threads", "2"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["floor_source"] == "boundary-grid"
-    assert depth_calls == [2, 2, 2, 2, 2]
 
 
 class TestTooFewPoints:
@@ -740,27 +745,25 @@ class TestTooFewPoints:
         self.raises("simplicial depth needs at least 3 cloud points, got 1",
                     depth_of, cloud, [[0.0, 0.0]], "simplicial")
 
-    # (id, cloud, queries, kind, threads, message): earlier checks win
+    # (id, cloud, queries, kind, message): earlier checks win
     PRECEDENCE = [
-        ("threads-before-empty", np.zeros((0, 2)), [[0.0, 0.0]], "simplicial", 0,
-         "threads must be >= 1, got 0"),
-        ("kind-before-empty", np.zeros((0, 2)), [[0.0, 0.0]], "tukey", 1,
+        ("kind-before-empty", np.zeros((0, 2)), [[0.0, 0.0]], "tukey",
          "unknown depth kind 'tukey'; expected one of ('mahalanobis', 'simplicial')"),
-        ("dimension-before-empty", np.zeros((0, 3)), [[0.0, 0.0, 0.0]], "simplicial", 1,
+        ("dimension-before-empty", np.zeros((0, 3)), [[0.0, 0.0, 0.0]], "simplicial",
          "simplicial depth is implemented for 2-D clouds only"),
         ("empty-before-query-dimension", np.zeros((0, 2)), [[0.0, 0.0, 0.0]], "mahalanobis",
-         1, "cloud has no points"),
+         "cloud has no points"),
         ("one-point-before-query-values", np.zeros((1, 2)), [[np.nan, 0.0]], "mahalanobis",
-         1, "Mahalanobis depth needs at least 2 cloud points, got 1"),
+         "Mahalanobis depth needs at least 2 cloud points, got 1"),
         ("non-finite-before-one-point", np.full((1, 2), np.inf), [[0.0, 0.0]], "mahalanobis",
-         1, "cloud contains non-finite values"),
+         "cloud contains non-finite values"),
     ]
 
-    @pytest.mark.parametrize("cloud,queries,kind,threads,message",
+    @pytest.mark.parametrize("cloud,queries,kind,message",
                              [case[1:] for case in PRECEDENCE],
                              ids=[case[0] for case in PRECEDENCE])
-    def test_error_precedence(self, cloud, queries, kind, threads, message):
-        self.raises(re.escape(message), depth_of, cloud, queries, kind, threads)
+    def test_error_precedence(self, cloud, queries, kind, message):
+        self.raises(re.escape(message), depth_of, cloud, queries, kind)
 
 
 class TestNegativeSeed:

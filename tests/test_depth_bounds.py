@@ -8,7 +8,6 @@ must agree bit for bit.
 
 import json
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -38,24 +37,25 @@ from cdsupport.depth import (
     check_region_dim,
     depth_of,
 )
+from cdsupport.simulate import parallel_map_indexed
 
 # -- the all-depths reference ---------------------------------------------------
 
 
-def reference_p_multi(cloud, kind, region, threads=1, depths=None):
+def reference_p_multi(cloud, kind, region, depths=None):
     """Inside fraction plus the outside fraction at or below the floor, from
     the exact depth of every replicate."""
     pts = np.atleast_2d(cloud.points if hasattr(cloud, "points") else cloud)
     check_region_dim(region, pts.shape[1])
     inside = region.contains(pts)
-    depths = depth_of(pts, pts, kind, threads) if depths is None else depths
+    depths = depth_of(pts, pts, kind) if depths is None else depths
     esp = float(inside.mean())
     if inside.any():
         floor = float(depths[inside].min())
         source = "inside-replicates"
     else:
         grid = region.boundary_grid(*_grid_box(pts))
-        floor = float(depth_of(pts, grid, kind, threads).min())
+        floor = float(depth_of(pts, grid, kind).min())
         source = "boundary-grid"
     tail = float(((~inside) & (depths <= floor)).mean())
     return MultiPValue(
@@ -63,11 +63,11 @@ def reference_p_multi(cloud, kind, region, threads=1, depths=None):
     )
 
 
-def reference_p_multi_max(cloud, kind, region, threads=1):
+def reference_p_multi_max(cloud, kind, region):
     pts = np.atleast_2d(cloud.points if hasattr(cloud, "points") else cloud)
-    depths = depth_of(pts, pts, kind, threads)
-    base = reference_p_multi(pts, kind, region, threads, depths=depths)
-    corner_depths = depth_of(pts, region.corners, kind, threads)
+    depths = depth_of(pts, pts, kind)
+    base = reference_p_multi(pts, kind, region, depths=depths)
+    corner_depths = depth_of(pts, region.corners, kind)
     corner_p = tuple(float((depths <= d).mean()) for d in corner_depths)
     return replace(base, p=max(base.p, *corner_p), corner_p=corner_p)
 
@@ -91,21 +91,18 @@ def part2_cloud(rep, m=400, n=200):
     return bootstrap_cloud(data, m, seed=[9, rep, 1])
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+# workers: the replications computed at once, as by ``run_experiment``'s workers
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["simplicial", "mahalanobis"])
 @pytest.mark.parametrize("name,method", CASES)
-def test_p_values_equal_the_all_depths_reference(name, method, kind, threads):
+def test_p_values_equal_the_all_depths_reference(name, method, kind, workers):
     region = PART2_REGIONS[name][0]
-    sources = set()
-    for rep in range(3):
-        cloud = part2_cloud(rep)
-        if method == "multi":
-            got = p_multi(cloud, kind, region, threads=threads)
-            assert got == reference_p_multi(cloud, kind, region, threads)
-        else:
-            got = p_multi_max(cloud, kind, region, threads=threads)
-            assert got == reference_p_multi_max(cloud, kind, region, threads)
-        sources.add(got.floor_source)
+    clouds = [part2_cloud(rep) for rep in range(3)]
+    p_value, reference = ((p_multi, reference_p_multi) if method == "multi"
+                          else (p_multi_max, reference_p_multi_max))
+    got = parallel_map_indexed(lambda rep: p_value(clouds[rep], kind, region), 3, workers)
+    assert got == [reference(cloud, kind, region) for cloud in clouds]
+    sources = {res.floor_source for res in got}
     assert sources == ({"boundary-grid"} if name == "far_box" else {"inside-replicates"})
 
 
@@ -136,12 +133,12 @@ def test_bootstrap_cloud_at_the_oneshot_box(m):
 @pytest.fixture
 def exact_queries(monkeypatch):
     """Number of queries given to each exact-depth evaluation of a checked
-    cloud, and its threads; the p-values reach exact depths only through it."""
+    cloud; the p-values reach exact depths only through it."""
     calls = []
     real = depth_module._CheckedCloud.depths
 
     def counting(self, q):
-        calls.append((q.shape[0], self.threads))
+        calls.append(q.shape[0])
         return real(self, q)
 
     monkeypatch.setattr(depth_module._CheckedCloud, "depths", counting)
@@ -153,25 +150,9 @@ def test_p_multi_settles_few_replicates(exact_queries):
     region = PART2_REGIONS["d_corner"][0]
     want = reference_p_multi(cloud, "simplicial", region)
     exact_queries.clear()
-    assert p_multi(cloud, "simplicial", region, threads=2) == want
+    assert p_multi(cloud, "simplicial", region) == want
     # one call for the floor candidates, one for replicates straddling the floor
-    assert len(exact_queries) == 2 and {threads for _, threads in exact_queries} == {2}
-    assert sum(count for count, _ in exact_queries) < 2000 // 20
-
-
-def test_bounds_take_the_worker_count(monkeypatch):
-    calls = []
-    real = depth_module._CheckedCloud.bounds
-
-    def recording(self, q, span):
-        calls.append(self.threads)
-        return real(self, q, span)
-
-    monkeypatch.setattr(depth_module._CheckedCloud, "bounds", recording)
-    cloud = part2_cloud(1, m=300)
-    for name in ("e_small_box", "far_box"):
-        p_multi_max(cloud, "simplicial", PART2_REGIONS[name][0], threads=2)
-    assert calls == [2, 2, 2]  # replicates; replicates and the boundary grid
+    assert len(exact_queries) == 2 and sum(exact_queries) < 2000 // 20
 
 
 # -- the bounds bracket the kernel's count ----------------------------------------
@@ -274,34 +255,6 @@ def test_self_screen_reverses_the_wrapped_code(chunk, monkeypatch):
     assert (lo <= counts).all() and (counts <= hi).all()
 
 
-@pytest.mark.parametrize("chunk", [SMALL_CHUNK, depth_module.CHUNK_PAIRS])
-def test_self_screen_bounds_do_not_depend_on_the_worker_count(chunk, monkeypatch):
-    pts = part2_cloud(6, m=600).points
-    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", chunk)
-    one = _depth_bounds(pts, pts, "simplicial", threads=1)
-    two = _depth_bounds(pts, pts, "simplicial", threads=2)
-    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
-    assert np.array_equal(_sector_histograms(pts, pts, 1), _sector_histograms(pts, pts, 2))
-
-
-def test_self_screen_counts_survive_contending_workers(monkeypatch):
-    # tiles of 128 points: 15 tiles over 5 bands of rows, on more workers than
-    # cores and with the interpreter switching threads as often as it can; a
-    # lost update of a band's counts changes the histograms (without the
-    # locks, about one run in 16 lost one)
-    pts = part2_cloud(7, m=600).points
-    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", 128 * 128)
-    want = _sector_histograms(pts, pts, 1)
-    assert (want.sum(axis=1) == pts.shape[0]).all()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(150):
-            assert np.array_equal(_sector_histograms(pts, pts, 4), want)
-    finally:
-        sys.setswitchinterval(interval)
-
-
 def test_diamond_angle_four_wraps_to_sector_zero():
     # seen from the origin, (1, -1e-20) has r = 1 / (1 + 1e-20) = 1, so t = 3 + r = 4
     pts = np.array([[1.0, -1e-20], [1.0, 1e-20], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
@@ -398,7 +351,7 @@ def test_each_query_set_is_checked_once(name, kind, set_up_calls):
     region = PART2_REGIONS[name][0]
     for p_value, sets in zip((p_multi, p_multi_max), QUERY_SETS[name]):
         set_up_calls.update(span=0, factors=0)
-        p_value(cloud, kind, region, threads=2)
+        p_value(cloud, kind, region)
         assert set_up_calls["span"] == sets
         assert set_up_calls["factors"] == (kind == "mahalanobis")
 
@@ -457,7 +410,7 @@ def least_depth(m):
 def least_bounds(pts, inside=None):
     """``_CheckedCloud.least_bounds`` of a cloud's own points, every point
     inside unless said otherwise."""
-    checked = depth_module._CheckedCloud.check(pts, "simplicial", 1)
+    checked = depth_module._CheckedCloud.check(pts, "simplicial")
     _, span = checked.queries(checked.pts)
     inside = np.ones(checked.pts.shape[0], dtype=bool) if inside is None else inside
     return checked.least_bounds(inside, span)
@@ -583,36 +536,42 @@ def screens(monkeypatch):
     calls = []
     real = depth_module._sector_histograms
 
-    def counting(pts, queries, threads=1):
+    def counting(pts, queries):
         calls.append(queries.shape[0])
-        return real(pts, queries, threads)
+        return real(pts, queries)
 
     monkeypatch.setattr(depth_module, "_sector_histograms", counting)
     return calls
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_interior_region_skips_the_screen(threads, screens):
+# workers: the replications computed at once, as by ``run_experiment``'s workers
+@pytest.mark.parametrize("workers", [1, 2])
+def test_interior_region_skips_the_screen(workers, screens):
     region = PART2_REGIONS["a_interior"][0]
-    for rep in range(3):
-        cloud = part2_cloud(rep, m=500)
-        got = p_multi(cloud, "simplicial", region, threads=threads)
-        assert got == reference_p_multi(cloud, "simplicial", region)
-        assert got == p_multi(cloud, "simplicial", region, threads=3 - threads)
+    clouds = [part2_cloud(rep, m=500) for rep in range(3)]
+    got = parallel_map_indexed(lambda rep: p_multi(clouds[rep], "simplicial", region), 3,
+                               workers)
+    assert got == [reference_p_multi(cloud, "simplicial", region) for cloud in clouds]
     assert screens == []
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_far_box_and_p_multi_max_still_screen(threads, screens):
-    cloud = part2_cloud(8, m=500)
-    far = p_multi(cloud, "simplicial", PART2_REGIONS["far_box"][0], threads=threads)
-    assert far.floor_source == "boundary-grid"
-    assert screens[0] == 500 and len(screens) == 2  # the replicates, then the grid
+@pytest.mark.parametrize("workers", [1, 2])
+def test_far_box_and_p_multi_max_still_screen(workers, screens):
+    clouds = [part2_cloud(rep, m=500) for rep in range(8, 8 + workers)]
+
+    def on_workers(p_value, region):
+        return parallel_map_indexed(lambda i: p_value(clouds[i], "simplicial", region),
+                                    workers, workers)
+
+    far = on_workers(p_multi, PART2_REGIONS["far_box"][0])
+    assert {res.floor_source for res in far} == {"boundary-grid"}
+    # per cloud, the replicates, then the grid
+    assert screens.count(500) == workers and len(screens) == 2 * workers
     screens.clear()
     region = PART2_REGIONS["a_interior"][0]
-    got = p_multi_max(cloud, "simplicial", region, threads=threads)
-    assert got == reference_p_multi_max(cloud, "simplicial", region, threads)
-    assert screens == [500]
+    got = on_workers(p_multi_max, region)
+    assert got == [reference_p_multi_max(cloud, "simplicial", region) for cloud in clouds]
+    assert screens == [500] * workers
 
 
 def test_least_bounds_settle_few_replicates(exact_queries):
@@ -621,4 +580,4 @@ def test_least_bounds_settle_few_replicates(exact_queries):
     want = reference_p_multi(cloud, "simplicial", region)
     exact_queries.clear()
     assert p_multi(cloud, "simplicial", region) == want
-    assert len(exact_queries) == 2 and sum(count for count, _ in exact_queries) < 2000 // 100
+    assert len(exact_queries) == 2 and sum(exact_queries) < 2000 // 100

@@ -24,7 +24,8 @@ SCRIPT = textwrap.dedent(
 
     import cdsupport
     from cdsupport import (
-        ExperimentSpec, bootstrap_cloud, parse_region, run_experiment, write_qq_csv,
+        ExperimentSpec, Rectangle, bootstrap_cloud, parse_region, run_experiment,
+        write_qq_csv,
     )
     from cdsupport.cli import main
     from cdsupport.depth import depth_of
@@ -42,11 +43,16 @@ SCRIPT = textwrap.dedent(
     cloud = bootstrap_cloud(data, 100, seed=3)
     assert loaded() == {"numpy.random"}, f"bootstrap_cloud: {loaded()}"
 
-    one = depth_of(cloud, cloud.points[:5], "simplicial")
-    assert "concurrent.futures" not in loaded(), "one-thread depth"
-    two = depth_of(cloud, cloud.points[:5], "simplicial", threads=2)
+    depth_of(cloud, cloud.points[:5], "simplicial")
+    assert "concurrent.futures" not in loaded(), "depth_of"
+    biv = ExperimentSpec(model="bivariate-normal", true_mean=(0.0, 0.0),
+                         region=Rectangle(lower=[-1, -1], upper=[1, 1]), n=20, reps=50,
+                         method="multi", boot_m=100)
+    one = run_experiment(biv, threads=1).pvalues
+    assert "concurrent.futures" not in loaded(), "one-worker run"
+    two = run_experiment(biv, threads=2).pvalues
     assert np.array_equal(one, two)
-    assert "concurrent.futures" in loaded(), "two-thread depth"
+    assert "concurrent.futures" in loaded(), "two-worker run"
 
     spec = ExperimentSpec(model="univariate-normal", true_mean=0.1, cd="bootstrap",
                           region=parse_region("[-0.1,0.1]"), n=20, reps=50, boot_m=100)

@@ -160,15 +160,25 @@ class TestDeterminism:
             assert np.array_equal(reports[0].pvalues, other.pvalues)
 
     def test_thread_counts_agree_bivariate(self):
-        spec = ExperimentSpec(
+        maha = ExperimentSpec(
             model="bivariate-normal", true_mean=(0.0, 0.0),
             region=Rectangle(lower=[-1, -4], upper=[0, 4]),
             n=60, reps=50, method="multi", depth="mahalanobis",
             boot_m=120, seed=3, cov=PART2_COV,
         )
-        reports = [run_experiment(spec, threads=t) for t in (1, 4, 8)]
-        for other in reports[1:]:
-            assert np.array_equal(reports[0].pvalues, other.pvalues)
+        # every replication screens its cloud, so the workers fill their tile
+        # buffers at the same time: shared buffers would change p-values
+        screened = ExperimentSpec(
+            model="bivariate-normal", true_mean=(0.0, 0.0),
+            region=Rectangle(lower=[-1, -4], upper=[0, 0],
+                             corners=[[0, 0], [0, -4], [-1, -4], [-1, 0]]),
+            n=60, reps=50, method="multi-max", depth="simplicial",
+            boot_m=300, seed=3, cov=PART2_COV,
+        )
+        for spec in (maha, screened):
+            reports = [run_experiment(spec, threads=t) for t in (1, 4, 8)]
+            for other in reports[1:]:
+                assert np.array_equal(reports[0].pvalues, other.pvalues)
 
     def test_replication_streams_prefix_stable(self):
         # replication r depends only on (seed, r): a longer run contains the
