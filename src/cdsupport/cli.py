@@ -73,19 +73,17 @@ def read_csv_columns(path, columns: int) -> np.ndarray:
     """
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh]
+            lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc}") from None
     rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line:
-            continue
+    for i, (lineno, line) in enumerate(lines):
         fields = [f.strip() for f in line.split(",")]
         try:
             values = [float(f) for f in fields]
         except ValueError:
-            if lineno == 1 and not rows:
-                continue  # header
+            if i == 0:
+                continue  # header: the first non-blank line
             raise CliError("parse", f"{path}:{lineno}: non-numeric row {line!r}") from None
         if len(values) != columns:
             raise CliError(
@@ -326,6 +324,8 @@ def cmd_bioeq(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     truth = _parse_vector(args.true_mean, "--true-mean")
+    if args.config and args.region:
+        raise CliError("validation", "simulate takes --region or --config, not both")
     if args.config:
         region, cov = load_region_config(args.config)
         model = {"model": "bivariate-normal", "true_mean": truth, "depth": args.depth,
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", choices=DEPTH_KINDS, default="simplicial")
     p.add_argument("--boot-reps", type=int, default=500)
     p.add_argument("--threads", type=int, default=1,
-                   help="replication workers for bivariate runs; univariate runs are batched")
+                   help="workers that run blocks of replications, for both models")
     p.add_argument("--qq-out", help="QQ CSV path (default: <out>.qq.csv)")
     p.set_defaults(fn=cmd_simulate)
     # an argument that starts like a negative number is a value, never a flag:

@@ -6,30 +6,26 @@ reports are bit-identical for any worker-thread count and any schedule.  The
 master seed is an integer >= 0; seeds of 2**32 and above are split into
 32-bit words as numpy does.
 
-Univariate runs are batched: a block of replications is drawn into one
-(block, n) array, each row from its replication's own stream, and a single
-CD with array center and scale feeds the support kernel for the whole block.
-A block holds at most ``BLOCK_FLOATS`` sample values, so memory stays
-bounded as ``reps`` grows.  The bootstrap CD, whose grid differs per
-replication, is still built per replication.  The ``threads`` argument
-counts replication workers and applies to bivariate runs only: their
-replications run on a thread pool through ``parallel_map_indexed``, and each
-computes its depths in bounded chunks on its own worker.  Univariate runs stay
-on the calling thread; either way ``threads`` must be at least 1.
-A failure inside a replication raises a ``ValueError`` naming the
-replication and its seed tuple.
+Both models share one driver: ``run_experiment`` cuts ``range(reps)`` into
+contiguous blocks, maps them over ``threads`` block workers and joins the
+p-values in index order.  A univariate block is drawn into one (block, n)
+array, each row from its replication's own stream, and a single CD with
+array center and scale feeds the support kernel for the whole block (the
+bootstrap CD, whose grid differs per replication, is built per
+replication).  A bivariate block builds each replication's bootstrap cloud
+and depth p-value in turn.  A failure inside a block raises a ``ValueError``
+naming the replication and its seed tuple.
 
-A univariate block also derives all of its streams at once.
-``_stream_words`` runs numpy's ``SeedSequence`` hash (its pool mix and
-``generate_state``, fixed uint32 recipes whose constants do not depend on the
-seed) as array operations over the block, and numpy seeds each row's
-``PCG64`` from those words through ``_Words``, an ``ISeedSequence``.  Each
-row's stream is the one ``np.random.default_rng([seed, r, 0])`` gives, bit
-for bit, with no ``SeedSequence`` object built per replication; the
-bootstrap CD's stream (seed, r, 1) comes the same way.  Bivariate
-replications, each of which costs milliseconds, call ``default_rng``.
-``_Words`` is defined on first use, and ``write_qq_csv`` imports ``csv``,
-so that importing the harness loads neither ``numpy.random`` nor ``csv``.
+A block derives all of its streams at once.  ``_stream_words`` runs numpy's
+``SeedSequence`` hash (its pool mix and ``generate_state``, fixed uint32
+recipes whose constants do not depend on the seed) as array operations over
+the block, and numpy seeds each row's ``PCG64`` from those words through
+``_Words``, an ``ISeedSequence``.  Each row's stream is the one
+``np.random.default_rng([seed, r, 0])`` gives, bit for bit, with no
+``SeedSequence`` object built per replication; the bootstrap streams
+(seed, r, 1) come the same way.  ``_Words`` is defined on first use, and
+``write_qq_csv`` imports ``csv``, so that importing the harness loads
+neither ``numpy.random`` nor ``csv``.
 """
 
 from __future__ import annotations
@@ -60,7 +56,7 @@ PART2_COV = np.array([[1.0, 0.8], [0.8, 4.0]])
 
 ALPHA_GRID = (0.01, 0.05, 0.10)
 
-# sample values held at once by one block of univariate replications (8 MB)
+# a block holds at most BLOCK_FLOATS // n replications (8 MB of univariate samples)
 BLOCK_FLOATS = 1 << 20
 
 @dataclass(frozen=True, eq=False)
@@ -81,13 +77,14 @@ class ExperimentSpec:
     cov: np.ndarray = field(default_factory=lambda: PART2_COV.copy())
 
     def __post_init__(self):
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        for name in ("seed", "n", "reps", "boot_m"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model not in ("univariate-normal", "bivariate-normal"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 2:
@@ -268,12 +265,6 @@ def _words_class() -> type:
     return _Words
 
 
-def __getattr__(name: str):
-    if name == "_Words":
-        return _words_class()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _streams(seed: int, reps: range, stream: int):
     """``np.random.default_rng([seed, r, stream])`` for every r in ``reps``."""
     words_type = _words_class()
@@ -301,48 +292,51 @@ def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
     return mapping(support.support_table(cd, spec.region))
 
 
-def _univariate_pvalues(spec: ExperimentSpec) -> np.ndarray:
-    block = max(1, BLOCK_FLOATS // spec.n)
-    out = np.empty(spec.reps)
-    for start in range(0, spec.reps, block):
-        reps = range(start, min(start + block, spec.reps))
-        try:
-            out[reps.start:reps.stop] = _univariate_block(spec, reps)
-        except ValueError:
-            # rerun the block one replication at a time to name the failing one
-            for r in reps:
-                try:
-                    _univariate_block(spec, range(r, r + 1))
-                except ValueError as exc:
-                    raise _replication_error(spec, r, exc) from exc
-            raise
-    return out
+def _bivariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
+    """P-values of replications ``reps``, each cloud resampled from data
+    drawn from its replication's own stream."""
+    chol = np.linalg.cholesky(spec.cov)
+    multi = MULTI_METHODS[spec.method]
+    return np.array([
+        multi(bootstrap_cloud(spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T,
+                              spec.boot_m, seed=[spec.seed, r, 1]),
+              spec.depth, spec.region).p
+        for r, rng in zip(reps, _streams(spec.seed, reps, 0))
+    ], dtype=float)
 
 
-def _bivariate_p(spec: ExperimentSpec, rep: int, chol: np.ndarray) -> float:
+def _block_pvalues(spec: ExperimentSpec, reps: range) -> np.ndarray:
+    """P-values of the contiguous replications ``reps``.
+
+    When the block raises a ``ValueError``, it is rerun one replication at a
+    time to name the failing one and its seed tuple.  The work done before
+    the failing replication then runs at most twice.
+    """
+    block = _univariate_block if spec.model == "univariate-normal" else _bivariate_block
     try:
-        rng = np.random.default_rng([spec.seed, rep, 0])
-        data = spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T
-        cloud = bootstrap_cloud(data, spec.boot_m, seed=[spec.seed, rep, 1])
-        return MULTI_METHODS[spec.method](cloud, spec.depth, spec.region).p
-    except ValueError as exc:
-        raise _replication_error(spec, rep, exc) from exc
+        return block(spec, reps)
+    except ValueError:
+        for r in reps:
+            try:
+                block(spec, range(r, r + 1))
+            except ValueError as exc:
+                raise _replication_error(spec, r, exc) from exc
+        raise
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1) -> UniformityReport:
     """Run all replications and assemble the uniformity report.
 
-    ``threads`` is the number of replication workers for bivariate runs;
-    univariate runs are batched on the calling thread.  Either way it must
-    be at least 1.
+    ``threads`` counts block workers, for both models, and must be at least
+    1.  A block holds at most ``max(1, BLOCK_FLOATS // n)`` and at most
+    ceil(reps / threads) replications, so memory stays bounded as ``reps``
+    grows.
     """
     _check_threads(threads)
-    if spec.model == "univariate-normal":
-        pvals = _univariate_pvalues(spec)
-    else:
-        chol = np.linalg.cholesky(spec.cov)
-        fn = lambda r: _bivariate_p(spec, r, chol)
-        pvals = np.array(parallel_map_indexed(fn, spec.reps, threads), dtype=float)
+    size = min(max(1, BLOCK_FLOATS // spec.n), -(-spec.reps // threads))
+    blocks = [range(start, min(start + size, spec.reps)) for start in range(0, spec.reps, size)]
+    pvals = np.concatenate(
+        parallel_map_indexed(lambda i: _block_pvalues(spec, blocks[i]), len(blocks), threads))
     pvals.sort()
     uq = (np.arange(1, spec.reps + 1) - 0.5) / spec.reps
     rates = {a: float((pvals <= a).mean()) for a in ALPHA_GRID}

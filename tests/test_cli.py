@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 import test_golden
 
-from cdsupport import cli, direct_support, make_student_t_cd, parse_region
+from cdsupport import (
+    PointSet,
+    bootstrap_cloud,
+    cli,
+    direct_support,
+    make_student_t_cd,
+    p_multi_max,
+    parse_region,
+)
 from cdsupport.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -121,6 +129,17 @@ class TestPval:
         assert code == 1
         assert json.loads(err)["error"]["category"] == "io"
 
+    def test_header_after_blank_lines(self, tmp_path, capsys):
+        # the first non-blank line is the optional header, wherever it starts
+        path = tmp_path / "sample.csv"
+        argv = ["pval", "--input", str(path), "--region", "[-0.2,0.4]"]
+        outputs = []
+        for text in ("\n\nx\n0.5\n-0.25\n\n1.5\n", "x\n0.5\n-0.25\n1.5\n"):
+            path.write_text(text)
+            outputs.append(run_cli(argv, capsys))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1])["n"] == 3
+
     def test_wrong_arity_rejected(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         path.write_text("1.0,2.0\n")
@@ -181,6 +200,24 @@ class TestPval2d:
                   "--threads", "2"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_point_set_config_matches_library(self, table1, table1_csv, tmp_path, capsys):
+        cfg = tmp_path / "points.cfg"
+        cfg.write_text("shape = points\npoints = 0.1, 0.2 ; -0.05, 0.3\n")
+        code, out, _ = run_cli(
+            ["pval2d", "--input", str(table1_csv), "--config", str(cfg),
+             "--depth", "simplicial", "--boot-reps", "300", "--seed", "2"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        region = PointSet(points=[[0.1, 0.2], [-0.05, 0.3]])
+        res = p_multi_max(bootstrap_cloud(table1, 300, seed=2), "simplicial", region)
+        assert report["config"]["region"] == region.describe()
+        assert (report["p_max"], report["corner_p"], report["p_multi"]) == (
+            res.p, list(res.corner_p), res.base.p)
+        assert (report["esp"], report["tail"], report["depth_floor"], report["floor_source"]) == (
+            res.esp, res.tail, res.depth_floor, res.floor_source)
 
     def test_quadrant_complement_config(self, table1_csv, tmp_path, capsys):
         cfg = tmp_path / "quad.cfg"
@@ -419,6 +456,30 @@ BAD_INPUT = [
                               "--boot-reps", "50"],
      "validation", "need reps >= 100 bootstrap replicates, got 50")
     for cd in ("t", "z", "bootstrap")
+] + [
+    ("non-numeric-row", ["pval", "--input", "{d}/text_row.csv", "--region", "0"],
+     "parse", "{d}/text_row.csv:3: non-numeric row 'abc'"),
+    ("header-only", ["pval", "--input", "{d}/header_only.csv", "--region", "0"],
+     "parse", "{d}/header_only.csv: no numeric rows"),
+    ("one-observation", ["pval", "--input", "{d}/single.csv", "--region", "0"],
+     "validation", "need at least 2 observations"),
+    ("config-missing", PVAL2D + ["--config", "{d}/missing.cfg"],
+     "io", "cannot read {d}/missing.cfg: [Errno 2] No such file or directory: "
+           "'{d}/missing.cfg'"),
+    ("config-no-equals", PVAL2D + ["--config", "{d}/no_equals.cfg"],
+     "parse", "{d}/no_equals.cfg:2: expected 'key = value', got 'lo -1, -1'"),
+    ("config-no-shape", PVAL2D + ["--config", "{d}/no_shape.cfg"],
+     "parse", "{d}/no_shape.cfg: missing required key 'shape'"),
+    ("config-unknown-shape", PVAL2D + ["--config", "{d}/circle.cfg"],
+     "parse", "{d}/circle.cfg: unknown shape 'circle'"),
+    ("config-missing-key", PVAL2D + ["--config", "{d}/no_hi.cfg"],
+     "parse", "{d}/no_hi.cfg: shape 'rectangle' needs key 'hi'"),
+    ("config-lo-above-hi", PVAL2D + ["--config", "{d}/flipped.cfg"],
+     "validation", "{d}/flipped.cfg: rectangle bounds must satisfy lo <= hi per axis"),
+    ("simulate-bad-region", ["simulate", "--region", "[1,0]", "--n", "20", "--reps", "50"],
+     "parse", "malformed region piece '[1,0]': lo > hi"),
+    ("simulate-region-and-config", UNI + ["--config", "{d}/half.cfg"],
+     "validation", "simulate takes --region or --config, not both"),
 ]
 
 
@@ -443,6 +504,15 @@ def bad_input_dir(tmp_path, table1):
         "shape = halfspace\nnormal = 1, 0\noffset = 0\ncov = 1,0 ; 0\n")
     (tmp_path / "ragged_corners.cfg").write_text(
         "shape = halfspace\nnormal = 1, 0\noffset = 0\ncorners = 0,0 ; 1\n")
+    (tmp_path / "text_row.csv").write_text("x\n1.0\nabc\n2.0\n")
+    (tmp_path / "header_only.csv").write_text("\nx\n\n")
+    (tmp_path / "single.csv").write_text("0.5\n")
+    for name, text in (("no_equals", "shape = rectangle\nlo -1, -1\nhi = 1, 1\n"),
+                       ("no_shape", "# a box\nlo = -1, -1\nhi = 1, 1\n"),
+                       ("circle", "shape = circle\n"),
+                       ("no_hi", "shape = rectangle\nlo = -1, -1\n"),
+                       ("flipped", "shape = rectangle\nlo = 1, -1\nhi = -1, 1\n")):
+        (tmp_path / f"{name}.cfg").write_text(text)
     return tmp_path
 
 

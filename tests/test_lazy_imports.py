@@ -72,7 +72,7 @@ SCRIPT = textwrap.dedent(
 
     from cdsupport import simulate
 
-    assert issubclass(simulate._Words, ISeedSequence)
+    assert issubclass(simulate._words_class(), ISeedSequence)
     for seed in (0, 7, 2**40 + 3):
         for stream in (0, 1):
             reps = range(2**20, 2**20 + 3)

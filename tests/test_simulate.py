@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -11,6 +12,7 @@ from cdsupport import (
     ks_uniform,
     parse_region,
     run_experiment,
+    simulate,
     write_qq_csv,
 )
 
@@ -135,6 +137,49 @@ class TestExperimentSpec:
         )
         assert type(spec.seed) is int and spec.seed == 2**63 + 1
 
+    @pytest.mark.parametrize("name,value", [
+        ("n", 20.5), ("reps", 60.0), ("boot_m", 150.5), ("n", "20"),
+    ])
+    def test_rejects_non_integer_size(self, name, value):
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="univariate-normal", true_mean=0.0,
+                region=parse_region("0"), **{"n": 20, "reps": 50, name: value},
+            )
+
+    def test_integer_sizes_become_python_ints(self):
+        spec = ExperimentSpec(
+            model="univariate-normal", true_mean=0.0, region=parse_region("0"),
+            n=np.int64(20), reps=np.int32(50), boot_m=np.uint16(150),
+        )
+        assert [(type(v), v) for v in (spec.n, spec.reps, spec.boot_m)] == [
+            (int, 20), (int, 50), (int, 150)]
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(model="trivariate-normal"), "unknown model 'trivariate-normal'"),
+        (dict(cd="student"), "unknown cd kind 'student'"),
+        (dict(region=Rectangle(lower=[-1.0], upper=[1.0])), "univariate runs need a NullRegion"),
+    ])
+    def test_rejects_univariate_configuration(self, kw, message):
+        base = dict(model="univariate-normal", true_mean=0.0, region=parse_region("0"),
+                    n=20, reps=50)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(**{**base, **kw})
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(cov=np.eye(3)), "covariance must be a symmetric 2x2 matrix"),
+        (dict(cov=np.array([[1.0, 0.5], [0.2, 1.0]])),
+         "covariance must be a symmetric 2x2 matrix"),
+        (dict(true_mean=(0.0, 0.0, 0.0)), "bivariate truth must be a 2-vector"),
+        (dict(true_mean=0.0), "bivariate truth must be a 2-vector"),
+    ])
+    def test_rejects_bivariate_configuration(self, kw, message):
+        base = dict(model="bivariate-normal", true_mean=(0.0, 0.0),
+                    region=Rectangle(lower=[-1, -1], upper=[1, 1]), n=50, method="multi")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(**{**base, **kw})
+
     def test_rejects_unknown_depth(self):
         with pytest.raises(ValueError, match="unknown depth kind 'foo'"):
             ExperimentSpec(
@@ -189,6 +234,73 @@ class TestDeterminism:
         for p in np.round(short.pvalues, 14):
             remaining.remove(p)
         assert len(remaining) == 10
+
+
+def _biv_spec(**kw):
+    base = dict(
+        model="bivariate-normal", true_mean=(0.0, 0.0),
+        region=Rectangle(lower=[-1, -4], upper=[0, 4]), n=30, reps=50, method="multi",
+        depth="mahalanobis", boot_m=100, seed=5, cov=PART2_COV,
+    )
+    base.update(kw)
+    return ExperimentSpec(**base)
+
+
+def _report_bytes(report, path):
+    write_qq_csv(report, path)
+    return json.dumps(report.summary(), sort_keys=True).encode() + path.read_bytes()
+
+
+class TestBlockDriver:
+    @pytest.mark.parametrize("reps", [50, 53])
+    @pytest.mark.parametrize("make_spec", [_uni_spec, _biv_spec], ids=["uni", "biv"])
+    def test_reports_byte_identical_for_any_worker_count(self, make_spec, reps, tmp_path):
+        spec = make_spec(reps=reps)
+        blobs = [_report_bytes(run_experiment(spec, threads=t), tmp_path / f"qq{t}.csv")
+                 for t in (1, 2, 3, 7)]
+        assert blobs[1:] == blobs[:1] * 3
+
+    def test_univariate_failure_named_on_three_workers(self, monkeypatch):
+        # blocks [0, 27), [27, 54) and [54, 80): the second and third fail, and
+        # the error names the lower replication whichever block fails first
+        spec = _uni_spec(region=parse_region("[0,0.1]"), n=30, reps=80, cd="z")
+        bad_means = {float(np.random.default_rng([7, r, 0]).standard_normal(30).mean())
+                     for r in (53, 70)}
+        real = simulate.make_asymptotic_normal_cd
+
+        def flaky(n, mean, sd):
+            if bad_means.intersection(np.atleast_1d(mean).tolist()):
+                raise ValueError("injected failure")
+            return real(n, mean, sd)
+
+        monkeypatch.setattr(simulate, "make_asymptotic_normal_cd", flaky)
+        with pytest.raises(ValueError, match=r"^replication rep=53 with seed \(7, 53, 0\) "
+                                             r"failed: injected failure$"):
+            run_experiment(spec, threads=3)
+
+    @pytest.mark.parametrize("block_floats", [1, 4 * 40, simulate.BLOCK_FLOATS])
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7])
+    @pytest.mark.parametrize("reps", [50, 53])
+    def test_blocks_are_contiguous_and_bounded(self, monkeypatch, reps, threads, block_floats):
+        seen = []
+        real = simulate._block_pvalues
+
+        def recording(spec, block):
+            seen.append(block)
+            return real(spec, block)
+
+        monkeypatch.setattr(simulate, "_block_pvalues", recording)
+        monkeypatch.setattr(simulate, "BLOCK_FLOATS", block_floats)
+        spec = _uni_spec(reps=reps, n=40)
+        want = run_experiment(spec).pvalues
+        seen.clear()
+        assert np.array_equal(run_experiment(spec, threads=threads).pvalues, want)
+        blocks = sorted(seen, key=lambda block: block.start)
+        assert [block.step for block in blocks] == [1] * len(blocks)
+        assert [block.start for block in blocks] == [0] + [block.stop for block in blocks[:-1]]
+        assert blocks[-1].stop == reps
+        limit = min(max(1, block_floats // 40), -(-reps // threads))
+        assert all(1 <= len(block) <= limit for block in blocks)
 
 
 def test_report_fields_consistent():
