@@ -69,15 +69,27 @@ def read_csv_columns(path, columns: int) -> np.ndarray:
     """Read a comma-separated numeric table with an optional header row.
 
     Rows with the wrong arity, non-numeric fields, or NaN or infinite values
-    abort the read; silently dropping rows would corrupt n.
+    abort the read; silently dropping rows would corrupt n.  A file that
+    ``_parse_plain`` accepts is parsed in one call; any other goes through
+    the per-row reader, ``_read_rows``, which names the line at fault.
     """
     try:
         with open(path) as fh:
-            lines = [(lineno, ln.strip()) for lineno, ln in enumerate(fh, start=1) if ln.strip()]
+            text = fh.read()
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc}") from None
+    data = _parse_plain(text, columns)
+    if data is None:
+        data = _read_rows(path, text.split("\n"), columns)
+    return data[:, 0] if columns == 1 else data
+
+
+def _read_rows(path, lines: list[str], columns: int) -> np.ndarray:
+    """The rows of a table, one line at a time: the first non-blank line
+    is a header when some field of it is not a number."""
     rows = []
-    for i, (lineno, line) in enumerate(lines):
+    numbered = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
+    for i, (lineno, line) in enumerate(numbered):
         fields = [f.strip() for f in line.split(",")]
         try:
             values = [float(f) for f in fields]
@@ -95,8 +107,48 @@ def read_csv_columns(path, columns: int) -> np.ndarray:
         rows.append(values)
     if not rows:
         raise CliError("parse", f"{path}: no numeric rows")
-    data = np.array(rows, dtype=float)
-    return data[:, 0] if columns == 1 else data
+    return np.array(rows, dtype=float)
+
+
+@functools.cache
+def _plain_body(columns: int) -> re.Pattern:
+    """Lines that are blank or hold ``columns`` comma-separated fields, each
+    one run of characters other than comma and ASCII whitespace, with only
+    spaces and tabs around them."""
+    field = r"[^,\s\x1c-\x1f]+[ \t]*"
+    row = rf"[ \t]*(?:{field}(?:,[ \t]*{field}){{{columns - 1}}})?"
+    return re.compile(rf"(?:{row}\n)*{row}", re.ASCII)
+
+
+def _parse_plain(text: str, columns: int) -> np.ndarray | None:
+    """The (rows x columns) table of ``text`` in one ``np.array`` call, or
+    None when the per-row reader must decide.
+
+    It takes only ASCII text whose whitespace is spaces, tabs and newlines,
+    with an optional header on the first non-blank line, every other
+    non-blank line holding exactly ``columns`` non-empty fields without
+    inner whitespace, and every value a finite number.  Each field is then
+    one whitespace-separated token, and numpy converts a string as
+    ``float`` does, so the array equals the per-row reader's.
+    """
+    if not text.isascii():
+        return None
+    body = text.lstrip()
+    end = body.find("\n")
+    try:
+        [float(f) for f in (body if end < 0 else body[:end]).split(",")]
+    except ValueError:
+        body = "" if end < 0 else body[end + 1:]  # the header
+    if not _plain_body(columns).fullmatch(body):
+        return None
+    tokens = body.replace(",", " ").split()
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+    if not values.size or not np.isfinite(values).all():
+        return None
+    return values.reshape(-1, columns)
 
 
 def _parse_vector(text: str, key: str) -> list[float]:
@@ -330,6 +382,7 @@ def cmd_simulate(args) -> dict:
         region, cov = load_region_config(args.config)
         model = {"model": "bivariate-normal", "true_mean": truth, "depth": args.depth,
                  "cov": PART2_COV if cov is None else cov}
+        ignored = "cd"
     elif args.region:
         try:
             region = parse_region(args.region)
@@ -338,8 +391,14 @@ def cmd_simulate(args) -> dict:
         if len(truth) != 1:
             raise CliError("validation", "univariate runs need a scalar --true-mean")
         model = {"model": "univariate-normal", "true_mean": truth[0], "cd": args.cd}
+        ignored = "depth"
     else:
         raise CliError("validation", "simulate needs --region or --config")
+    # an option the model ignores is an error when given; an omitted option
+    # takes the ``ExperimentSpec`` default, which the report records
+    if getattr(args, ignored) is not None:
+        raise CliError("validation", f"--{ignored} does not apply to {model['model']} runs")
+    model = {key: value for key, value in model.items() if value is not None}
     spec = ExperimentSpec(
         region=region,
         n=args.n,
@@ -429,8 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--method", choices=sorted(METHOD_TOKENS) + list(MULTI_METHODS),
                    default="full")
-    p.add_argument("--cd", choices=("t", "z", "bootstrap"), default="t")
-    p.add_argument("--depth", choices=DEPTH_KINDS, default="simplicial")
+    p.add_argument("--cd", choices=("t", "z", "bootstrap"),
+                   help="univariate runs only (default: t)")
+    p.add_argument("--depth", choices=DEPTH_KINDS,
+                   help="bivariate runs only (default: simplicial)")
     p.add_argument("--boot-reps", type=int, default=500)
     p.add_argument("--threads", type=int, default=1,
                    help="workers that run blocks of replications, for both models")

@@ -37,7 +37,11 @@ its exact antipode share an angle and differ only in the flag, so antipodes
 and repeated directions are recognised by integer equality, and the number
 of triangles missing the query follows in closed form from four row sums of
 one running count of the flags (see ``_simplicial_counts``).  Distinct but
-nearly collinear directions are still ordered by the float angle.
+nearly collinear directions are still ordered by the float angle.  Both
+this kernel and the screen below take the (queries x points) coordinate
+differences from one (queries x 2) by (2 x points) matrix product per
+coordinate, [1, -q] times [p; 1], which rounds each difference exactly as
+the subtraction does (see ``_differences``).
 
 The p-values never need every replicate's exact depth: only the floor, and
 which replicates lie at or below the floor or a corner depth.  So they first
@@ -272,12 +276,17 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     expands into n1, Σ c, Σ c² and Σ c p.  On a row with exact antipodes,
     a lower direction with a antipodes and w = n1 + p - 2 c adds
     a (a + 1 - 2 w) / 2 to the misses.  All sums are exact in int64.
+
+    The differences come from ``_differences``: fl(p - q) bit for bit, but
+    an exact zero may come out +0.0 where the subtraction gives -0.0.  No
+    key sees that sign: the lower flag tests ``dy < 0`` and ``dy == 0``,
+    the fold keeps |dy|, and a zero dx only meets a nonzero |dy| in
+    ``arctan2``, which gives pi / 2 for either sign.
     """
     m = pts.shape[0]
     if m < 3:
         raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-    dx = pts[:, 0][None, :] - queries[:, 0][:, None]
-    dy = pts[:, 1][None, :] - queries[:, 1][:, None]
+    dx, dy = _differences(_lefts(queries), _rights(pts), np.empty((2, queries.shape[0], m)))
     at_query = (dx == 0.0) & (dy == 0.0)
     lower = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
     # fold: (dx, dy) -> (-dx, |dy|) where lower; multiplying by -1 is exact
@@ -323,6 +332,40 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
             miss8[pairs] += 4 * np.einsum("ij,ij->i", a, a + 1 - 2 * w)
         out[rows] = total - miss8 // 8
     return out
+
+
+def _lefts(queries: np.ndarray) -> np.ndarray:
+    """(2 x queries x 2) left factors of ``_differences``: per coordinate c,
+    the rows [1, -q_c]; negation is exact."""
+    left = np.ones((2, queries.shape[0], 2))
+    left[:, :, 1] = -queries.T
+    return left
+
+
+def _rights(pts: np.ndarray) -> np.ndarray:
+    """(2 x 2 x points) right factors of ``_differences``: per coordinate c,
+    the rows [p_c; 1]."""
+    right = np.ones((2, 2, pts.shape[0]))
+    right[:, 0] = pts.T
+    return right
+
+
+def _differences(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The (2 x queries x points) coordinate differences p - q from the
+    factors of ``_lefts`` and ``_rights``, as one product per coordinate,
+    written to ``out``.
+
+    Entry (i, j) of a product is 1 * p_j + (-q_i) * 1: two exact products,
+    rounded once whatever the order of the sum and with or without a fused
+    multiply-add, so it is the subtraction's fl(p_j - q_i) bit for bit,
+    subnormals and overflow to infinity included.  Only the sign of an exact
+    zero may differ, +0.0 where the subtraction gives -0.0 (p = -0.0,
+    q = +0.0), when the sum starts from a +0.0 accumulator.  A product is
+    (queries x 2) by (2 x points) with at most ``CHUNK_PAIRS`` entries, far
+    below where OpenBLAS splits a matrix product across threads, and it
+    takes about a third of the time of a broadcast subtraction.
+    """
+    return np.matmul(left, right, out=out)
 
 
 def _antipodes(keys: np.ndarray) -> np.ndarray:
@@ -500,11 +543,12 @@ class _CheckedCloud:
             return None
         # the witnesses inside first: when none is at the least count, stop there
         work = _tile_buffers(np.count_nonzero(wit) * m)
-        codes, least = _least_witnesses(pts, inner, work)
+        right = _rights(pts)
+        codes, least = _least_witnesses(right, pts[inner], work)
         if not least.any():
             return None
         outer = np.flatnonzero(wit & ~inside)
-        more, more_least = _least_witnesses(pts, outer, work[:, codes.size:])
+        more, more_least = _least_witnesses(right, pts[outer], work[:, codes.size:])
         wit, codes = np.r_[inner, outer], np.vstack([codes, more])
         least = wit[np.r_[least, more_least]]
         half = SECTORS // 2
@@ -524,6 +568,13 @@ class _CheckedCloud:
         hi = np.full(m, math.comb(m, 3))
         lo[least] = hi[least] = math.comb(m - 1, 2)
         return lo / math.comb(m, 3), hi / math.comb(m, 3)
+
+
+def _least_depth(m: int) -> float:
+    """C(m - 1, 2) / C(m, 3), the least simplicial depth of a point of a
+    cloud of m points, by the same division as ``_CheckedCloud.depths``, so
+    that every depth it computes for a cloud point is at least this."""
+    return float((np.array([math.comb(m - 1, 2)]) / math.comb(m, 3))[0])
 
 
 def _extent(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -570,10 +621,14 @@ def depth_of(cloud, queries, kind: str) -> np.ndarray:
 # -- certified bounds on simplicial depth --------------------------------------
 
 
-def _sector_codes(pts: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
+                  work: np.ndarray) -> np.ndarray:
     """Per (query, cloud point) pair, the sector code of the direction from
     the query to the point, plus the query's row offset ``row * _WIDTH``, as
-    a (queries x points) integer array.
+    a (queries x points) integer array.  The queries and points come as the
+    factors ``left`` and ``right`` of ``_differences``; ``offsets`` holds
+    ``row * _WIDTH + H`` (H = SECTORS / 2) per pair, or per query as a
+    column.
 
     The sector of a direction (dx, dy) is ``floor(t * SECTORS / 4)`` for its
     diamond angle t = 1 - r on and above the x axis and t = 3 + r below it,
@@ -585,13 +640,24 @@ def _sector_codes(pts: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.
     gets r = 0 and a wrong sector; ``_depth_bounds`` gives its query trivial
     bounds.
 
+    The differences are the subtraction's bit for bit, up to the sign of an
+    exact zero (see ``_differences``).  A zero dx gives r = 0 and t = 1 or
+    3 whatever its sign, and a zero dy with dx < 0 gives t = 2; only a zero
+    dy with dx > 0 depends on the sign, t = 0 (code 0) for +0.0 and t = 4
+    (code ``SECTORS``) for -0.0, and the histograms and ``least_bounds``
+    count code ``SECTORS`` as sector 0.  So no count moves.  A code is the
+    truncation of ``offsets`` less (r + 1) H, signed as dy, rounded once;
+    the NaN at the query becomes -(H + 1) first, which lands on
+    ``SECTORS + 1``.  Every pass but the one with column ``offsets`` takes
+    a scalar or an array of the same shape.
+
     ``work`` is a (4 x cells) float array with cells >= queries x points,
     which the computation overwrites; the codes are returned in its last row.
     """
-    size = queries.shape[0] * pts.shape[0]
-    dx, dy, t, codes = (row[:size].reshape(queries.shape[0], pts.shape[0]) for row in work)
-    np.subtract(pts[:, 0], queries[:, 0, None], out=dx)
-    np.subtract(pts[:, 1], queries[:, 1, None], out=dy)
+    rows, cols = left.shape[1], right.shape[2]
+    size = rows * cols
+    dx, dy = _differences(left, right, work[:2, :size].reshape(2, rows, cols))
+    t, codes = (row[:size].reshape(rows, cols) for row in work[2:])
     np.abs(dx, out=t)
     with np.errstate(over="ignore", invalid="ignore"):
         t += np.abs(dy, out=codes)
@@ -599,22 +665,26 @@ def _sector_codes(pts: np.ndarray, queries: np.ndarray, work: np.ndarray) -> np.
     t *= SECTORS / 4  # a power of two: exact
     t += SECTORS / 4
     np.copysign(t, dy, out=t)  # -0.0 counts as below: t = 4 on the positive x axis
-    base = np.arange(queries.shape[0], dtype=float) * _WIDTH
-    np.subtract((base + SECTORS / 2)[:, None], t, out=t)  # row offset + t * SECTORS / 4
-    np.fmin(t, (base + _WIDTH - 1)[:, None], out=t)  # NaN -> the at-query code
+    np.fmax(t, -(SECTORS // 2 + 1), out=t)  # NaN -> the at-query code, below
+    np.subtract(offsets, t, out=t)  # row offset + t * SECTORS / 4
     codes = codes.view(np.intp)
     np.copyto(codes, t, casting="unsafe")  # truncates, as ``astype`` does
     return codes
 
 
-def _least_witnesses(pts: np.ndarray, wit: np.ndarray, work: np.ndarray):
-    """The codes of ``_sector_codes`` from the points ``wit`` of the cloud to
-    every point, without their row offsets and with code ``SECTORS`` read as
-    sector 0, and which of those points are at the least simplicial count:
-    alone at their position, with all their directions in H - 1 consecutive
-    sectors (see ``_depth_bounds``)."""
-    e, half = wit.size, SECTORS // 2
-    codes = _sector_codes(pts, pts[wit], work)
+def _row_offsets(rows: int) -> np.ndarray:
+    """(rows x 1) ``offsets`` of ``_sector_codes``: row * _WIDTH + H."""
+    return (np.arange(rows, dtype=float) * _WIDTH + SECTORS // 2)[:, None]
+
+
+def _least_witnesses(right: np.ndarray, wit: np.ndarray, work: np.ndarray):
+    """The codes of ``_sector_codes`` from the points ``wit`` to every point
+    of the cloud with factors ``right``, without their row offsets and with
+    code ``SECTORS`` read as sector 0, and which of those points are at the
+    least simplicial count: alone at their position, with all their
+    directions in H - 1 consecutive sectors (see ``_depth_bounds``)."""
+    e, half = wit.shape[0], SECTORS // 2
+    codes = _sector_codes(_lefts(wit), right, _row_offsets(e), work)
     hist = _tally(codes, e)
     hist[:, 0] += hist[:, SECTORS]
     # running count of the occupied sectors, once round and H + 1 more
@@ -632,11 +702,15 @@ def _tally(codes: np.ndarray, rows: int) -> np.ndarray:
 
 
 @functools.cache  # one side per CHUNK_PAIRS; a fresh array would cost page faults per call
-def _column_shift(side: int) -> np.ndarray:
-    """(side x side) array whose entry (i, j) moves a code from row i's
-    offset to row j's: (j - i) * _WIDTH.  Callers only read it."""
+def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two (side x side) arrays for the square tiles of the self-screen:
+    the ``offsets`` of ``_sector_codes``, i * _WIDTH + H at entry (i, j),
+    and the shift (j - i) * _WIDTH that moves a code from row i's offset to
+    row j's.  Added in full rather than broadcast from a column, they cost
+    a third as much.  Callers only read them."""
     offsets = np.arange(0, side * _WIDTH, _WIDTH)
-    return offsets - offsets[:, None]
+    rows = np.repeat(_row_offsets(side), side, axis=1)
+    return rows, offsets - offsets[:, None]
 
 
 # per thread, the kept buffers of ``_tile_buffers``: the replication workers of
@@ -677,20 +751,25 @@ def _sector_histograms(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """
     n, m = queries.shape[0], pts.shape[0]
     hist = np.zeros((n, _WIDTH), dtype=np.int64)
+    left, right = _lefts(queries), _rights(pts)
     if queries is pts:
         side = math.isqrt(CHUNK_PAIRS)
         bands = [slice(start, start + side) for start in range(0, m, side)]
         tiles = [(i, j) for i in range(len(bands)) for j in range(i, len(bands))]
         cells = min(side, m) ** 2
-        shift = _column_shift(side)
+        offsets, shift = _tile_offsets(side)
     else:
         rows = max(1, CHUNK_PAIRS // m)
         bands = [slice(start, start + rows) for start in range(0, n, rows)]
         tiles = [(i, None) for i in range(len(bands))]
         cells = min(rows, n) * m
+        offsets = _row_offsets(min(rows, n))
     work = _tile_buffers(cells)
     for i, j in tiles:
-        codes = _sector_codes(pts if j is None else pts[bands[j]], queries[bands[i]], work)
+        q = left[:, bands[i]]
+        p = right if j is None else right[:, :, bands[j]]
+        # a chunk's offsets are one column, which this slice keeps
+        codes = _sector_codes(q, p, offsets[: q.shape[1], : p.shape[2]], work)
         hist[bands[i]] += _tally(codes, codes.shape[0])
         if j is None or j == i:
             continue
@@ -857,11 +936,22 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     more ``depths`` call.  Every comparison then reads a bound that equals
     the exact depth or lies on the same side of the threshold, so the
     result equals the one from all exact depths.
+
+    Corners all shallower than every cloud point (simplicial depth below
+    C(m - 1, 2) / C(m, 3)) count no replicate, so they are settled against
+    nothing and the bounds may come from ``least_bounds`` too; see
+    ``p_multi_max``.  Their depths are then computed first, where, with
+    replicates inside and m >= 4, no other check of a simplicial p-value
+    can fail before them.
     """
     pts = cloud.pts
     inside = region.contains(pts)
     _, span = cloud.queries(pts)
-    if bounds is None and corners is None and inside.any():
+    corner_depths, shallow = None, False
+    if corners is not None and cloud.kind == "simplicial" and pts.shape[0] >= 4 and inside.any():
+        corner_depths = cloud.depths(cloud.queries(corners)[0])
+        shallow = bool((corner_depths < _least_depth(pts.shape[0])).all())
+    if bounds is None and (corners is None or shallow) and inside.any():
         bounds = cloud.least_bounds(inside, span)
     lo, hi = cloud.bounds(pts, span) if bounds is None else bounds
     if inside.any():
@@ -874,9 +964,10 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
         source = "boundary-grid"
     _settle(cloud, queries, cand_lo, cand_hi, cand & (cand_lo <= cand_hi[cand].min()))
     floor = float(cand_lo[cand].min())
-    corner_depths = () if corners is None else cloud.depths(cloud.queries(corners)[0])
+    if corners is not None and corner_depths is None:
+        corner_depths = cloud.depths(cloud.queries(corners)[0])
     straddle = ~inside & (lo <= floor) & (hi > floor)
-    for d in corner_depths:
+    for d in () if corners is None or shallow else corner_depths:
         straddle |= (lo <= d) & (hi > d)
     _settle(cloud, pts, lo, hi, straddle)
     esp = float(inside.mean())
@@ -914,7 +1005,15 @@ def p_multi(cloud, kind: str, region: RegionND, _depths=None) -> MultiPValue:
 
 
 def p_multi_max(cloud, kind: str, region: RegionND) -> MultiPValue:
-    """Max of the region p-value and singleton p-values at designated corners."""
+    """Max of the region p-value and singleton p-values at designated corners.
+
+    A corner's p-value is the share of replicates at or below its depth.
+    Every cloud point has simplicial depth at least C(m - 1, 2) / C(m, 3),
+    so a corner below that depth has p-value 0 exactly.  When every corner
+    is that shallow the result is the ``p_multi`` one with zero corner
+    p-values, and it is computed that way, through ``least_bounds`` when
+    that certifies the floor, from the exact corner depths computed first.
+    """
     pts = _cloud_points(cloud)
     if region.corners.size == 0:
         raise ValueError("region has no designated corner points")

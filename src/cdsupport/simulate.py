@@ -91,6 +91,8 @@ class ExperimentSpec:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.reps < 50:
             raise ValueError(f"need reps >= 50, got {self.reps}")
+        if not isinstance(self.method, str):
+            raise ValueError(f"method must be a string, got {self.method!r}")
         if self.model == "univariate-normal":
             if self.method not in support.METHODS:
                 raise ValueError(f"method {self.method!r} not valid for univariate runs")
@@ -100,8 +102,12 @@ class ExperimentSpec:
                 raise ValueError("univariate runs need a NullRegion")
             if np.ndim(self.true_mean) != 0:
                 raise ValueError("univariate truth must be a scalar")
+            if np.asarray(self.true_mean).dtype.kind not in "biuf":
+                raise ValueError(f"true_mean must be a real number, got {self.true_mean!r}")
             if not math.isfinite(float(self.true_mean)):
                 raise ValueError(f"true_mean must be finite, got {float(self.true_mean)}")
+            if np.ndim(self.sd) or np.asarray(self.sd).dtype.kind not in "biuf":
+                raise ValueError(f"sd must be a real number, got {self.sd!r}")
             if not self.sd > 0:
                 raise ValueError("sd must be positive")
             if not math.isfinite(self.sd):

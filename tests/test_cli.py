@@ -9,6 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import test_golden
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cdsupport import (
     PointSet,
@@ -327,6 +329,24 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out) == first
 
+    @pytest.mark.parametrize("argv,given,recorded", [
+        (["--region", "0"], [], {"cd": "t", "depth": "simplicial"}),
+        (["--region", "0"], ["--cd", "z"], {"cd": "z", "depth": "simplicial"}),
+        (["--config", "{cfg}", "--true-mean", "0,0", "--method", "multi"], [],
+         {"cd": "t", "depth": "simplicial"}),
+        (["--config", "{cfg}", "--true-mean", "0,0", "--method", "multi"],
+         ["--depth", "mahalanobis"], {"cd": "t", "depth": "mahalanobis"}),
+    ])
+    def test_report_records_given_options_and_defaults(self, argv, given, recorded, tmp_path,
+                                                       capsys):
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("shape = rectangle\nlo = -1, -1\nhi = 1, 1\n")
+        base = ["simulate", "--n", "20", "--reps", "50", "--boot-reps", "100"]
+        code, out, _ = run_cli(base + [a.format(cfg=cfg) for a in argv] + given, capsys)
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert {key: config[key] for key in recorded} == recorded
+
     def test_missing_region_is_validation_error(self, capsys):
         code, _, err = run_cli(["simulate", "--true-mean", "0"], capsys)
         assert code == 1
@@ -480,6 +500,12 @@ BAD_INPUT = [
      "parse", "malformed region piece '[1,0]': lo > hi"),
     ("simulate-region-and-config", UNI + ["--config", "{d}/half.cfg"],
      "validation", "simulate takes --region or --config, not both"),
+    ("uni-depth", UNI + ["--depth", "mahalanobis"],
+     "validation", "--depth does not apply to univariate-normal runs"),
+    ("uni-depth-default-value", UNI + ["--depth", "simplicial"],
+     "validation", "--depth does not apply to univariate-normal runs"),
+    ("biv-cd", BIV + ["--config", "{d}/half.cfg", "--method", "multi", "--cd", "z"],
+     "validation", "--cd does not apply to bivariate-normal runs"),
 ]
 
 
@@ -620,3 +646,71 @@ def test_importing_the_cli_builds_no_parser():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+# -- the one-call CSV parse and the per-row reader -----------------------------------
+
+CSV_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                        st.integers(-10**6, 10**6).map(str))
+CSV_ODD_FIELDS = st.sampled_from(["1_0", "nan", "inf", "-inf", "1e400", "", "x", " 1.5 ", "\t2",
+                                  "1 2", "1,", "\u0661", "1\xa0", "\x0c3", "+.5", "-0"])
+
+
+@st.composite
+def csv_files(draw):
+    """A column count and a file of up to 12 lines for it: a header or not,
+    blank lines, and rows of numbers of which about one line or field in
+    eight is off (wrong width, a field that is not a plain finite number);
+    its lines end as text mode reads a newline."""
+    columns = draw(st.sampled_from([1, 2]))
+
+    def odd():
+        return draw(st.integers(0, 7)) == 0
+
+    lines = []
+    if draw(st.booleans()):
+        lines += [""] * draw(st.integers(0, 2)) + [draw(st.sampled_from(["x", "a,b", "x, y ,z"]))]
+    for _ in range(draw(st.integers(0, 12))):
+        if odd():
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        width = draw(st.integers(0, 3)) if odd() else columns
+        lines.append(",".join(draw(CSV_ODD_FIELDS if odd() else CSV_NUMBERS)
+                              for _ in range(width)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end])), columns
+
+
+def read_or_error(read, *args):
+    try:
+        return read(*args).tolist()
+    except cli.CliError as exc:
+        return exc.category, str(exc)
+
+
+@given(case=csv_files())
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(case=("x\n1,2\n3,4\n", 2))
+@example(case=("1,2,3\n4\n", 2))
+@example(case=("1\n2\n1_0\n", 1))
+@example(case=("a,b\n1, 2\n\n 3 ,4 \n", 2))
+def test_one_call_parse_equals_the_row_reader(case, tmp_path):
+    text, columns = case
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    with open(path) as fh:
+        lines = fh.read().split("\n")
+
+    def rows(path, columns):
+        data = cli._read_rows(path, lines, columns)
+        return data[:, 0] if columns == 1 else data
+
+    assert read_or_error(cli.read_csv_columns, path, columns) == read_or_error(rows, path, columns)
+
+
+def test_plain_files_take_the_one_call_parse(monkeypatch, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("a,b\n\n1.5, -2\n 3e-3 ,4\n\n")
+    monkeypatch.setattr(cli, "_read_rows", None)
+    assert cli.read_csv_columns(path, 2).tolist() == [[1.5, -2.0], [0.003, 4.0]]

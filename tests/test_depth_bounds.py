@@ -6,6 +6,7 @@ replicate's exact depth, as both functions did before the screen; the two
 must agree bit for bit.
 """
 
+import contextlib
 import json
 import math
 from dataclasses import replace
@@ -38,6 +39,7 @@ from cdsupport.depth import (
     depth_of,
 )
 from cdsupport.simulate import parallel_map_indexed
+from helpers import subtracting_directly
 
 # -- the all-depths reference ---------------------------------------------------
 
@@ -237,22 +239,94 @@ SIGNED_ZEROS = np.array([[0.0, 0.0], [1.0, -0.0], [2.0, 0.0], [-0.0, -0.0], [0.5
                          [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [3.0, -0.0], [-2.0, -0.0]])
 
 
+def wrapped_codes(pts):
+    """Per query, how many of its directions get code ``SECTORS``."""
+    args = (depth_module._lefts(pts), depth_module._rights(pts),
+            depth_module._row_offsets(pts.shape[0]), np.empty((4, pts.size ** 2)))
+    return (depth_module._sector_codes(*args) % depth_module._WIDTH == SECTORS).sum(axis=1)
+
+
 @pytest.mark.parametrize("chunk", [4, SMALL_CHUNK, depth_module.CHUNK_PAIRS])
 def test_self_screen_reverses_the_wrapped_code(chunk, monkeypatch):
     pts = SIGNED_ZEROS
-    codes = depth_module._sector_codes(pts, pts, np.empty((4, pts.size ** 2)))
-    wrapped = codes % depth_module._WIDTH == SECTORS
-    assert wrapped[0].sum() == 3  # (1, -0.0), (0.5, -0.0) and (3, -0.0) from (0, 0)
-    direct = _sector_histograms(pts, pts.copy())  # every ordered pair computed
-    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", chunk)
-    hist = _sector_histograms(pts, pts)
-    # exact coordinates: every reverse code equals the code computed directly
-    assert np.array_equal(hist, direct)
-    # (3, -0.0) sees the other 7 points on the x axis at t = 2
-    assert hist[0, 0] == 4 and hist[8, SECTORS // 2] == 7
-    counts = _simplicial_counts(pts, pts)
-    lo, hi = _count_bounds(hist, pts.shape[0]).T
-    assert (lo <= counts).all() and (counts <= hi).all()
+    hists = []
+    # the matrix product gives dy = +0.0 where the subtraction gives -0.0
+    # for (1, -0.0), (0.5, -0.0) and (3, -0.0) from (0, 0): that swaps code
+    # SECTORS and code 0, which count as one sector
+    for differences, wrapped in ((contextlib.nullcontext(), 0), (subtracting_directly(), 3)):
+        with differences:
+            assert wrapped_codes(pts)[0] == wrapped
+            direct = _sector_histograms(pts, pts.copy())  # every ordered pair computed
+            with monkeypatch.context() as patch:
+                patch.setattr(depth_module, "CHUNK_PAIRS", chunk)
+                hist = _sector_histograms(pts, pts)
+        # exact coordinates: every reverse code equals the code computed directly
+        assert np.array_equal(hist, direct)
+        # (3, -0.0) sees the other 7 points on the x axis at t = 2
+        assert hist[0, 0] == 4 and hist[8, SECTORS // 2] == 7
+        counts = _simplicial_counts(pts, pts)
+        lo, hi = _count_bounds(hist, pts.shape[0]).T
+        assert (lo <= counts).all() and (counts <= hi).all()
+        hists.append(hist)
+    assert np.array_equal(*hists)
+
+
+@st.composite
+def exactness_cases(draw):
+    """A cloud of 4..120 points where a rounded or flushed difference would
+    show, and queries on and off its points.
+
+    Shapes: subnormal (integers times 5e-324, and N(0, 1) times 1e-310);
+    coordinates of -1, -0.0, +0.0 and 1; N(0, 1) times 1e300; N(0, 1)
+    offset by 1e15; an integer lattice; few distinct points, many repeated.
+    """
+    m = draw(st.integers(4, 120))
+    shape = draw(st.sampled_from(["subnormal-int", "subnormal-gauss", "signed-zero", "huge",
+                                  "offset", "lattice", "duplicates"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "subnormal-int":
+        pts = rng.integers(-40, 41, size=(m, 2)) * 5e-324
+    elif shape == "subnormal-gauss":
+        pts = rng.standard_normal((m, 2)) * 1e-310
+    elif shape == "signed-zero":
+        pts = np.array([-1.0, -0.0, 0.0, 1.0])[rng.integers(0, 4, size=(m, 2))]
+    elif shape == "huge":
+        pts = rng.standard_normal((m, 2)) * 1e300
+    elif shape == "offset":
+        pts = rng.standard_normal((m, 2)) + 1e15
+    elif shape == "lattice":
+        pts = rng.integers(-4, 5, size=(m, 2)).astype(float)
+    else:
+        pts = rng.standard_normal((max(1, m // 8), 2))[rng.integers(0, max(1, m // 8), size=m)]
+    far = pts[rng.integers(0, m, size=4)] + rng.standard_normal((4, 2)) * np.ptp(pts, axis=0)
+    queries = np.vstack([pts[rng.integers(0, m, size=6)], far, -pts[:2]])
+    return pts, queries
+
+
+@given(exactness_cases())
+@settings(max_examples=200, deadline=None)
+def test_products_give_the_subtraction_results(case):
+    pts, queries = case
+
+    def screen_and_kernel():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(depth_module, "CHUNK_PAIRS", SMALL_CHUNK)
+            tiled = _sector_histograms(pts, pts)
+        return (_sector_histograms(pts, pts), tiled, _sector_histograms(pts, queries),
+                least_bounds(pts), _simplicial_counts(pts, queries))
+
+    got = screen_and_kernel()
+    with subtracting_directly():
+        want = screen_and_kernel()
+    for mine, reference in zip(got, want):
+        if mine is None or reference is None:
+            assert mine is reference
+        else:
+            assert all(np.array_equal(a, b) for a, b in zip(mine, reference))
+    # no difference of distinct points was flushed to zero: a point is at
+    # the query exactly when it equals the query
+    at_query = (pts[None, :, :] == queries[:, None, :]).all(axis=2).sum(axis=1)
+    assert np.array_equal(got[2][:, SECTORS + 1], at_query)
 
 
 def test_diamond_angle_four_wraps_to_sector_zero():
@@ -568,10 +642,36 @@ def test_far_box_and_p_multi_max_still_screen(workers, screens):
     # per cloud, the replicates, then the grid
     assert screens.count(500) == workers and len(screens) == 2 * workers
     screens.clear()
-    region = PART2_REGIONS["a_interior"][0]
+    # the corner (0, 0) is deep in every cloud
+    region = PART2_REGIONS["d_corner"][0]
     got = on_workers(p_multi_max, region)
     assert got == [reference_p_multi_max(cloud, "simplicial", region) for cloud in clouds]
     assert screens == [500] * workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shallow_corners_skip_the_screen(workers, screens):
+    # the corners (+-1, +-1) lie outside every cloud: depth 0, below the least
+    region = PART2_REGIONS["a_interior"][0]
+    clouds = [part2_cloud(rep, m=500) for rep in range(3)]
+    got = parallel_map_indexed(lambda rep: p_multi_max(clouds[rep], "simplicial", region), 3,
+                               workers)
+    assert got == [reference_p_multi_max(cloud, "simplicial", region) for cloud in clouds]
+    assert screens == []
+    for res, cloud in zip(got, clouds):
+        base = p_multi(cloud, "simplicial", region)
+        assert res == replace(base, corner_p=(0.0,) * 4)
+
+
+@given(least_cases())
+@settings(max_examples=200, deadline=None)
+def test_p_multi_max_with_shallow_corners_equals_the_reference(case):
+    # the box's corners are off the cloud's own points, often outside its hull
+    pts, region = case
+    got = p_multi_max(pts, "simplicial", region)
+    assert got == reference_p_multi_max(pts, "simplicial", region)
+    if max(got.corner_p) == 0.0:
+        assert got == replace(p_multi(pts, "simplicial", region), corner_p=got.corner_p)
 
 
 def test_least_bounds_settle_few_replicates(exact_queries):

@@ -188,6 +188,29 @@ class TestExperimentSpec:
                 depth="foo",
             )
 
+    @pytest.mark.parametrize("kw,message", [
+        (dict(sd="1"), "sd must be a real number, got '1'"),
+        (dict(sd=np.array([1.0, 2.0])), "sd must be a real number, got array([1., 2.])"),
+        (dict(sd=None), "sd must be a real number, got None"),
+        (dict(sd=1j), "sd must be a real number, got 1j"),
+        (dict(method=["full"]), "method must be a string, got ['full']"),
+        (dict(true_mean="1"), "true_mean must be a real number, got '1'"),
+        (dict(model="bivariate-normal", true_mean=(0.0, 0.0), method={"multi": 1},
+              region=Rectangle(lower=[-1, -1], upper=[1, 1])),
+         "method must be a string, got {'multi': 1}"),
+    ])
+    def test_rejects_fields_of_the_wrong_type_by_name(self, kw, message):
+        base = dict(model="univariate-normal", true_mean=0.0, region=parse_region("0"), n=20,
+                    reps=50)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(**{**base, **kw})
+
+    @pytest.mark.parametrize("sd", [2, 2.0, np.float64(2.0), np.array(2.0)])
+    def test_accepts_any_real_scalar_sd(self, sd):
+        spec = _uni_spec(sd=sd)
+        assert run_experiment(spec).pvalues.tolist() == run_experiment(
+            _uni_spec(sd=2.0)).pvalues.tolist()
+
 
 def _uni_spec(**kw):
     base = dict(
