@@ -78,10 +78,27 @@ def read_csv_columns(path, columns: int) -> np.ndarray:
             text = fh.read()
     except OSError as exc:
         raise CliError("io", f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError("parse", _undecodable(path, exc)) from None
     data = _parse_plain(text, columns)
     if data is None:
         data = _read_rows(path, text.split("\n"), columns)
     return data[:, 0] if columns == 1 else data
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> str:
+    """The error message for a file that is not text in the encoding it was
+    read with.  The text reader decodes in chunks, so ``exc.start`` counts
+    from the start of a chunk; decoding the whole file again gives the
+    offset in the file."""
+    try:
+        with open(path, "rb") as fh:
+            fh.read().decode(exc.encoding)
+    except UnicodeDecodeError as whole:
+        exc = whole
+    except OSError:
+        pass
+    return f"{path}: not {exc.encoding} text at byte offset {exc.start} ({exc.reason})"
 
 
 def _read_rows(path, lines: list[str], columns: int) -> np.ndarray:

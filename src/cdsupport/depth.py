@@ -69,19 +69,25 @@ reach it (Liu, Ann. Statist. 18, 1990), so when a hull vertex lies inside
 the region that is the floor, and only outside hull vertices can join the
 tail.  ``_CheckedCloud.least_bounds`` codes the sectors from the points
 extreme along 16 fixed axes (5 to 14 distinct witnesses, about 10) to every
-replicate, and certifies a witness at exactly that depth and most other
-replicates above it; the screen runs only when no inside witness is
-certified.  At seed 1 of the benchmark it decides 209 of the 250 ``p_multi``
-replications on the ``run_part2`` regions (m = 500: all 200 of regions a-d,
-9 of 50 of the small box), which then compute exact depths for 0-2% of the
-replicates, and 6 of 40 of the one-shot library queries (m = 2000).  Every
-decision compares depths that are exact or surely on one side of the
-threshold, so the p-values equal those from all exact depths, bit for bit.
+replicate in one call, and certifies a witness at exactly that depth and
+most other replicates above it; the screen runs only when no inside witness
+is certified.  At seed 1 of the benchmark it decides 209 of the 250
+``p_multi`` replications on the ``run_part2`` regions (m = 500: all 200 of
+regions a-d, 9 of 50 of the small box), and 6 of 40 of the one-shot library
+queries (m = 2000).  The same bound holds for every replicate, so ``_multi``
+raises each replicate's lower bound to the least depth: the certified floor
+then leaves no candidate to settle, the kernel returns at once for zero
+queries, and only outside replicates that may be hull vertices, 0-2%, are
+settled for the tail.  It also keeps a corner or a boundary-grid floor
+below the least depth from settling any replicate.  Every decision
+compares depths that are exact or surely on one side of the threshold, so
+the p-values equal those from all exact depths, bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -282,10 +288,16 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     key sees that sign: the lower flag tests ``dy < 0`` and ``dy == 0``,
     the fold keeps |dy|, and a zero dx only meets a nonzero |dy| in
     ``arctan2``, which gives pi / 2 for either sign.
+
+    Zero queries return at once, before any array work: ``_settle`` makes
+    its call whatever the number of rows, and most shortcut p-values have
+    none to settle.
     """
     m = pts.shape[0]
     if m < 3:
         raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
+    if not queries.shape[0]:
+        return np.empty(0, dtype=np.int64)
     dx, dy = _differences(_lefts(queries), _rights(pts), np.empty((2, queries.shape[0], m)))
     at_query = (dx == 0.0) & (dy == 0.0)
     lower = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
@@ -297,21 +309,18 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
     key |= lower
     key[at_query] = _KEY_AT_QUERY  # sorted past every direction
     key.sort(axis=1)
-    e_counts = np.count_nonzero(at_query, axis=1)
     total = math.comb(m, 3)
     out = np.full(queries.shape[0], total, dtype=np.int64)
     work = dx.view(np.int64)  # the differences are spent; reuse their memory
-    for e in np.unique(e_counts):
-        live = m - int(e)
+    for live, rows in _live_groups(key, at_query):
         if live < 3:
             continue  # <=2 usable directions: no triple avoids the query
-        rows = np.nonzero(e_counts == e)[0]
-        k = key[:, :live] if rows.size == key.shape[0] else key[rows, :live]
-        c = work[: rows.size, :live]  # in turn: neighbour xor, flags, counts
+        k = key[rows, :live]
+        c = work[: k.shape[0], :live]  # in turn: neighbour xor, flags, counts
         # an upper key followed by the lower key of the same angle marks a
         # row holding an exact antipodal pair
         np.bitwise_xor(k[:, 1:], k[:, :-1], out=c[:, 1:].view(np.uint64))
-        pairs = np.nonzero((c[:, 1:] == 1).any(axis=1))[0]
+        antipodal = c[:, 1:] == 1
         np.bitwise_and(k.view(np.int64), 1, out=c)
         np.cumsum(c, axis=1, out=c)
         n1 = c[:, -1]
@@ -324,7 +333,8 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
         miss8 = 16 * (np.einsum("ij,ij->i", c, c) - np.einsum("ij,j->i", c, pos))
         miss8 += 8 * n_diff * c_sum + n_diff * (live * n_diff - 4 * p_sum)
         miss8 += 4 * pp_sum + live * (live * (live - 4) + 2)
-        if pairs.size:
+        if antipodal.any():
+            pairs = np.flatnonzero(antipodal.any(axis=1))
             # a lower key's w = n1 + p - 2 c drops by its a antipodes, which
             # changes w (w - 1) / 2 by a (a + 1 - 2 w) / 2
             a = _antipodes(k[pairs])
@@ -332,6 +342,23 @@ def _simplicial_counts(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
             miss8[pairs] += 4 * np.einsum("ij,ij->i", a, a + 1 - 2 * w)
         out[rows] = total - miss8 // 8
     return out
+
+
+def _live_groups(key: np.ndarray, at_query: np.ndarray) -> list:
+    """The rows of the sorted keys of ``_simplicial_counts`` grouped by L,
+    their number of directions not at the query, as (L, rows) pairs.  When
+    every row has the same L, as the rows of a cloud's own distinct points
+    do, that is one group of all rows, found from the total count and two
+    key columns: a row's at-query keys are its largest, so it has e of them
+    exactly when its key at m - e is the at-query key and the one before is
+    not; rows is then a slice, and no per-row count is needed."""
+    n, m = key.shape
+    e = int(np.count_nonzero(at_query)) // n
+    if ((e == m or (key[:, m - e - 1] != _KEY_AT_QUERY).all())
+            and (e == 0 or (key[:, m - e] == _KEY_AT_QUERY).all())):
+        return [(m - e, slice(None))]
+    e_counts = np.count_nonzero(at_query, axis=1)
+    return [(m - int(e), np.flatnonzero(e_counts == e)) for e in np.unique(e_counts)]
 
 
 def _lefts(queries: np.ndarray) -> np.ndarray:
@@ -395,40 +422,58 @@ def simplicial_depth(cloud, w) -> float:
 
 
 def simplicial_depth_brute(cloud, w) -> float:
-    """Reference implementation: enumerate all C(m, 3) closed triangles."""
+    """Reference implementation: enumerate all C(m, 3) closed triangles.
+
+    The triples come in ``itertools.combinations`` order, in blocks of at
+    most ``CHUNK_PAIRS``, and each block is tested at once by
+    ``_triangles_contain``.
+    """
     pts = _cloud_points(cloud)
     w = np.asarray(w, dtype=float)
     m = pts.shape[0]
     if m < 3:
         raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
+    triples = itertools.combinations(range(m), 3)
     count = 0
-    for i in range(m - 2):
-        for j in range(i + 1, m - 1):
-            for k in range(j + 1, m):
-                count += _triangle_contains(pts[i], pts[j], pts[k], w)
+    while (block := np.fromiter(itertools.islice(triples, CHUNK_PAIRS), dtype=(np.intp, 3))).size:
+        count += int(np.count_nonzero(_triangles_contain(*pts[block.T], w)))
     return count / math.comb(m, 3)
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _cross(o, a, b):
+    """The float cross product (a - o) x (b - o) of points along the last
+    axis, rounded step by step as written."""
+    return ((a[..., 0] - o[..., 0]) * (b[..., 1] - o[..., 1])
+            - (a[..., 1] - o[..., 1]) * (b[..., 0] - o[..., 0]))
 
 
-def _triangle_contains(a, b, c, w) -> bool:
+def _triangles_contain(a, b, c, w) -> np.ndarray:
+    """Whether each closed triangle (a, b, c), with vertices as (triangles x
+    2) arrays, contains the point w.
+
+    A triangle of nonzero orientation (NaN counts as nonzero) contains w
+    when its three edge cross products with w share a sign, zeros
+    included.  A degenerate one contains w when w lies on the segment it
+    covers: on the line through a and the first of b, c at another
+    position, and within the bounding box of the three vertices, whose
+    ends are taken as Python's ``min`` and ``max`` take them; when all
+    three are at one position, w must be there.
+    """
     orient = _cross(a, b, c)
-    if orient != 0.0:
-        s1, s2, s3 = _cross(a, b, w), _cross(b, c, w), _cross(c, a, w)
-        return (s1 >= 0.0 and s2 >= 0.0 and s3 >= 0.0) or (
-            s1 <= 0.0 and s2 <= 0.0 and s3 <= 0.0
-        )
-    # degenerate triangle: containment means lying on the covered segment
-    base, other = (a, b) if (a[0] != b[0] or a[1] != b[1]) else (a, c)
-    if base[0] == other[0] and base[1] == other[1]:
-        return bool(np.all(w == a))
-    if _cross(base, other, w) != 0.0:
-        return False
-    xs = (a[0], b[0], c[0])
-    ys = (a[1], b[1], c[1])
-    return min(xs) <= w[0] <= max(xs) and min(ys) <= w[1] <= max(ys)
+    s1, s2, s3 = _cross(a, b, w), _cross(b, c, w), _cross(c, a, w)
+    proper = (((s1 >= 0.0) & (s2 >= 0.0) & (s3 >= 0.0))
+              | ((s1 <= 0.0) & (s2 <= 0.0) & (s3 <= 0.0)))
+    other = np.where(((a[:, 0] == b[:, 0]) & (a[:, 1] == b[:, 1]))[:, None], c, b)
+    single = (a[:, 0] == other[:, 0]) & (a[:, 1] == other[:, 1])
+    in_box = np.ones(a.shape[0], dtype=bool)
+    for axis in (0, 1):
+        low = high = a[:, axis]
+        for v in (b[:, axis], c[:, axis]):  # as ``min`` and ``max`` scan, NaN included
+            low, high = np.where(v < low, v, low), np.where(v > high, v, high)
+        in_box &= (low <= w[axis]) & (w[axis] <= high)
+    segment = np.where(single, (w[0] == a[:, 0]) & (w[1] == a[:, 1]),
+                       (_cross(a, other, w) == 0.0) & in_box)
+    return np.where(orient != 0.0, proper, segment)
 
 
 @dataclass(frozen=True, eq=False)
@@ -525,11 +570,15 @@ class _CheckedCloud:
         from which three witnesses have cyclic sector gaps of at most H - 2
         each gets at least the next count, C(m - 1, 2) + 1, when a search
         for them from three of the witnesses finds them; every other point
-        gets 0 and 1.  The result is None when no witness at the least depth
-        is ``inside``, or when some |dx| + |dy| may overflow (per-axis ranges
-        ``span``); the full screen, ``bounds``, then decides.  The witnesses
-        inside are coded first, so that a failed attempt stops after them.
-        Memory is O(witnesses x m).
+        gets 0 and 1 (``_multi`` raises every lower bound to the least
+        depth).  The result is None when no witness is ``inside``, when no
+        witness at the least depth is, or when some |dx| + |dy| may overflow
+        (per-axis ranges ``span``); the full screen, ``bounds``, then
+        decides.  All witnesses are coded in one ``_sector_codes`` call:
+        coding those outside in a second call, only once one inside is
+        certified, costs a call's fixed overhead on every success to save a
+        few thousand pairs on a failure, which then runs the full screen
+        anyway.  Memory is O(witnesses x m).
         """
         pts = self.pts
         m = pts.shape[0]
@@ -538,19 +587,13 @@ class _CheckedCloud:
         extent = _WITNESS_AXES @ pts.T
         wit = np.zeros(m, dtype=bool)
         wit[extent.argmin(axis=1)] = wit[extent.argmax(axis=1)] = True
-        inner = np.flatnonzero(wit & inside)
-        if not inner.size:
+        if not (wit & inside).any():
             return None
-        # the witnesses inside first: when none is at the least count, stop there
-        work = _tile_buffers(np.count_nonzero(wit) * m)
-        right = _rights(pts)
-        codes, least = _least_witnesses(right, pts[inner], work)
-        if not least.any():
+        wit = np.flatnonzero(wit)
+        codes, least = _least_witnesses(_rights(pts), pts[wit], _tile_buffers(wit.size * m))
+        least = wit[least]
+        if not inside[least].any():
             return None
-        outer = np.flatnonzero(wit & ~inside)
-        more, more_least = _least_witnesses(right, pts[outer], work[:, codes.size:])
-        wit, codes = np.r_[inner, outer], np.vstack([codes, more])
-        least = wit[np.r_[least, more_least]]
         half = SECTORS // 2
         # per witness and point, the sector from the point to the witness; a
         # witness at the point's own position gets a copy of another's, which
@@ -930,19 +973,27 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     checks of ``depth_of`` once, against a cloud checked once.  Without
     corners and with replicates inside, the bounds are those of
     ``least_bounds`` when it certifies the least depth, else the screen's.
-    The floor is settled exactly among the candidates whose lower bound is
-    at most the least upper bound; then every replicate whose bounds
-    straddle the floor (outside ones) or a corner depth is settled in one
-    more ``depths`` call.  Every comparison then reads a bound that equals
-    the exact depth or lies on the same side of the threshold, so the
-    result equals the one from all exact depths.
+    Every simplicial lower bound of a replicate is then raised to
+    ``_least_depth(m)``, which no computed depth of a cloud point is below
+    (Liu 1990; the kernel's own division).
 
-    Corners all shallower than every cloud point (simplicial depth below
-    C(m - 1, 2) / C(m, 3)) count no replicate, so they are settled against
-    nothing and the bounds may come from ``least_bounds`` too; see
-    ``p_multi_max``.  Their depths are then computed first, where, with
-    replicates inside and m >= 4, no other check of a simplicial p-value
-    can fail before them.
+    The floor is settled exactly among the candidates whose lower bound is
+    below the least upper bound, min hi.  That keeps the floor F: F <= min
+    hi, and a candidate with lo >= min hi has depth >= F, so the minimum
+    over the settled depths, the certified ones (lo == hi) and the lower
+    bounds left is still F.  When ``least_bounds`` certifies an inside
+    witness, min hi is the least depth and no candidate is settled.  Then
+    every replicate whose bounds straddle the floor (outside ones) or a
+    corner depth is settled in one more ``depths`` call.  Every comparison
+    then reads a bound that equals the exact depth or lies on the same
+    side of the threshold, so the result equals the one from all exact
+    depths, bit for bit.
+
+    A corner below the least depth straddles no raised bound and gets
+    ``corner_p`` 0.  When all corners are that shallow, the bounds may come
+    from ``least_bounds`` too; see ``p_multi_max``.  Their depths are then
+    computed first, where, with replicates inside and m >= 4, no other
+    check of a simplicial p-value can fail before them.
     """
     pts = cloud.pts
     inside = region.contains(pts)
@@ -954,6 +1005,8 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     if bounds is None and (corners is None or shallow) and inside.any():
         bounds = cloud.least_bounds(inside, span)
     lo, hi = cloud.bounds(pts, span) if bounds is None else bounds
+    if cloud.kind == "simplicial" and pts.shape[0] >= 3:
+        lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
         queries, cand_lo, cand_hi, cand = pts, lo, hi, inside
         source = "inside-replicates"
@@ -962,12 +1015,12 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
         cand_lo, cand_hi = cloud.bounds(queries, grid_span)
         cand = np.ones(queries.shape[0], dtype=bool)
         source = "boundary-grid"
-    _settle(cloud, queries, cand_lo, cand_hi, cand & (cand_lo <= cand_hi[cand].min()))
+    _settle(cloud, queries, cand_lo, cand_hi, cand & (cand_lo < cand_hi[cand].min()))
     floor = float(cand_lo[cand].min())
     if corners is not None and corner_depths is None:
         corner_depths = cloud.depths(cloud.queries(corners)[0])
     straddle = ~inside & (lo <= floor) & (hi > floor)
-    for d in () if corners is None or shallow else corner_depths:
+    for d in () if corners is None else corner_depths:
         straddle |= (lo <= d) & (hi > d)
     _settle(cloud, pts, lo, hi, straddle)
     esp = float(inside.mean())

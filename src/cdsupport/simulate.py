@@ -106,12 +106,6 @@ class ExperimentSpec:
                 raise ValueError(f"true_mean must be a real number, got {self.true_mean!r}")
             if not math.isfinite(float(self.true_mean)):
                 raise ValueError(f"true_mean must be finite, got {float(self.true_mean)}")
-            if np.ndim(self.sd) or np.asarray(self.sd).dtype.kind not in "biuf":
-                raise ValueError(f"sd must be a real number, got {self.sd!r}")
-            if not self.sd > 0:
-                raise ValueError("sd must be positive")
-            if not math.isfinite(self.sd):
-                raise ValueError(f"sd must be finite, got {self.sd}")
         else:
             if self.method not in MULTI_METHODS:
                 raise ValueError(f"method {self.method!r} not valid for bivariate runs")
@@ -129,12 +123,23 @@ class ExperimentSpec:
             except np.linalg.LinAlgError:
                 raise ValueError("covariance must be positive definite") from None
             object.__setattr__(self, "cov", cov)
-            truth = np.asarray(self.true_mean, dtype=float).ravel()
+            truth = np.asarray(self.true_mean)
             if truth.size != 2:
                 raise ValueError("bivariate truth must be a 2-vector")
+            if truth.dtype.kind not in "biuf":
+                raise ValueError(f"true_mean must be real numbers, got {self.true_mean!r}")
+            truth = truth.astype(float).ravel()
             if not np.isfinite(truth).all():
                 raise ValueError(f"true_mean must be finite, got {truth.tolist()}")
             object.__setattr__(self, "true_mean", truth)
+        # the bivariate model draws from ``cov`` and never reads sd; a spec
+        # with a meaningless sd is rejected all the same
+        if np.ndim(self.sd) or np.asarray(self.sd).dtype.kind not in "biuf":
+            raise ValueError(f"sd must be a real number, got {self.sd!r}")
+        if not self.sd > 0:
+            raise ValueError("sd must be positive")
+        if not math.isfinite(self.sd):
+            raise ValueError(f"sd must be finite, got {self.sd}")
         if self.boot_m < 100:
             raise ValueError(f"need boot_m >= 100, got {self.boot_m}")
 

@@ -506,6 +506,8 @@ BAD_INPUT = [
      "validation", "--depth does not apply to univariate-normal runs"),
     ("biv-cd", BIV + ["--config", "{d}/half.cfg", "--method", "multi", "--cd", "z"],
      "validation", "--cd does not apply to bivariate-normal runs"),
+    ("not-utf8", ["pval", "--input", "{d}/not_utf8.csv", "--region", "0"],
+     "parse", "{d}/not_utf8.csv: not utf-8 text at byte offset 0 (invalid start byte)"),
 ]
 
 
@@ -533,6 +535,7 @@ def bad_input_dir(tmp_path, table1):
     (tmp_path / "text_row.csv").write_text("x\n1.0\nabc\n2.0\n")
     (tmp_path / "header_only.csv").write_text("\nx\n\n")
     (tmp_path / "single.csv").write_text("0.5\n")
+    (tmp_path / "not_utf8.csv").write_bytes(b"\xff1.0\n2.0\n")
     for name, text in (("no_equals", "shape = rectangle\nlo -1, -1\nhi = 1, 1\n"),
                        ("no_shape", "# a box\nlo = -1, -1\nhi = 1, 1\n"),
                        ("circle", "shape = circle\n"),
@@ -553,6 +556,18 @@ def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, cap
     assert (code, out) == (1, "")
     line = json.dumps({"error": {"category": category, "message": message.format(d=d)}})
     assert err == line + "\n"
+
+
+def test_undecodable_byte_is_located_in_the_file(tmp_path, capsys):
+    # the text reader decodes in chunks of some KiB; the offset counts from
+    # the start of the file, not of the chunk that held the byte
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"1.0\n" * 5000 + b"\xff\n")
+    code, out, err = run_cli(["pval", "--input", str(path), "--region", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == {
+        "category": "parse",
+        "message": f"{path}: not utf-8 text at byte offset 20000 (invalid start byte)"}
 
 
 def test_memory_error_is_one_error_line(bad_input_dir, capsys):

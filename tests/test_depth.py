@@ -27,6 +27,7 @@ from cdsupport import depth as depth_module
 from cdsupport.cli import main
 from cdsupport.depth import _simplicial_counts, depth_of, resample_means
 from cdsupport.simulate import parallel_map_indexed
+from helpers import simplicial_depth_loop
 
 # computed directly from the paired differences in conftest.TABLE1
 TABLE1_MEAN = (0.17713333333333334, 0.26)
@@ -588,6 +589,43 @@ def test_signed_zeros_give_the_same_depths():
     assert np.array_equal(got, [simplicial_depth_brute(pts, q) for q in queries])
 
 
+@st.composite
+def brute_cases(draw):
+    """A cloud of 3..18 points and a query on an edge, at a point or anywhere.
+
+    Shapes: Gaussian; integer lattice; all on one line; few distinct points,
+    many repeated; and Gaussian with the query on the segment between two
+    of its points, where cross products round to zero or just off it.
+    """
+    m = draw(st.integers(3, 18))
+    shape = draw(st.sampled_from(["gaussian", "lattice", "line", "duplicates", "on-edge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "lattice":
+        pts = rng.integers(-2, 3, size=(m, 2)).astype(float)
+    elif shape == "line":
+        pts = np.outer(rng.integers(-3, 4, size=m), [1.0, 2.0]) + [0.5, -1.0]
+    elif shape == "duplicates":
+        pts = rng.standard_normal((3, 2))[rng.integers(0, 3, size=m)]
+    else:
+        pts = rng.standard_normal((m, 2))
+    i, j = rng.integers(0, m, size=2)
+    query = draw(st.sampled_from([
+        pts[i], (pts[i] + pts[j]) / 2, pts[i] + 0.25 * (pts[j] - pts[i]),
+        rng.standard_normal(2), np.array([0.0, 0.0])]))
+    return pts, query
+
+
+@given(brute_cases(), st.sampled_from([5, depth_module.CHUNK_PAIRS]))
+@settings(max_examples=150, deadline=None)
+def test_brute_force_blocks_equal_the_triangle_loop(case, block):
+    # a block of 5 triples splits every cloud of more than 3 points
+    pts, query = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(depth_module, "CHUNK_PAIRS", block)
+        got = simplicial_depth_brute(pts, query)
+    assert got == simplicial_depth_loop(pts, query)
+
+
 # -- the closed-form miss count ------------------------------------------------
 
 
@@ -673,6 +711,23 @@ def test_closed_form_counts_on_gaussian_clouds(m):
     queries = np.vstack([pts[:10], [[0.0, 0.0], [5.0, 5.0]]])
     assert _simplicial_counts(pts, queries).tolist() == (
         reference_simplicial_counts(pts, queries).tolist())
+
+
+@pytest.mark.parametrize("shape", ["distinct", "doubled", "one-position", "mixed"])
+def test_rows_sharing_their_at_query_count_are_one_group(shape):
+    rng = np.random.default_rng(82)
+    base = rng.standard_normal((40, 2))
+    pts = {"distinct": base, "doubled": np.vstack([base, base]),
+           "one-position": np.tile(base[:1], (40, 1)), "mixed": np.vstack([base, base[:5]])}[shape]
+    got = _simplicial_counts(pts, pts)
+    assert got.tolist() == reference_simplicial_counts(pts, pts).tolist()
+    # every row of the first three clouds is at e = 1, 2 and 40 points
+    dx = pts[None, :, 0] - pts[:, None, 0]
+    dy = pts[None, :, 1] - pts[:, None, 1]
+    key = np.where((dx == 0) & (dy == 0), depth_module._KEY_AT_QUERY, 0).astype(np.uint64)
+    key.sort(axis=1)
+    groups = depth_module._live_groups(key, (dx == 0) & (dy == 0))
+    assert len(groups) == (2 if shape == "mixed" else 1)
 
 
 # -- a region of the wrong dimension costs no depth work ------------------------

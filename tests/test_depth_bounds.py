@@ -9,7 +9,7 @@ must agree bit for bit.
 import contextlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -681,3 +681,87 @@ def test_least_bounds_settle_few_replicates(exact_queries):
     exact_queries.clear()
     assert p_multi(cloud, "simplicial", region) == want
     assert len(exact_queries) == 2 and sum(exact_queries) < 2000 // 100
+
+
+def test_certified_floor_leaves_no_candidate_to_settle(exact_queries):
+    region = PART2_REGIONS["a_interior"][0]
+    for rep in range(3):
+        cloud = part2_cloud(rep, m=500)
+        want = reference_p_multi(cloud, "simplicial", region)
+        exact_queries.clear()
+        assert p_multi(cloud, "simplicial", region) == want
+        # every replicate is bounded below by the least depth, which the
+        # certified witness reaches: the floor's call gets no rows
+        assert len(exact_queries) == 2 and exact_queries[0] == 0
+
+
+def test_no_queries_make_an_empty_count():
+    pts = np.random.default_rng(18).standard_normal((50, 2))
+    counts = _simplicial_counts(pts, np.empty((0, 2)))
+    assert counts.dtype == np.int64 and counts.shape == (0,)
+    assert depth_of(pts, np.empty((0, 2)), "simplicial").shape == (0,)
+
+
+def test_shortcut_codes_its_witnesses_once(monkeypatch, screens):
+    calls = []
+    real = depth_module._sector_codes
+
+    def counting(left, *args):
+        calls.append(left.shape[1])
+        return real(left, *args)
+
+    monkeypatch.setattr(depth_module, "_sector_codes", counting)
+    region = PART2_REGIONS["d_corner"][0]
+    cloud = part2_cloud(1, m=500)
+    assert p_multi(cloud, "simplicial", region) == reference_p_multi(cloud, "simplicial", region)
+    assert screens == [] and len(calls) == 1 and 5 <= calls[0] <= 32
+
+
+@st.composite
+def raised_bound_cases(draw):
+    """A cloud of 4..150 points and a rectangle with designated corners.
+
+    Clouds: Gaussian; integer lattice; few distinct points, many repeated;
+    all on one line; and Gaussian with one point moved out to (6, 6), a
+    hull vertex that a small box around it holds alone.  Boxes: around an
+    outermost point (the least-depth shortcut), around the first point, far
+    from the cloud (a boundary-grid floor of depth 0, below the least
+    depth), or at the centre.  Corners: the box's own, the cloud's mean
+    (deep), two far points (shallow), or the mean and one far point.
+    """
+    m = draw(st.integers(4, 150))
+    shape = draw(st.sampled_from(["gaussian", "lattice", "duplicates", "line", "lone-vertex"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "lattice":
+        pts = rng.integers(-4, 5, size=(m, 2)).astype(float)
+    elif shape == "duplicates":
+        pts = rng.standard_normal((max(2, m // 8), 2))[rng.integers(0, max(2, m // 8), size=m)]
+    elif shape == "line":
+        pts = np.outer(rng.standard_normal(m), rng.standard_normal(2)) + rng.standard_normal(2)
+    else:
+        pts = rng.standard_normal((m, 2))
+        if shape == "lone-vertex":
+            pts[0] = [6.0, 6.0]
+    scale = float(np.abs(pts).max()) or 1.0
+    mean = pts.mean(axis=0)
+    place = draw(st.sampled_from(["outermost", "first", "far", "centre"]))
+    if place == "outermost":
+        angle = draw(st.floats(0.0, 2 * np.pi))
+        centre = pts[np.argmax(pts @ [np.cos(angle), np.sin(angle)])]
+    else:
+        centre = {"first": pts[0], "far": mean + 10 * scale, "centre": mean}[place]
+    width = draw(st.sampled_from([1e-9, 0.05, 0.5, 2.0])) * scale
+    far = [mean + 20 * scale, mean - [20 * scale, 0.0]]
+    corners = {"box": None, "deep": [mean], "shallow": far, "mixed": [mean, far[0]]}[
+        draw(st.sampled_from(["box", "deep", "shallow", "mixed"]))]
+    return pts, Rectangle(lower=centre - width, upper=centre + width, corners=corners)
+
+
+@given(raised_bound_cases())
+@settings(max_examples=300, deadline=None)
+def test_raised_lower_bounds_keep_every_field(case):
+    pts, region = case
+    for p_value, reference in ((p_multi, reference_p_multi),
+                               (p_multi_max, reference_p_multi_max)):
+        got, want = p_value(pts, "simplicial", region), reference(pts, "simplicial", region)
+        assert astuple(got) == astuple(want)

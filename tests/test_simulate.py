@@ -118,6 +118,37 @@ class TestExperimentSpec:
                 region=parse_region("0"), n=20, reps=50, sd=sd,
             )
 
+    @pytest.mark.parametrize("sd,message", [
+        ("x", "sd must be a real number, got 'x'"),
+        ([1.0, 2.0], "sd must be a real number, got [1.0, 2.0]"),
+        (0.0, "sd must be positive"),
+        (math.nan, "sd must be positive"),
+        (math.inf, "sd must be finite, got inf"),
+    ])
+    def test_rejects_bad_bivariate_sd(self, sd, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="bivariate-normal", true_mean=(0.0, 0.0),
+                region=Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0]), n=50, method="multi",
+                sd=sd,
+            )
+
+    @pytest.mark.parametrize("truth", [("0", "0"), ["0.0", 1.0], ("a", "b"), (0j, 1.0)])
+    def test_rejects_non_numeric_bivariate_truth(self, truth):
+        message = f"true_mean must be real numbers, got {truth!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentSpec(
+                model="bivariate-normal", true_mean=truth,
+                region=Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0]), n=50, method="multi",
+            )
+
+    def test_numeric_bivariate_truth_becomes_floats(self):
+        spec = ExperimentSpec(
+            model="bivariate-normal", true_mean=[0, np.float32(0.5)],
+            region=Rectangle(lower=[-1.0, -1.0], upper=[1.0, 1.0]), n=50, method="multi",
+        )
+        assert spec.true_mean.dtype == float and spec.true_mean.tolist() == [0.0, 0.5]
+
     @pytest.mark.parametrize("seed,message", [
         (1.5, "seed must be an integer, got 1.5"),
         ("3", "seed must be an integer, got '3'"),
