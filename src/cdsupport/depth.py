@@ -206,7 +206,11 @@ def bootstrap_cloud(data, reps: int, seed) -> BootstrapCloud:
     if reps < 100:
         raise ValueError(f"need reps >= 100, got {reps}")
     n = x.shape[0]
-    points = resample_means(x, reps, seed)
+    # a sum of finite values can overflow; the cloud then says so by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        points = resample_means(x, reps, seed)
+    if not np.isfinite(points).all():
+        raise ValueError("resample means overflow: the data are too large to sum")
     stored = tuple(seed) if isinstance(seed, (list, tuple)) else seed
     return BootstrapCloud(points=points, seed=stored, source_shape=(n, x.shape[1]))
 

@@ -18,9 +18,14 @@ naming the replication and its seed tuple.
 
 A block derives all of its streams at once.  ``_stream_words`` runs numpy's
 ``SeedSequence`` hash (its pool mix and ``generate_state``, fixed uint32
-recipes whose constants do not depend on the seed) as array operations over
-the block, and numpy seeds each row's ``PCG64`` from those words through
-``_Words``, an ``ISeedSequence``.  Each row's stream is the one
+recipes whose constants do not depend on the seed) once over the block, in
+batched steps: the pool words that do not depend on r stay Python ints,
+each pool word updates the other three in one (3, R) array step, and the
+eight output words of every replication come from one (R, 8) step.
+``_streams`` then seeds the block's ``PCG64`` generators from one seed
+holder, ``_Words``, an ``ISeedSequence`` that hands out the rows of words in
+order; it checks the range when it is called, and makes each generator as
+it is iterated.  Each row's stream is the one
 ``np.random.default_rng([seed, r, 0])`` gives, bit for bit, with no
 ``SeedSequence`` object built per replication; the bootstrap streams
 (seed, r, 1) come the same way.  ``_Words`` is defined on first use, and
@@ -31,6 +36,7 @@ neither ``numpy.random`` nor ``csv``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -202,6 +208,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
+_SHIFT = np.uint32(16)
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -212,20 +219,98 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hasher(h: int, mult: int):
-    """SeedSequence's ``hashmix`` with its running constant, on uint32 arrays."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal h
-        value = value ^ np.uint32(h)
-        h = (h * mult) & _MASK32
-        value = value * np.uint32(h)
-        return value ^ (value >> np.uint32(16))
-    return hashmix
+@functools.cache
+def _running_constants(init: int, mult: int, calls: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The running constant of ``calls`` successive ``hashmix`` calls, as ints
+    and as a read-only (calls + 1, 1) uint32 column: call i xors its value
+    with entry i, then multiplies it by entry i + 1."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & _MASK32)
+    column = np.array(h, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return tuple(h), column
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
-    return out ^ (out >> np.uint32(16))
+class _BlockPool:
+    """numpy's ``SeedSequence`` entropy pool for every replication of a block.
+
+    Slot d is the Python int ``const[d]`` while it is the same for every r,
+    and the uint32 row ``rows[d]`` (``const[d]`` None) once it depends on r.
+    Each ``hashmix`` takes the next running constant, as numpy's does.
+    """
+
+    def __init__(self, size: int, calls: int):
+        self.h, self.column = _running_constants(_INIT_A, _MULT_A, calls)
+        self.calls = 0
+        self.const = [None] * _POOL_SIZE
+        self.rows = np.empty((_POOL_SIZE, size), dtype=np.uint32)
+
+    def slot(self, d: int):
+        return self.rows[d] if self.const[d] is None else self.const[d]
+
+    def _hashmix(self, value, count: int):
+        """``hashmix(value)`` under the next ``count`` constants: a list of
+        ints for an int value, one (count, R) array for a row."""
+        i = self.calls
+        self.calls += count
+        if isinstance(value, int):
+            out = [(value ^ self.h[j]) * self.h[j + 1] & _MASK32 for j in range(i, i + count)]
+            return [v ^ v >> 16 for v in out]
+        out = value ^ self.column[i:i + count]
+        out *= self.column[i + 1:i + count + 1]
+        out ^= out >> _SHIFT
+        return out
+
+    def fill(self, d: int, word) -> None:
+        """Slot ``d`` starts as ``hashmix(word)``."""
+        value = self._hashmix(word, 1)[0]
+        if isinstance(word, int):
+            self.const[d] = value
+        else:
+            self.rows[d] = value
+
+    def mix(self, dst, value) -> None:
+        """``slot[d] = mix(slot[d], hashmix(value))`` for each d of ``dst`` in
+        order; the slots that are rows after it take one (k, R) step."""
+        hashed = self._hashmix(value, len(dst))
+        if isinstance(value, int):
+            rows, ys = [], []
+            for d, y in zip(dst, hashed):
+                if self.const[d] is None:
+                    rows.append(d)
+                    ys.append(y * _MIX_R & _MASK32)
+                else:
+                    out = (self.const[d] * _MIX_L - y * _MIX_R) & _MASK32
+                    self.const[d] = out ^ out >> 16
+            if not rows:
+                return
+            out = self.rows[rows] * np.uint32(_MIX_L)
+            out -= np.array(ys, dtype=np.uint32)[:, None]
+        else:
+            hashed *= np.uint32(_MIX_R)
+            # a row value makes every slot it reaches a row, so the slots of
+            # ``dst`` are all ints (in the first such step) or all rows
+            rows = list(dst)
+            if self.const[rows[0]] is None:
+                out = self.rows[rows] * np.uint32(_MIX_L)
+                out -= hashed
+            else:
+                consts = [self.const[d] * _MIX_L & _MASK32 for d in rows]
+                out = np.array(consts, dtype=np.uint32)[:, None] - hashed
+                for d in rows:
+                    self.const[d] = None
+        out ^= out >> _SHIFT
+        self.rows[rows] = out
+
+    def generate_state(self) -> np.ndarray:
+        """``generate_state(4, np.uint64)`` of every replication, (R, 4)."""
+        _, column = _running_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+        # word i of a replication hashes its slot i % 4
+        state = np.bitwise_xor(np.concatenate((self.rows, self.rows)).T, column[:-1, 0], order="C")
+        state *= column[1:, 0]
+        state ^= state >> _SHIFT
+        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
@@ -233,30 +318,28 @@ def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
     every r in ``reps``, as a (len(reps), 4) uint64 array.
 
     The hash constants depend only on the entropy's length, which is the
-    same for every r below 2**32, so each step of numpy's pool mix and of
-    ``generate_state`` is one wrapping uint32 array operation over the block.
-    ``reps`` must be a range of step 1.
+    same for every r below 2**32, so the block runs numpy's recipe once
+    with r as a uint32 row.  A pool slot stays a Python int until r reaches
+    it; each source's updates of the other slots are one (3, R) step, and
+    the eight output words of every replication one (R, 8) step.  ``reps``
+    must be a range of step 1.
     """
     if reps.step != 1:
         raise ValueError(f"replication ranges need step 1, got step {reps.step}")
     if reps.stop > 1 << 32:
         raise ValueError(f"replication index {reps.stop - 1} needs more than 32 bits")
     r = np.arange(reps.start, reps.stop, dtype=np.uint32)
-    entropy = ([np.full_like(r, w) for w in _uint32_words(seed)] + [r]
-               + [np.full_like(r, w) for w in _uint32_words(stream)])
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(r))
-            for i in range(_POOL_SIZE)]
+    entropy = [*_uint32_words(seed), r, *_uint32_words(stream)]
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    # every entropy word costs _POOL_SIZE hashmix calls, the pool's own words included
+    pool = _BlockPool(len(r), _POOL_SIZE * len(entropy))
+    for d, word in enumerate(entropy[:_POOL_SIZE]):
+        pool.fill(d, word)
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        pool.mix([d for d in range(_POOL_SIZE) if d != src], pool.slot(src))
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([hashmix(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        pool.mix(range(_POOL_SIZE), word)
+    return pool.generate_state()
 
 
 @functools.cache
@@ -265,22 +348,25 @@ def _words_class() -> type:
     from numpy.random.bit_generator import ISeedSequence
 
     class _Words(ISeedSequence):
-        """Precomputed ``generate_state`` words; PCG64 seeds itself from them."""
+        """The seed holder of a block: it hands out the rows of precomputed
+        ``generate_state`` words in order.  A ``PCG64`` asks for its words
+        once, in its constructor, so each generator takes the next row."""
 
         def __init__(self, words: np.ndarray):
-            self.words = words
+            self.rows = iter(words)
 
         def generate_state(self, n_words, dtype=np.uint64):
-            return self.words
+            return next(self.rows)
 
     return _Words
 
 
 def _streams(seed: int, reps: range, stream: int):
-    """``np.random.default_rng([seed, r, stream])`` for every r in ``reps``."""
-    words_type = _words_class()
-    return (np.random.Generator(np.random.PCG64(words_type(words)))
-            for words in _stream_words(seed, reps, stream))
+    """``np.random.default_rng([seed, r, stream])`` for every r in ``reps``,
+    made lazily in order from one seed holder.  A bad range raises here,
+    not on the first draw."""
+    holder = _words_class()(_stream_words(seed, reps, stream))
+    return map(np.random.Generator, map(np.random.PCG64, itertools.repeat(holder, len(reps))))
 
 
 def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
@@ -288,8 +374,11 @@ def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
     y = np.empty((len(reps), spec.n))
     for row, rng in zip(y, _streams(spec.seed, reps, 0)):
         rng.standard_normal(out=row)
-    y *= spec.sd
-    y += spec.true_mean
+    # a finite truth and scale can still overflow a draw or a sum; the CD
+    # then rejects the replication's sample by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        y *= spec.sd
+        y += spec.true_mean
     mapping = support.METHODS[spec.method]
     if spec.cd == "bootstrap":
         return np.array([
@@ -299,7 +388,9 @@ def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
             for row, rng in zip(y, _streams(spec.seed, reps, 1))
         ])
     make_cd = make_student_t_cd if spec.cd == "t" else make_asymptotic_normal_cd
-    cd = make_cd(spec.n, y.mean(axis=1), y.std(axis=1, ddof=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        center, scale = y.mean(axis=1), y.std(axis=1, ddof=1)
+    cd = make_cd(spec.n, center, scale)
     return mapping(support.support_table(cd, spec.region))
 
 

@@ -222,6 +222,26 @@ def test_streams_reject_a_range_whose_step_is_not_one(reps):
         simulate._streams(1, reps, 0)
 
 
+@pytest.mark.parametrize("stream", [0, 1, 2**40 + 7])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 9,
+                                  2**200 + 77])
+def test_stream_words_equal_seed_sequence_for_every_entropy_length(seed, stream):
+    # r enters the pool in each of its slots, and after it once the seed has
+    # four words or more; a two-word stream lengthens the entropy too
+    reps = range(2**32 - 40, 2**32)
+    want = [np.random.SeedSequence([seed, r, stream]).generate_state(4, np.uint64)
+            for r in reps]
+    assert np.array_equal(simulate._stream_words(seed, reps, stream), want)
+
+
+def test_a_block_seeds_its_generators_from_one_holder():
+    reps = range(5, 9)
+    rngs = list(simulate._streams(3, reps, 1))
+    assert len({id(rng.bit_generator.seed_seq) for rng in rngs}) == 1
+    for r, rng in zip(reps, rngs):
+        assert rng.bit_generator.state == np.random.default_rng([3, r, 1]).bit_generator.state
+
+
 # -- one cdf call per p-value --------------------------------------------------
 
 

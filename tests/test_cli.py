@@ -2,8 +2,11 @@ import argparse
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,6 +511,24 @@ BAD_INPUT = [
      "validation", "--cd does not apply to bivariate-normal runs"),
     ("not-utf8", ["pval", "--input", "{d}/not_utf8.csv", "--region", "0"],
      "parse", "{d}/not_utf8.csv: not utf-8 text at byte offset 0 (invalid start byte)"),
+    # found by test_every_argv_gives_a_report_or_one_error_line: the boundary
+    # grid divided by a squared length that underflowed, with a numpy warning
+    ("biv-halfspace-tiny-normal", BIV + ["--config", "{d}/tiny_normal.cfg", "--method", "multi"],
+     "validation",
+     "{d}/tiny_normal.cfg: halfspace normal is too short or too long: its squared length is 0.0"),
+    ("pval2d-halfspace-huge-normal", PVAL2D + ["--config", "{d}/huge_normal.cfg"],
+     "validation",
+     "{d}/huge_normal.cfg: halfspace normal is too short or too long: its squared length is inf"),
+    ("pval2d-halfspace-far-boundary", PVAL2D + ["--config", "{d}/far_boundary.cfg"],
+     "validation", "halfspace boundary point offset * normal / (normal . normal) overflows"),
+    # found by the same test: sums of finite draws overflowed, with a numpy warning
+    ("biv-true-mean-overflows", BIV + ["--config", "{d}/half.cfg", "--method", "multi",
+                                       "--true-mean", "0,1.6342664862384688e+307"],
+     "validation", "replication rep=0 with seed (0, 0, 0) failed: resample means overflow: "
+                   "the data are too large to sum"),
+    ("uni-true-mean-overflows", UNI + ["--true-mean", "1.7e308", "--cd", "z"],
+     "validation", "replication rep=0 with seed (0, 0, 0) failed: sample mean and sd must be "
+                   "finite, got mean=[inf], sd=[inf]"),
 ]
 
 
@@ -536,6 +557,11 @@ def bad_input_dir(tmp_path, table1):
     (tmp_path / "header_only.csv").write_text("\nx\n\n")
     (tmp_path / "single.csv").write_text("0.5\n")
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff1.0\n2.0\n")
+    for name, normal, offset in (("tiny_normal", "0.0, 2.8345852743287677e-165", "0.0"),
+                                 ("huge_normal", "1e200, 0", "1"),
+                                 ("far_boundary", "10, 0", "-1e308")):
+        (tmp_path / f"{name}.cfg").write_text(
+            f"shape = halfspace\nnormal = {normal}\noffset = {offset}\n")
     for name, text in (("no_equals", "shape = rectangle\nlo -1, -1\nhi = 1, 1\n"),
                        ("no_shape", "# a box\nlo = -1, -1\nhi = 1, 1\n"),
                        ("circle", "shape = circle\n"),
@@ -729,3 +755,250 @@ def test_plain_files_take_the_one_call_parse(monkeypatch, tmp_path):
     path.write_text("a,b\n\n1.5, -2\n 3e-3 ,4\n\n")
     monkeypatch.setattr(cli, "_read_rows", None)
     assert cli.read_csv_columns(path, 2).tolist() == [[1.5, -2.0], [0.003, 4.0]]
+
+
+# -- --out is rewritten in place -----------------------------------------------------
+
+OUT_ARGV = BIOEQ + ["--var-d", "4", "--lower", "-8", "--upper", "8"]
+
+
+@pytest.mark.parametrize("before", [None, b"{\n" + b" " * 4096 + b"}\n", b"{}\n"],
+                         ids=["fresh", "after-longer", "after-shorter"])
+def test_out_file_holds_the_stdout_report(before, tmp_path, capsys):
+    code, report, _ = run_cli(OUT_ARGV, capsys)
+    assert code == 0
+    out = tmp_path / "report.json"
+    if before is not None:
+        out.write_bytes(before)
+    assert run_cli(OUT_ARGV + ["--out", str(out)], capsys) == (0, "", "")
+    assert out.read_bytes() == report.encode()
+
+
+def test_out_file_needs_no_read_permission(tmp_path, capsys):
+    _, report, _ = run_cli(OUT_ARGV, capsys)
+    out = tmp_path / "report.json"
+    out.write_bytes(b"x" * 5000)
+    out.chmod(0o200)
+    assert run_cli(OUT_ARGV + ["--out", str(out)], capsys) == (0, "", "")
+    out.chmod(0o600)
+    assert out.read_bytes() == report.encode()
+
+
+def test_out_to_the_null_device(capsys):
+    assert run_cli(OUT_ARGV + ["--out", os.devnull], capsys) == (0, "", "")
+    assert not Path(os.devnull).is_file()
+
+
+def test_out_to_a_fifo_is_the_report(tmp_path, capsys):
+    _, report, _ = run_cli(OUT_ARGV, capsys)
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    assert run_cli(OUT_ARGV + ["--out", str(fifo)], capsys) == (0, "", "")
+    reader.join(timeout=30)
+    assert got == [report.encode()]
+
+
+def test_out_to_dev_stdout(tmp_path):
+    argv = [sys.executable, "-m", "cdsupport.cli", *OUT_ARGV]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    report = subprocess.run(argv, capture_output=True, env=env, timeout=60).stdout
+    piped = subprocess.run(argv + ["--out", "/dev/stdout"], capture_output=True, env=env,
+                           timeout=60)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, report, b"")
+    # a regular file as standard output, opened without truncation
+    path = tmp_path / "stdout.json"
+    path.write_bytes(b"z" * 5000)
+    with open(path, "r+b") as fh:
+        run = subprocess.run(argv + ["--out", "/dev/stdout"], stdout=fh, env=env, timeout=60)
+    assert run.returncode == 0 and path.read_bytes() == report
+
+
+@pytest.mark.parametrize("where", ["directory", "under-a-file"])
+def test_unwritable_out_is_one_io_line(where, tmp_path, capsys):
+    (tmp_path / "file").write_text("x")
+    path = str(tmp_path if where == "directory" else tmp_path / "file" / "report.json")
+    with pytest.raises(OSError) as opened:
+        open(path, "w")
+    code, out, err = run_cli(OUT_ARGV + ["--out", path], capsys)
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": {"category": "io",
+                                        "message": f"cannot write {path}: {opened.value}"}}) + "\n"
+
+
+# -- every argv ends in a report or in one error line ----------------------------------
+
+def usually(valid, odd):
+    """``valid`` five draws in six, ``odd`` in the sixth."""
+    return st.integers(0, 5).flatmap(lambda i: odd if i == 5 else valid)
+
+
+ODD_FLOAT = st.one_of(st.floats().map(repr), st.sampled_from(["nan", "inf", "-inf", "-0.0"]))
+PLAIN_FLOAT = st.floats(-3, 3).map(repr)
+CLI_FLOAT = usually(PLAIN_FLOAT, ODD_FLOAT)
+ERROR_CATEGORIES = {"io", "parse", "validation"}
+
+
+def floats_in_order(count):
+    """``count`` floats, ascending but for odd draws."""
+    return usually(st.lists(st.floats(-3, 3), min_size=count, max_size=count)
+                   .map(lambda xs: [repr(x) for x in sorted(xs)]),
+                   st.lists(CLI_FLOAT, min_size=count, max_size=count))
+
+
+@st.composite
+def csv_texts(draw, columns):
+    """A table of 2-12 rows of floats in [-3, 3].  One draw in six has 0
+    or 1 rows instead, one in six a row of the wrong width, and one in six
+    draws its values from any float."""
+    values = draw(usually(st.just(PLAIN_FLOAT), st.just(CLI_FLOAT)))
+    rows = [[draw(values) for _ in range(columns)]
+            for _ in range(draw(usually(st.integers(2, 12), st.integers(0, 1))))]
+    if rows and draw(usually(st.just(False), st.just(True))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        row[:] = row[:-1] if draw(st.booleans()) else row + [draw(values)]
+    lines = [",".join(row) for row in rows]
+    return "\n".join(lines) + ("\n" if lines and draw(st.booleans()) else "")
+
+
+@st.composite
+def region_texts(draw):
+    def piece():
+        lo, hi = draw(floats_in_order(2))
+        return draw(st.sampled_from([lo, f"[{lo},{hi}]", f"(-inf,{hi}]", f"[{lo},inf)"]))
+    return ";".join(piece() for _ in range(draw(st.integers(1, 3))))
+
+
+@st.composite
+def config_texts(draw):
+    if draw(st.booleans()):
+        (lo_x, hi_x), (lo_y, hi_y) = draw(floats_in_order(2)), draw(floats_in_order(2))
+        text = f"shape = rectangle\nlo = {lo_x}, {lo_y}\nhi = {hi_x}, {hi_y}\n"
+    else:
+        normal = ", ".join(draw(usually(st.sampled_from([["1", "0"], ["0.6", "-0.8"]]),
+                                        st.lists(CLI_FLOAT, min_size=2, max_size=2))))
+        text = f"shape = halfspace\nnormal = {normal}\noffset = {draw(CLI_FLOAT)}\n"
+    if draw(st.booleans()):
+        text += f"corners = {draw(CLI_FLOAT)}, {draw(CLI_FLOAT)}\n"
+    return text
+
+
+def _flag(name, value):
+    # "=" keeps a value that starts with "-" a value
+    return f"--{name}={value}"
+
+
+BOOT_REPS = usually(st.sampled_from(["100", "200"]), st.sampled_from(["0", "99"]))
+SEED = usually(st.integers(0, 3), st.integers(-2, -1))
+
+
+@st.composite
+def cli_runs(draw):
+    """An argv for one of the four subcommands, with the files it reads,
+    as (argv, {file name: text}, out) where out is None (stdout), or the
+    bytes an existing --out file holds before the run, or b"" for a path
+    that does not exist yet."""
+    command = draw(st.sampled_from(["pval", "pval2d", "bioeq", "simulate"]))
+    files = {}
+    if command == "pval":
+        files["x.csv"] = draw(csv_texts(1))
+        argv = ["pval", "--input", "{d}/x.csv", _flag("region", draw(region_texts())),
+                "--cd", draw(st.sampled_from(["t", "z", "bootstrap"])),
+                "--method", draw(st.sampled_from(sorted(cli.METHOD_TOKENS))),
+                "--boot-reps", draw(BOOT_REPS), _flag("seed", draw(SEED))]
+    elif command == "pval2d":
+        files["x.csv"] = draw(csv_texts(2))
+        files["r.cfg"] = draw(config_texts())
+        argv = ["pval2d", "--input", "{d}/x.csv", "--config", "{d}/r.cfg",
+                "--depth", draw(st.sampled_from(["mahalanobis", "simplicial"])),
+                "--boot-reps", draw(BOOT_REPS), _flag("seed", draw(SEED))]
+    elif command == "bioeq":
+        lower, upper = draw(floats_in_order(2))
+        var_d = draw(usually(st.floats(0.01, 9).map(repr), CLI_FLOAT))
+        argv = ["bioeq", *(_flag(name, draw(usually(st.integers(2, 30), st.integers(-1, 1))))
+                           for name in ("n1", "n2")),
+                _flag("mean-t", draw(CLI_FLOAT)), _flag("mean-r", draw(CLI_FLOAT)),
+                _flag("var-d", var_d), _flag("lower", lower), _flag("upper", upper)]
+        if draw(st.booleans()):
+            alphas = usually(st.floats(0.001, 0.5).map(repr), CLI_FLOAT)
+            argv.append(_flag("alphas", ",".join(draw(alphas) for _ in range(2))))
+    else:
+        argv = ["simulate", _flag("n", draw(usually(st.integers(2, 12), st.integers(0, 1)))),
+                _flag("reps", draw(usually(st.just(50), st.just(49)))), "--boot-reps", "100",
+                _flag("seed", draw(SEED))]
+        if draw(st.booleans()):
+            argv += [_flag("region", draw(region_texts())), _flag("true-mean", draw(CLI_FLOAT)),
+                     "--cd", draw(st.sampled_from(["t", "z"])),
+                     "--method", draw(st.sampled_from(sorted(cli.METHOD_TOKENS)))]
+        else:
+            files["r.cfg"] = draw(config_texts())
+            method = st.sampled_from(["multi", "multi-max"])
+            argv += ["--config", "{d}/r.cfg", "--method", draw(method),
+                     _flag("true-mean", f"{draw(CLI_FLOAT)},{draw(CLI_FLOAT)}")]
+    out = draw(st.one_of(st.none(), st.just(b""), st.binary(min_size=1, max_size=3000)))
+    if out is not None:
+        argv += ["--out", "{d}/report.json"]
+    return argv, files, out
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _floats(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _floats(item)
+
+
+P_KEYS = ("p", "p_multi", "p_max", "corner_p", "lower_tail", "upper_tail", "median_p",
+          "direct", "indirect", "full")
+
+
+def _p_values(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key in P_KEYS:
+                yield from item if isinstance(item, list) else [item]
+            else:
+                yield from _p_values(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _p_values(item)
+
+
+@given(run=cli_runs())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+def test_every_argv_gives_a_report_or_one_error_line(run, tmp_path, capsys):
+    argv, files, out = run
+    d = tmp_path / "run"
+    shutil.rmtree(d, ignore_errors=True)
+    d.mkdir()
+    for name, text in files.items():
+        (d / name).write_text(text)
+    if out:  # b"" is a path that does not exist yet
+        (d / "report.json").write_bytes(out)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, stdout, stderr = run_cli([arg.format(d=d) for arg in argv], capsys)
+    assert not [str(w.message) for w in caught]
+    if code == 1:
+        assert stdout == ""
+        lines = stderr.splitlines()
+        assert len(lines) == 1 and stderr.endswith("\n"), stderr
+        error = json.loads(lines[0])["error"]
+        assert set(error) == {"category", "message"}
+        assert error["category"] in ERROR_CATEGORIES and error["message"]
+        return
+    assert code == 0
+    assert all(line.startswith("caution: ") for line in stderr.splitlines()), stderr
+    if out is not None:
+        assert stdout == ""
+        stdout = (d / "report.json").read_text()
+    report = strict_json(stdout)
+    assert all(math.isfinite(v) for v in _floats(report))
+    assert all(0.0 <= p <= 1.0 for p in _p_values(report)), report
