@@ -260,8 +260,8 @@ def emit_report(report: dict, out_path) -> None:
     byte for byte what a fresh write gives.  Opening it with truncation
     frees its blocks first, which cost 128-132 us per 0.5-0.8 KB report on
     an ext4 file system mounted with ``discard``, against 7-8 us in place;
-    a temporary file renamed over it cost 107 us.  Any other path (a new
-    file, a FIFO, ``/dev/stdout``) is opened for writing as before.
+    a temporary file renamed over it cost 107 us.  A new file, a FIFO or
+    ``/dev/stdout`` takes the same open and is not cut.
     """
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
@@ -275,15 +275,10 @@ def emit_report(report: dict, out_path) -> None:
 
 
 def _write_over(path, data: bytes) -> None:
-    """Write ``data`` from the start of ``path`` and cut a regular file at
-    their end.  Opening for writing alone needs no read permission; a path
-    it cannot open is opened as a new file, which also raises the error
-    such a path gives."""
-    try:
-        fh = open(os.open(path, os.O_WRONLY), "wb")
-    except OSError:
-        fh = open(path, "wb")
-    with fh:
+    """Write ``data`` from the start of ``path``, creating it if need be, and
+    cut a regular file at their end.  The open needs no read permission and
+    creates a file with the mode ``open(path, "w")`` gives."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write(data)
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate()

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,13 +271,6 @@ class Halfspace(RegionND):
         a = np.asarray(self.normal, dtype=float).ravel()
         if a.size == 0 or not np.isfinite(a).all() or not np.any(a != 0.0):
             raise ValueError("halfspace normal must be a finite nonzero vector")
-        # the boundary grid divides by normal . normal, which must neither
-        # underflow nor overflow
-        with np.errstate(under="ignore", over="ignore"):
-            length2 = float(a @ a)
-        if not sys.float_info.min <= length2 < math.inf:
-            raise ValueError(f"halfspace normal is too short or too long: its squared length "
-                             f"is {length2!r}")
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
         object.__setattr__(self, "normal", a)
@@ -294,11 +286,13 @@ class Halfspace(RegionND):
         if self.dim != 2:
             raise ValueError("halfspace boundary grid implemented for 2-D only")
         a, b = self.normal, self.offset
-        with np.errstate(over="ignore"):
+        # normal . normal can underflow to 0 or overflow; only a foot that is
+        # not finite as a result is an error
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             foot = a * b / (a @ a)
         if not np.isfinite(foot).all():
             raise ValueError("halfspace boundary point offset * normal / (normal . normal) "
-                             "overflows")
+                             "is not finite")
         direction = np.array([-a[1], a[0]]) / math.hypot(a[0], a[1])
         lo, hi = np.asarray(box_lo, dtype=float), np.asarray(box_hi, dtype=float)
         corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]], [hi[0], lo[1]], [hi[0], hi[1]]])

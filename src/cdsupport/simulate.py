@@ -19,9 +19,9 @@ naming the replication and its seed tuple.
 A block derives all of its streams at once.  ``_stream_words`` runs numpy's
 ``SeedSequence`` hash (its pool mix and ``generate_state``, fixed uint32
 recipes whose constants do not depend on the seed) once over the block, in
-batched steps: the pool words that do not depend on r stay Python ints,
-each pool word updates the other three in one (3, R) array step, and the
-eight output words of every replication come from one (R, 8) step.
+batched steps: the pool is one (4, R) array, each pool word updates the
+other three in one (3, R) step, and the eight output words of every
+replication come from one (R, 8) step.
 ``_streams`` then seeds the block's ``PCG64`` generators from one seed
 holder, ``_Words``, an ``ISeedSequence`` that hands out the rows of words in
 order; it checks the range when it is called, and makes each generator as
@@ -220,97 +220,32 @@ def _uint32_words(n: int) -> list[int]:
 
 
 @functools.cache
-def _running_constants(init: int, mult: int, calls: int) -> tuple[tuple[int, ...], np.ndarray]:
-    """The running constant of ``calls`` successive ``hashmix`` calls, as ints
-    and as a read-only (calls + 1, 1) uint32 column: call i xors its value
-    with entry i, then multiplies it by entry i + 1."""
+def _running_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running constant of ``calls`` successive ``hashmix`` calls as a
+    read-only (calls + 1, 1) uint32 column: call i xors its value with entry
+    i, then multiplies it by entry i + 1."""
     h = [init]
     for _ in range(calls):
         h.append(h[-1] * mult & _MASK32)
     column = np.array(h, dtype=np.uint32)[:, None]
     column.flags.writeable = False
-    return tuple(h), column
+    return column
 
 
-class _BlockPool:
-    """numpy's ``SeedSequence`` entropy pool for every replication of a block.
+def _hashmix(value, h: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``value`` under each of the len(h) - 1
+    successive constants of ``h``, one per row of the result."""
+    out = value ^ h[:-1]
+    out *= h[1:]
+    out ^= out >> _SHIFT
+    return out
 
-    Slot d is the Python int ``const[d]`` while it is the same for every r,
-    and the uint32 row ``rows[d]`` (``const[d]`` None) once it depends on r.
-    Each ``hashmix`` takes the next running constant, as numpy's does.
-    """
 
-    def __init__(self, size: int, calls: int):
-        self.h, self.column = _running_constants(_INIT_A, _MULT_A, calls)
-        self.calls = 0
-        self.const = [None] * _POOL_SIZE
-        self.rows = np.empty((_POOL_SIZE, size), dtype=np.uint32)
-
-    def slot(self, d: int):
-        return self.rows[d] if self.const[d] is None else self.const[d]
-
-    def _hashmix(self, value, count: int):
-        """``hashmix(value)`` under the next ``count`` constants: a list of
-        ints for an int value, one (count, R) array for a row."""
-        i = self.calls
-        self.calls += count
-        if isinstance(value, int):
-            out = [(value ^ self.h[j]) * self.h[j + 1] & _MASK32 for j in range(i, i + count)]
-            return [v ^ v >> 16 for v in out]
-        out = value ^ self.column[i:i + count]
-        out *= self.column[i + 1:i + count + 1]
-        out ^= out >> _SHIFT
-        return out
-
-    def fill(self, d: int, word) -> None:
-        """Slot ``d`` starts as ``hashmix(word)``."""
-        value = self._hashmix(word, 1)[0]
-        if isinstance(word, int):
-            self.const[d] = value
-        else:
-            self.rows[d] = value
-
-    def mix(self, dst, value) -> None:
-        """``slot[d] = mix(slot[d], hashmix(value))`` for each d of ``dst`` in
-        order; the slots that are rows after it take one (k, R) step."""
-        hashed = self._hashmix(value, len(dst))
-        if isinstance(value, int):
-            rows, ys = [], []
-            for d, y in zip(dst, hashed):
-                if self.const[d] is None:
-                    rows.append(d)
-                    ys.append(y * _MIX_R & _MASK32)
-                else:
-                    out = (self.const[d] * _MIX_L - y * _MIX_R) & _MASK32
-                    self.const[d] = out ^ out >> 16
-            if not rows:
-                return
-            out = self.rows[rows] * np.uint32(_MIX_L)
-            out -= np.array(ys, dtype=np.uint32)[:, None]
-        else:
-            hashed *= np.uint32(_MIX_R)
-            # a row value makes every slot it reaches a row, so the slots of
-            # ``dst`` are all ints (in the first such step) or all rows
-            rows = list(dst)
-            if self.const[rows[0]] is None:
-                out = self.rows[rows] * np.uint32(_MIX_L)
-                out -= hashed
-            else:
-                consts = [self.const[d] * _MIX_L & _MASK32 for d in rows]
-                out = np.array(consts, dtype=np.uint32)[:, None] - hashed
-                for d in rows:
-                    self.const[d] = None
-        out ^= out >> _SHIFT
-        self.rows[rows] = out
-
-    def generate_state(self) -> np.ndarray:
-        """``generate_state(4, np.uint64)`` of every replication, (R, 4)."""
-        _, column = _running_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-        # word i of a replication hashes its slot i % 4
-        state = np.bitwise_xor(np.concatenate((self.rows, self.rows)).T, column[:-1, 0], order="C")
-        state *= column[1:, 0]
-        state ^= state >> _SHIFT
-        return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_L)
+    out -= y * np.uint32(_MIX_R)
+    out ^= out >> _SHIFT
+    return out
 
 
 def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
@@ -319,10 +254,10 @@ def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
 
     The hash constants depend only on the entropy's length, which is the
     same for every r below 2**32, so the block runs numpy's recipe once
-    with r as a uint32 row.  A pool slot stays a Python int until r reaches
-    it; each source's updates of the other slots are one (3, R) step, and
-    the eight output words of every replication one (R, 8) step.  ``reps``
-    must be a range of step 1.
+    with r as a uint32 row.  The four pool slots are the rows of one
+    (4, R) array; each slot's updates of the other three are one (3, R)
+    step, and the eight output words of every replication one (R, 8) step.
+    ``reps`` must be a range of step 1.
     """
     if reps.step != 1:
         raise ValueError(f"replication ranges need step 1, got step {reps.step}")
@@ -332,14 +267,25 @@ def _stream_words(seed: int, reps: range, stream: int) -> np.ndarray:
     entropy = [*_uint32_words(seed), r, *_uint32_words(stream)]
     entropy += [0] * (_POOL_SIZE - len(entropy))
     # every entropy word costs _POOL_SIZE hashmix calls, the pool's own words included
-    pool = _BlockPool(len(r), _POOL_SIZE * len(entropy))
+    h = _running_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = np.empty((_POOL_SIZE, len(r)), dtype=np.uint32)
     for d, word in enumerate(entropy[:_POOL_SIZE]):
-        pool.fill(d, word)
+        pool[d] = word
+    pool = _hashmix(pool, h[:_POOL_SIZE + 1])
+    calls = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        pool.mix([d for d in range(_POOL_SIZE) if d != src], pool.slot(src))
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[calls:calls + len(dst) + 1]))
+        calls += len(dst)
     for word in entropy[_POOL_SIZE:]:
-        pool.mix(range(_POOL_SIZE), word)
-    return pool.generate_state()
+        pool = _mix(pool, _hashmix(word, h[calls:calls + _POOL_SIZE + 1]))
+        calls += _POOL_SIZE
+    h = _running_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)[:, 0]
+    # word i of a replication hashes its slot i % 4
+    state = np.bitwise_xor(np.concatenate((pool, pool)).T, h[:-1], order="C")
+    state *= h[1:]
+    state ^= state >> _SHIFT
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache

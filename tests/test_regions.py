@@ -187,6 +187,22 @@ class TestHalfspace:
         with pytest.raises(ValueError):
             Halfspace(normal=[0.0, 0.0], offset=1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_of_a_normal_whose_squared_length_overflows(self):
+        # normal . normal is inf, so the foot comes out 0, within 1e-200 of
+        # the true boundary x = 1e-200
+        h = Halfspace(normal=[1e200, 0.0], offset=1.0)
+        grid = h.boundary_grid(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+        assert grid.shape == (129, 2)
+        assert (grid[:, 0] == 0.0).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_of_a_normal_whose_squared_length_underflows(self):
+        h = Halfspace(normal=[0.0, 2.8345852743287677e-165], offset=0.0)
+        assert h.contains(np.array([[5.0, -1.0], [5.0, 1.0]])).tolist() == [True, False]
+        with pytest.raises(ValueError, match="boundary point .* is not finite"):
+            h.boundary_grid(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+
 
 class TestQuadrantComplement:
     def test_contains(self):
