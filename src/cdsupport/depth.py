@@ -64,22 +64,23 @@ at seed 1 of the benchmark, whose corner depths sit in the dense middle of
 the depth distribution.
 
 ``p_multi`` often needs no screen at all.  Every cloud point has simplicial
-depth at least C(m - 1, 2) / C(m, 3), and only vertices of the convex hull
-reach it (Liu, Ann. Statist. 18, 1990), so when a hull vertex lies inside
-the region that is the floor, and only outside hull vertices can join the
-tail.  ``_CheckedCloud.least_bounds`` codes the sectors from the points
-extreme along 16 fixed axes (5 to 14 distinct witnesses, about 10) to every
-replicate in one call, and certifies a witness at exactly that depth and
-most other replicates above it; the screen runs only when no inside witness
-is certified.  At seed 1 of the benchmark it decides 209 of the 250
-``p_multi`` replications on the ``run_part2`` regions (m = 500: all 200 of
-regions a-d, 9 of 50 of the small box), and 6 of 40 of the one-shot library
-queries (m = 2000).  The same bound holds for every replicate, so ``_multi``
-raises each replicate's lower bound to the least depth: the certified floor
-then leaves no candidate to settle, the kernel returns at once for zero
-queries, and only outside replicates that may be hull vertices, 0-2%, are
-settled for the tail.  It also keeps a corner or a boundary-grid floor
-below the least depth from settling any replicate.  Every decision
+depth at least C(m - 1, 2) / C(m, 3), and exactly the strict vertices of the
+convex hull, points outside the closed hull of the others, have that depth
+(Liu, Ann. Statist. 18, 1990).  So when a strict vertex lies inside the
+region it is the floor, and the outside strict vertices are the tail.
+``_strict_vertices`` finds them exactly: an Akl-Toussaint octagon of the
+cloud's extremes along the axes and diagonals drops the points certainly
+inside it in one vectorised pass, and Andrew's monotone chain runs over the
+rest, about 20 of 500, with the filtered exact orientation of
+``predicates``.  ``_CheckedCloud.least`` turns that into the kernel's own
+answer: the kernel orders directions by float angles, and only points within
+2^-40 radians of the hull's boundary could be judged differently, so those,
+usually none, get their depth from the kernel.  At seed 1 of
+the benchmark the hull decides all 224 of the 350 ``run_part2`` p-values
+whose floor is the least depth (m = 500), with no bound and no exact depth;
+the screen runs for the rest.  Every replicate's lower bound is raised to the
+least depth on the screen's path too, which keeps a corner or a
+boundary-grid floor below it from settling any replicate.  Every decision
 compares depths that are exact or surely on one side of the threshold, so
 the p-values equal those from all exact depths, bit for bit.
 """
@@ -95,6 +96,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .predicates import certainly_left, orient2d
 from .regions import RegionND
 
 __all__ = [
@@ -127,10 +129,12 @@ _WIDTH = SECTORS + 2
 # code of the reverse direction of a code, once t = 4 is folded into sector 0
 _REVERSE = np.r_[(np.arange(SECTORS) + SECTORS // 2) % SECTORS, SECTORS, SECTORS + 1]
 
-# (16 x 2) unit vectors at angles k pi / 16; the points least and most along
-# each are the witnesses of ``_CheckedCloud.least_bounds``
-_WITNESS_AXES = np.array([[math.cos(k * math.pi / 16), math.sin(k * math.pi / 16)]
-                          for k in range(16)])
+# the hull shortcut's margin, in radians, on the angle of a direction: the
+# kernel's key for a direction is within 2^-48 of its exact angle
+_HULL_MARGIN = 2.0 ** -40
+
+# the axes of the octagon prefilter, x, x + y, y and x - y, as rows
+_OCTAGON_AXES = np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, -1.0]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,7 +490,7 @@ class _CheckedCloud:
 
     ``queries`` runs the checks of one query set against it; ``depths`` and
     ``bounds`` evaluate checked query sets without checking again, and
-    ``least_bounds`` bounds the depths of the cloud's own points.  The
+    ``least`` finds the cloud's own points at the least depth.  The
     Mahalanobis mean and inverse covariance are derived on first use and
     kept, so a p-value that evaluates several query sets derives them once.
     """
@@ -559,62 +563,89 @@ class _CheckedCloud:
                 lo[over], hi[over] = 0, total
         return lo / total, hi / total
 
-    def least_bounds(self, inside: np.ndarray, span: np.ndarray):
-        """Bounds on the simplicial depths of the cloud's own points that
-        certify the least one, or None.
+    def least(self, inside: np.ndarray, span: np.ndarray):
+        """Which points of the cloud have the least simplicial depth
+        C(m - 1, 2) / C(m, 3) as ``depths`` computes it, or None when no
+        ``inside`` point has it or the hull cannot tell.
 
-        Every point of the cloud has depth at least C(m - 1, 2) / C(m, 3),
-        and only vertices of its convex hull reach it.  The witnesses are the
-        points least and most along each of ``_WITNESS_AXES``, so hull
-        vertices whenever they are unique.  The ``_sector_codes`` from the
-        witnesses to every point, read backwards for the other direction,
-        give three kinds of bounds (see ``_depth_bounds`` for why each is
-        certified): a witness at a position of its own whose directions fit
-        in H - 1 consecutive sectors gets exactly the least depth; a point
-        from which three witnesses have cyclic sector gaps of at most H - 2
-        each gets at least the next count, C(m - 1, 2) + 1, when a search
-        for them from three of the witnesses finds them; every other point
-        gets 0 and 1 (``_multi`` raises every lower bound to the least
-        depth).  The result is None when no witness is ``inside``, when no
-        witness at the least depth is, or when some |dx| + |dy| may overflow
-        (per-axis ranges ``span``); the full screen, ``bounds``, then
-        decides.  All witnesses are coded in one ``_sector_codes`` call:
-        coding those outside in a second call, only once one inside is
-        certified, costs a call's fixed overhead on every success to save a
-        few thousand pairs on a failure, which then runs the full screen
-        anyway.  Memory is O(witnesses x m).
+        A point has the least exact depth when it is a strict vertex of the
+        convex hull (``_strict_vertices``), and so, by the gap argument below,
+        does the kernel's depth unless the point lies within the margin
+        of the hull's boundary.  Those points, usually none, get their depth
+        from one ``depths`` call.  The hull cannot tell for a cloud of fewer
+        than 4 points, another depth kind, or per-axis ranges ``span`` whose
+        sum overflows; the screen then decides.
+
+        The kernel gives a point alone at its position the least count
+        exactly when the keys of its m - 1 directions fit in an open
+        half-circle, that is, when the largest angular gap G between
+        cyclically consecutive keys exceeds pi; the exact test is the same on
+        the exact angles.  A key's angle is within d = 2^-48 of the exact
+        angle: the rounded difference moves it by at most 2^-53, numpy's
+        ``arctan2`` by at most 4 ulps of pi, 2^-49.  So the two agree unless
+        the exact G is within 2 d of pi, and with the margin t =
+        ``_HULL_MARGIN`` = 2^-40, far above 2 d:
+
+        * At a strict vertex, G is 2 pi less the angle between its hull
+          neighbours, so G - pi is its turn angle u.  With the chord c from
+          the next vertex to the previous one, edges of lengths l1 and l2,
+          and the vertex at distance h from the chord, sin u = |c| h /
+          (l1 l2).  Unless the corner is acute, and u above pi / 2 anyway,
+          |c|^2 >= l1^2 + l2^2 >= 2 l1 l2, so sin u >= 2 h / |c| >= 2 h / D.
+          A vertex certainly left of its chord by more than t |c|_1 D1 has
+          h > t D, so u > 2 t.  An acute corner that fails this costs one
+          kernel row, never a wrong answer.
+        * A point in the hull of the others has G <= pi, and G >= pi - 2 d
+          puts every other point within an angle d of one side of a line
+          through it, so within D sin d of that line (D: the cloud's
+          diameter, at most the sum of the ranges, D1).  Moving from the
+          point across the line leaves the hull within that distance, so the
+          point is that close to a hull edge.  A point whose certified
+          orientation against every edge (a, b) exceeds t |b - a|_1 D1 is
+          farther from every edge line, and the kernel agrees.  The octagon
+          of the prefilter lies in the hull, so a point that clears its
+          edges by that much clears the hull's too, and is no vertex.
+
+        A point at a repeated position has more than the least count, in
+        the kernel, which treats points at the query exactly, as in the
+        exact count.  So outside the margin every answer is the exact one.
+        A cloud far from unit scale is first scaled by a power of two, when
+        that is exact, so that the float bounds neither overflow nor
+        underflow; its hull and angles are the same.
         """
         pts = self.pts
         m = pts.shape[0]
-        if self.kind != "simplicial" or m < 4 or not math.isfinite(sum(span.tolist())):
+        scale = sum(span.tolist())
+        if self.kind != "simplicial" or m < 4 or not math.isfinite(scale):
             return None
-        extent = _WITNESS_AXES @ pts.T
-        wit = np.zeros(m, dtype=bool)
-        wit[extent.argmin(axis=1)] = wit[extent.argmax(axis=1)] = True
-        if not (wit & inside).any():
+        shift = -math.frexp(float(np.abs(pts).max()))[1]
+        if abs(shift) > 64:
+            # far from 1 the float bounds would overflow or underflow; the
+            # geometry of a cloud scaled exactly by 2^shift is the same
+            scaled = np.ldexp(pts, shift)
+            if np.array_equal(np.ldexp(scaled, -shift), pts):
+                pts, scale = scaled, math.ldexp(scale, shift)
+        found = _strict_vertices(pts, _HULL_MARGIN * scale, inside)
+        if found is None:
             return None
-        wit = np.flatnonzero(wit)
-        codes, least = _least_witnesses(_rights(pts), pts[wit], _tile_buffers(wit.size * m))
-        least = wit[least]
-        if not inside[least].any():
-            return None
-        half = SECTORS // 2
-        # per witness and point, the sector from the point to the witness; a
-        # witness at the point's own position gets a copy of another's, which
-        # adds no triple
-        back = _REVERSE[codes]
-        back = np.where(back > SECTORS, back.min(axis=0), back)
-        # from each of three witnesses a, the sectors b and c of two others as
-        # far on as gaps of at most H - 2 allow; the triple counts when the
-        # gap from c back to a is at most H - 2 too
-        starts = [0, wit.size // 3, 2 * wit.size // 3]
-        ahead = (back[:, None] - back[starts]) & (SECTORS - 1)
-        reach = np.where(ahead <= half - 2, ahead, 0).max(axis=0)
-        reach = np.where(ahead <= reach + (half - 2), ahead, 0).max(axis=0)
-        lo = np.where((reach >= half + 2).any(axis=0), math.comb(m - 1, 2) + 1, 0)
-        hi = np.full(m, math.comb(m, 3))
-        lo[least] = hi[least] = math.comb(m - 1, 2)
-        return lo / math.comb(m, 3), hi / math.comb(m, 3)
+        strict, keep, hull = found
+        k = hull.size
+        corners = pts[hull]
+        after, prev = corners[np.arange(1 - k, 1)], corners[np.arange(-1, k - 1)]
+        near = keep & ~strict
+        rest = np.flatnonzero(near)
+        # the other survivors against the edges, and each strict vertex
+        # against its chord, from the next vertex to the previous one
+        left = certainly_left(np.vstack((corners, after)), np.vstack((after, prev)),
+                              np.vstack((pts[rest], corners)), float(np.abs(pts).max()),
+                              _HULL_MARGIN * scale)
+        near[rest] = ~left[:k, :rest.size].all(axis=0)
+        near[hull] |= ~left[k:, rest.size:].diagonal() & strict[hull]
+        least = strict & ~near
+        near = np.flatnonzero(near)
+        if near.size:
+            least[near] = self.depths(self.pts[near]) == _least_depth(m)
+        return least if (least & inside).any() else None
 
 
 def _least_depth(m: int) -> float:
@@ -622,6 +653,79 @@ def _least_depth(m: int) -> float:
     cloud of m points, by the same division as ``_CheckedCloud.depths``, so
     that every depth it computes for a cloud point is at least this."""
     return float((np.array([math.comb(m - 1, 2)]) / math.comb(m, 3))[0])
+
+
+def _octagon(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (a, b), as two (edges x 2) arrays, of the polygon through
+    the cloud's extreme points along the axes and diagonals in
+    counterclockwise order (Akl & Toussaint, IPL 7, 1978), with repeated
+    consecutive extremes merged.
+
+    Every point strictly left of every edge of a closed polygon of cloud
+    points lies inside the hull of those points, whatever the order of the
+    extremes that rounding of x + y or x - y may give: from a point outside,
+    or on the boundary, all of them lie in a closed half-plane, in which
+    strictly counterclockwise steps cannot close the polygon.  A polygon of
+    fewer than 3 points therefore has no interior: its edges go back and
+    forth, and no point is left of both.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        along = _OCTAGON_AXES @ pts.T  # x, x + y, y, x - y: exact products, one rounding
+    ext = [*along.argmax(axis=1)[:3], along[3].argmin(), *along.argmin(axis=1)[:3],
+           along[3].argmax()]
+    # one point extreme every way: a zero edge from it to itself, which
+    # certifies no point
+    ext = [i for k, i in enumerate(ext) if i != ext[k - 1]] or ext[:1]
+    return pts[ext], pts[ext[1:] + ext[:1]]
+
+
+def _chain(pts: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The convex hull of the points ``pts[idx]`` by Andrew's monotone chain
+    with exact turns (``orient2d``): its vertices in counterclockwise
+    order, as indices into ``pts``, one per position, and whether another of
+    the points is at each one's position.  Points on an edge between two
+    vertices are not vertices; the positions, when all of them lie on one
+    line, give its two ends, and a single position itself."""
+    rows = sorted(zip(*pts[idx].T.tolist(), idx.tolist()))  # by x, then y
+    at, repeated = [], set()
+    for row in rows:
+        if at and row[:2] == at[-1][:2]:  # equal as numbers: -0.0 is 0.0
+            repeated.add(at[-1][2])
+        else:
+            at.append(row)
+
+    def half(seq) -> list:
+        out = []
+        for p in seq:
+            while len(out) >= 2 and orient2d(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    ring = [row[2] for row in (half(at) + half(at[::-1]) if len(at) > 1 else at)]
+    return np.array(ring, dtype=np.intp), np.array([i in repeated for i in ring], dtype=bool)
+
+
+def _strict_vertices(pts: np.ndarray, pad: float = 0.0, inside=None):
+    """Which points are strict vertices of the cloud's convex hull, not in
+    the closed hull of the other points; which points survive the octagon
+    prefilter; and the hull's vertices in counterclockwise order, one per
+    position, as indices.
+
+    The prefilter drops the points certainly left of every edge of
+    ``_octagon`` by more than ``pad`` times the edge's 1-norm, in one
+    vectorised pass (``certainly_left``); the chain runs over the rest.  A
+    repeated position is never a strict vertex.  With an ``inside`` mask,
+    the result is None, and no chain is built, when no inside point
+    survives.
+    """
+    keep = ~certainly_left(*_octagon(pts), pts, float(np.abs(pts).max()), pad).all(axis=0)
+    if inside is not None and not (keep & inside).any():
+        return None
+    hull, repeated = _chain(pts, np.flatnonzero(keep))
+    strict = np.zeros(pts.shape[0], dtype=bool)
+    strict[hull[~repeated]] = True
+    return strict, keep, hull
 
 
 def _extent(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -691,10 +795,10 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     exact zero (see ``_differences``).  A zero dx gives r = 0 and t = 1 or
     3 whatever its sign, and a zero dy with dx < 0 gives t = 2; only a zero
     dy with dx > 0 depends on the sign, t = 0 (code 0) for +0.0 and t = 4
-    (code ``SECTORS``) for -0.0, and the histograms and ``least_bounds``
-    count code ``SECTORS`` as sector 0.  So no count moves.  A code is the
-    truncation of ``offsets`` less (r + 1) H, signed as dy, rounded once;
-    the NaN at the query becomes -(H + 1) first, which lands on
+    (code ``SECTORS``) for -0.0, and the histograms count code ``SECTORS``
+    as sector 0.  So no count moves.  A code is the truncation of
+    ``offsets`` less (r + 1) H, signed as dy, rounded once; the NaN at the
+    query becomes -(H + 1) first, which lands on
     ``SECTORS + 1``.  Every pass but the one with column ``offsets`` takes
     a scalar or an array of the same shape.
 
@@ -722,25 +826,6 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
 def _row_offsets(rows: int) -> np.ndarray:
     """(rows x 1) ``offsets`` of ``_sector_codes``: row * _WIDTH + H."""
     return (np.arange(rows, dtype=float) * _WIDTH + SECTORS // 2)[:, None]
-
-
-def _least_witnesses(right: np.ndarray, wit: np.ndarray, work: np.ndarray):
-    """The codes of ``_sector_codes`` from the points ``wit`` to every point
-    of the cloud with factors ``right``, without their row offsets and with
-    code ``SECTORS`` read as sector 0, and which of those points are at the
-    least simplicial count: alone at their position, with all their
-    directions in H - 1 consecutive sectors (see ``_depth_bounds``)."""
-    e, half = wit.shape[0], SECTORS // 2
-    codes = _sector_codes(_lefts(wit), right, _row_offsets(e), work)
-    hist = _tally(codes, e)
-    hist[:, 0] += hist[:, SECTORS]
-    # running count of the occupied sectors, once round and H + 1 more
-    occupied = np.cumsum(np.hstack([hist[:, :SECTORS], hist[:, : half + 1]]) > 0, axis=1)
-    # H + 1 empty sectors in a row: the live directions fit in H - 1
-    fits = (occupied[:, half + 1:] == occupied[:, :SECTORS]).any(axis=1)
-    codes -= np.arange(0, e * _WIDTH, _WIDTH)[:, None]
-    codes[codes == SECTORS] = 0
-    return codes, fits & (hist[:, SECTORS + 1] == 1)
 
 
 def _tally(codes: np.ndarray, rows: int) -> np.ndarray:
@@ -903,20 +988,6 @@ def _depth_bounds(cloud, queries, kind: str) -> tuple[np.ndarray, np.ndarray]:
       most 2 plus some ulps, and its computed sectors fit in H + 2
       consecutive sectors from its first one: the upper bound, capped at
       the C(L, 3) triples of the L directions not at the query.
-    * The least count, for ``_CheckedCloud.least_bounds``.  A query that is
-      a point of the cloud is a vertex of C(m - 1, 2) triangles, all hits,
-      and the kernel counts each triple of its L <= m - 1 live directions
-      as a miss at most once, so its count is at least C(m - 1, 2).  When
-      the point is alone at its position (L = m - 1) and all its computed
-      sectors fit in H - 1 consecutive sectors, every triple fits and is a
-      miss by the third point above: the count is exactly C(m - 1, 2).
-      When three other points, none at the query, have computed sectors
-      whose three cyclic gaps are at most H - 2 each, no gap reaches the
-      H - 1 that fitting in H + 2 consecutive sectors needs, so by the
-      fourth point that triple is a hit: the count is at least
-      C(m - 1, 2) + 1.  The sectors from a point to the witnesses are the
-      reverse codes of the second point, so both facts hold per triple
-      like the bounds above.
 
     Both are integer counts, turned into depths by the same division as
     ``depth_of``, which is monotone; so lo <= depth_of <= hi on every input,
@@ -975,9 +1046,13 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
 
     The replicates, the boundary grid and the corners each get the query
     checks of ``depth_of`` once, against a cloud checked once.  Without
-    corners and with replicates inside, the bounds are those of
-    ``least_bounds`` when it certifies the least depth, else the screen's.
-    Every simplicial lower bound of a replicate is then raised to
+    corners and with replicates inside, the convex hull comes first
+    (``_CheckedCloud.least``): when it finds an inside replicate at the
+    least depth C(m - 1, 2) / C(m, 3), that is the floor, and the tail is
+    the share of outside replicates at the least depth.  No bound is
+    computed and, unless a replicate lies within the hull's margin of 2^-40
+    radians, no exact depth either.  Otherwise the bounds are the screen's,
+    and every simplicial lower bound of a replicate is raised to
     ``_least_depth(m)``, which no computed depth of a cloud point is below
     (Liu 1990; the kernel's own division).
 
@@ -985,19 +1060,17 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     below the least upper bound, min hi.  That keeps the floor F: F <= min
     hi, and a candidate with lo >= min hi has depth >= F, so the minimum
     over the settled depths, the certified ones (lo == hi) and the lower
-    bounds left is still F.  When ``least_bounds`` certifies an inside
-    witness, min hi is the least depth and no candidate is settled.  Then
-    every replicate whose bounds straddle the floor (outside ones) or a
-    corner depth is settled in one more ``depths`` call.  Every comparison
-    then reads a bound that equals the exact depth or lies on the same
-    side of the threshold, so the result equals the one from all exact
-    depths, bit for bit.
+    bounds left is still F.  Then every replicate whose bounds straddle the
+    floor (outside ones) or a corner depth is settled in one more
+    ``depths`` call.  Every comparison then reads a bound that equals the
+    exact depth or lies on the same side of the threshold, so the result
+    equals the one from all exact depths, bit for bit.
 
     A corner below the least depth straddles no raised bound and gets
-    ``corner_p`` 0.  When all corners are that shallow, the bounds may come
-    from ``least_bounds`` too; see ``p_multi_max``.  Their depths are then
-    computed first, where, with replicates inside and m >= 4, no other
-    check of a simplicial p-value can fail before them.
+    ``corner_p`` 0.  When all corners are that shallow, the hull may decide
+    too; see ``p_multi_max``.  Their depths are then computed first, where,
+    with replicates inside and m >= 4, no other check of a simplicial
+    p-value can fail before them.
     """
     pts = cloud.pts
     inside = region.contains(pts)
@@ -1007,7 +1080,15 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
         corner_depths = cloud.depths(cloud.queries(corners)[0])
         shallow = bool((corner_depths < _least_depth(pts.shape[0])).all())
     if bounds is None and (corners is None or shallow) and inside.any():
-        bounds = cloud.least_bounds(inside, span)
+        least = cloud.least(inside, span)
+        if least is not None:
+            # as ``mean`` divides the counts: the correctly rounded quotient
+            esp = np.count_nonzero(inside) / pts.shape[0]
+            tail = np.count_nonzero(least & ~inside) / pts.shape[0]
+            return MultiPValue(p=min(esp + tail, 1.0), esp=esp, tail=tail,
+                               depth_floor=_least_depth(pts.shape[0]),
+                               floor_source="inside-replicates",
+                               corner_p=() if corners is None else (0.0,) * len(corner_depths))
     lo, hi = cloud.bounds(pts, span) if bounds is None else bounds
     if cloud.kind == "simplicial" and pts.shape[0] >= 3:
         lo = np.maximum(lo, _least_depth(pts.shape[0]))
@@ -1048,12 +1129,16 @@ def p_multi(cloud, kind: str, region: RegionND, _depths=None) -> MultiPValue:
     box.  Outside replicates at or below the floor count into the tail.
     Exact depths are computed only where certified bounds cannot decide
     (see ``_multi``).  For simplicial depth with replicates inside, the
-    bounds come first from ``_CheckedCloud.least_bounds``, which certifies
-    an inside hull vertex at the least depth C(m - 1, 2) / C(m, 3), and
-    so the floor, from the sectors between a few extreme replicates and
-    every replicate; only when it cannot does the full screen of
-    ``_depth_bounds`` run.  A region of another dimension than the cloud
-    is rejected.
+    exact convex hull of the cloud comes first: a strict hull vertex has
+    the least depth C(m - 1, 2) / C(m, 3) and every other replicate more,
+    so an inside strict vertex is the floor and the outside strict vertices
+    are the tail.  Only the replicates within 2^-40 radians of the hull's
+    boundary, where the kernel's float angles could disagree with the exact
+    geometry, get exact depths; that margin is 128 times the kernel's
+    largest angle error, 2 * 2^-48 (see ``_CheckedCloud.least``).  Only when
+    no inside replicate is at the least depth does the full screen of
+    ``_depth_bounds`` run.  A region of another dimension than the cloud is
+    rejected.
     """
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])
@@ -1068,8 +1153,9 @@ def p_multi_max(cloud, kind: str, region: RegionND) -> MultiPValue:
     Every cloud point has simplicial depth at least C(m - 1, 2) / C(m, 3),
     so a corner below that depth has p-value 0 exactly.  When every corner
     is that shallow the result is the ``p_multi`` one with zero corner
-    p-values, and it is computed that way, through ``least_bounds`` when
-    that certifies the floor, from the exact corner depths computed first.
+    p-values, and it is computed that way, from the exact corner depths
+    computed first: through the convex hull of ``p_multi`` whenever an
+    inside replicate has the least depth.
     """
     pts = _cloud_points(cloud)
     if region.corners.size == 0:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .predicates import dot_sign
+
 __all__ = [
     "Interval",
     "NullRegion",
@@ -278,7 +280,15 @@ class Halfspace(RegionND):
         object.__setattr__(self, "corners", _as_corners(self.corners, self.dim))
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(points) @ self.normal <= self.offset
+        pts = np.atleast_2d(points)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = pts @ self.normal
+        out = dots <= self.offset
+        # a finite point whose float product overflows is decided exactly
+        for i in np.flatnonzero(~np.isfinite(dots)):
+            if np.isfinite(pts[i]).all():
+                out[i] = dot_sign(pts[i], self.normal, self.offset) <= 0
+        return out
 
     def boundary_grid(self, box_lo, box_hi) -> np.ndarray:
         # 129 points on the boundary-line segment spanning the reference box:
@@ -286,10 +296,17 @@ class Halfspace(RegionND):
         if self.dim != 2:
             raise ValueError("halfspace boundary grid implemented for 2-D only")
         a, b = self.normal, self.offset
-        # normal . normal can underflow to 0 or overflow; only a foot that is
-        # not finite as a result is an error
+        # normal . normal can underflow or overflow; then normal and offset
+        # are first divided by the power of two of max |normal|, which keeps
+        # the foot's value.  Where normal . normal is a normal float the foot
+        # is the plain quotient, and only a foot that is not finite is an error
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            foot = a * b / (a @ a)
+            if np.finfo(float).tiny <= a @ a < np.inf:
+                foot = a * b / (a @ a)
+            else:
+                shift = -int(np.frexp(np.abs(a).max())[1])
+                scaled = np.ldexp(a, shift)
+                foot = scaled * np.ldexp(b, shift) / (scaled @ scaled)
         if not np.isfinite(foot).all():
             raise ValueError("halfspace boundary point offset * normal / (normal . normal) "
                              "is not finite")

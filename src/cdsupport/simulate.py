@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -345,12 +345,15 @@ def _bivariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
     drawn from its replication's own stream."""
     chol = np.linalg.cholesky(spec.cov)
     multi = MULTI_METHODS[spec.method]
-    return np.array([
-        multi(bootstrap_cloud(spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T,
-                              spec.boot_m, seed=[spec.seed, r, 1]),
-              spec.depth, spec.region).p
-        for r, rng in zip(reps, _streams(spec.seed, reps, 0))
-    ], dtype=float)
+
+    def p_value(r, rng, boot):
+        data = spec.true_mean + rng.standard_normal((spec.n, 2)) @ chol.T
+        # the cloud records the seed tuple its stream comes from
+        cloud = replace(bootstrap_cloud(data, spec.boot_m, seed=boot), seed=(spec.seed, r, 1))
+        return multi(cloud, spec.depth, spec.region).p
+
+    streams = zip(reps, _streams(spec.seed, reps, 0), _streams(spec.seed, reps, 1))
+    return np.array([p_value(*args) for args in streams], dtype=float)
 
 
 def _block_pvalues(spec: ExperimentSpec, reps: range) -> np.ndarray:

@@ -19,6 +19,7 @@ from cdsupport import (
     ExperimentSpec,
     PART2_COV,
     Rectangle,
+    bootstrap_cloud,
     direct_support,
     full_support,
     indirect_support,
@@ -331,12 +332,40 @@ def test_bivariate_failure_names_replication(monkeypatch, threads):
         n=40, reps=50, method="multi", depth="mahalanobis", boot_m=100, seed=3, cov=PART2_COV,
     )
     real = simulate.bootstrap_cloud
+    # replication 31's bootstrap generator, before its first draw
+    target = np.random.default_rng([3, 31, 1]).bit_generator.state
 
     def flaky(data, reps, seed):
-        if list(seed) == [3, 31, 1]:
+        if seed.bit_generator.state == target:
             raise ValueError("injected failure")
         return real(data, reps, seed)
 
     monkeypatch.setattr(simulate, "bootstrap_cloud", flaky)
     with pytest.raises(ValueError, match=r"rep=31 with seed \(3, 31, 0\).*injected failure"):
         run_experiment(spec, threads=threads)
+
+
+def test_bivariate_clouds_come_from_the_batched_bootstrap_streams(monkeypatch):
+    # each replication's cloud is the one default_rng([seed, r, 1]) resamples,
+    # bit for bit, and records that seed tuple
+    spec = ExperimentSpec(
+        model="bivariate-normal", true_mean=(0.0, 0.0),
+        region=Rectangle(lower=[-1, -4], upper=[0, 4]),
+        n=30, reps=50, method="multi", boot_m=100, seed=11, cov=PART2_COV,
+    )
+    clouds = []
+    real = simulate.MULTI_METHODS["multi"]
+
+    def recording(cloud, kind, region):
+        clouds.append(cloud)
+        return real(cloud, kind, region)
+
+    monkeypatch.setitem(simulate.MULTI_METHODS, "multi", recording)
+    run_experiment(spec)
+    chol = np.linalg.cholesky(PART2_COV)
+    for r, cloud in enumerate(clouds):
+        data = spec.true_mean + np.random.default_rng([11, r, 0]).standard_normal((30, 2)) @ chol.T
+        want = bootstrap_cloud(data, 100, seed=[11, r, 1])
+        assert cloud.seed == (11, r, 1) == want.seed
+        assert np.array_equal(cloud.points, want.points)
+    assert len(clouds) == 50

@@ -16,15 +16,17 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cdsupport import (
+    PART2_COV,
     PointSet,
     bootstrap_cloud,
     cli,
     direct_support,
     make_student_t_cd,
+    p_multi,
     p_multi_max,
     parse_region,
 )
-from cdsupport.cli import main
+from cdsupport.cli import load_region_config, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -511,14 +513,6 @@ BAD_INPUT = [
      "validation", "--cd does not apply to bivariate-normal runs"),
     ("not-utf8", ["pval", "--input", "{d}/not_utf8.csv", "--region", "0"],
      "parse", "{d}/not_utf8.csv: not utf-8 text at byte offset 0 (invalid start byte)"),
-    # found by test_every_argv_gives_a_report_or_one_error_line: the boundary
-    # grid, used when no replicate is inside, divided by a squared length that
-    # underflowed to 0, with a numpy warning
-    ("biv-halfspace-tiny-normal", ["simulate", "--true-mean", "0,100", "--n", "20", "--reps",
-                                   "50", "--boot-reps", "100", "--config", "{d}/tiny_normal.cfg",
-                                   "--method", "multi"],
-     "validation", "replication rep=0 with seed (0, 0, 0) failed: halfspace boundary point "
-                   "offset * normal / (normal . normal) is not finite"),
     ("pval2d-halfspace-far-boundary", PVAL2D + ["--config", "{d}/far_boundary.cfg"],
      "validation", "halfspace boundary point offset * normal / (normal . normal) is not finite"),
     # found by the same test: sums of finite draws overflowed, with a numpy warning
@@ -581,6 +575,26 @@ def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, cap
     assert (code, out) == (1, "")
     line = json.dumps({"error": {"category": category, "message": message.format(d=d)}})
     assert err == line + "\n"
+
+
+# once a row of BAD_INPUT: the boundary grid, used when no replicate is inside,
+# divided by a squared length that underflowed to 0.  Normal and offset are
+# now scaled by a power of two first, and the grid decides every replication.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_tiny_normal_halfspace_is_answered_from_the_boundary_grid(bad_input_dir, capsys):
+    config = bad_input_dir / "tiny_normal.cfg"
+    code, out, err = run_cli(["simulate", "--true-mean", "0,100", "--n", "20", "--reps", "50",
+                              "--boot-reps", "100", "--config", str(config),
+                              "--method", "multi"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["reps"] == 50 and 0.0 <= report["median_p"] <= 1.0
+    # replication 0 of that run, as the harness draws it
+    rng = np.random.default_rng([0, 0, 0])
+    data = np.array([0.0, 100.0]) + rng.standard_normal((20, 2)) @ np.linalg.cholesky(PART2_COV).T
+    cloud = bootstrap_cloud(data, 100, seed=[0, 0, 1])
+    res = p_multi(cloud, "simplicial", load_region_config(config)[0])
+    assert res.floor_source == "boundary-grid" and res.esp == 0.0
 
 
 def test_undecodable_byte_is_located_in_the_file(tmp_path, capsys):

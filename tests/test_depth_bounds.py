@@ -25,6 +25,7 @@ from cdsupport import (
     p_multi_max,
 )
 from cdsupport import depth as depth_module
+from cdsupport import predicates
 from cdsupport.cli import load_region_config, main
 from cdsupport.depth import (
     MULTI_METHODS,
@@ -148,8 +149,9 @@ def exact_queries(monkeypatch):
 
 
 def test_p_multi_settles_few_replicates(exact_queries):
+    # no replicate inside the small box is a hull vertex, so the screen decides
     cloud = part2_cloud(0, m=2000)
-    region = PART2_REGIONS["d_corner"][0]
+    region = PART2_REGIONS["e_small_box"][0]
     want = reference_p_multi(cloud, "simplicial", region)
     exact_queries.clear()
     assert p_multi(cloud, "simplicial", region) == want
@@ -313,16 +315,13 @@ def test_products_give_the_subtraction_results(case):
             patch.setattr(depth_module, "CHUNK_PAIRS", SMALL_CHUNK)
             tiled = _sector_histograms(pts, pts)
         return (_sector_histograms(pts, pts), tiled, _sector_histograms(pts, queries),
-                least_bounds(pts), _simplicial_counts(pts, queries))
+                _simplicial_counts(pts, queries))
 
     got = screen_and_kernel()
     with subtracting_directly():
         want = screen_and_kernel()
     for mine, reference in zip(got, want):
-        if mine is None or reference is None:
-            assert mine is reference
-        else:
-            assert all(np.array_equal(a, b) for a, b in zip(mine, reference))
+        assert np.array_equal(mine, reference)
     # no difference of distinct points was flushed to zero: a point is at
     # the query exactly when it equals the query
     at_query = (pts[None, :, :] == queries[:, None, :]).all(axis=2).sum(axis=1)
@@ -472,7 +471,7 @@ def test_error_precedence_of_the_p_values(data, kind, config, methods, message, 
         "category": "validation", "message": message}
 
 
-# -- least-depth bounds: the shortcut past the full screen --------------------------
+# -- the convex hull: the least depth without the screen ---------------------------
 
 
 def least_depth(m):
@@ -481,13 +480,13 @@ def least_depth(m):
     return (np.array([math.comb(m - 1, 2)]) / math.comb(m, 3))[0]
 
 
-def least_bounds(pts, inside=None):
-    """``_CheckedCloud.least_bounds`` of a cloud's own points, every point
-    inside unless said otherwise."""
+def hull_least(pts, inside=None):
+    """``_CheckedCloud.least`` of a cloud's own points, every point inside
+    unless said otherwise."""
     checked = depth_module._CheckedCloud.check(pts, "simplicial")
     _, span = checked.queries(checked.pts)
     inside = np.ones(checked.pts.shape[0], dtype=bool) if inside is None else inside
-    return checked.least_bounds(inside, span)
+    return checked.least(inside, span)
 
 
 @st.composite
@@ -498,11 +497,12 @@ def least_cases(draw):
     Shapes: Gaussian; Gaussian with its rightmost point duplicated; all on one
     line; integer lattice; a lattice cloud symmetric about the origin (exact
     antipodes); and Gaussian with three added hull vertices, the middle one
-    1e-9 out of the edge between the other two, so its angle is nearly flat.
+    1e-9 out of the edge between the other two, so its angle is nearly flat,
+    or 1e-14 out, within the hull's margin.
     """
     m = draw(st.integers(4, 300))
-    shape = draw(st.sampled_from(
-        ["gaussian", "duplicate-vertex", "line", "lattice", "antipodes", "flat-vertex"]))
+    shape = draw(st.sampled_from(["gaussian", "duplicate-vertex", "line", "lattice",
+                                  "antipodes", "flat-vertex", "margin-vertex"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if shape == "line":
         pts = rng.standard_normal((m, 1)) * rng.standard_normal(2) + rng.standard_normal(2)
@@ -515,8 +515,9 @@ def least_cases(draw):
         pts = rng.standard_normal((m, 2))
     if shape == "duplicate-vertex":
         pts[rng.integers(0, m)] = pts[np.argmax(pts[:, 0])]
-    elif shape == "flat-vertex":  # (10, 0), (0, 10) and just outside their midpoint
-        pts[:3] = [[10.0, 0.0], [0.0, 10.0], [5.0 + 1e-9, 5.0 + 1e-9]]
+    elif shape in ("flat-vertex", "margin-vertex"):  # (10, 0), (0, 10), just out of the middle
+        out = 1e-9 if shape == "flat-vertex" else 1e-14
+        pts[:3] = [[10.0, 0.0], [0.0, 10.0], [5.0 + out, 5.0 + out]]
     angle = draw(st.floats(0.0, 2 * np.pi))
     centre = pts[np.argmax(pts @ [np.cos(angle), np.sin(angle)])]
     if draw(st.booleans()):  # miss the outermost point, but maybe not the cloud
@@ -527,31 +528,27 @@ def least_cases(draw):
 
 @given(least_cases())
 @settings(max_examples=300, deadline=None)
-def test_p_multi_with_least_bounds_equals_the_reference(case):
+def test_p_multi_through_the_hull_equals_the_reference(case):
     pts, region = case
     assert p_multi(pts, "simplicial", region) == reference_p_multi(pts, "simplicial", region)
 
 
 @given(bounds_cases())
 @settings(max_examples=300, deadline=None)
-# m = 4, one point inside the triangle of the other three: its lower bound,
-# C(3, 2) + 1 = C(4, 3), meets its upper bound at depth 1, not the least depth
+# m = 4, one point inside the triangle of the other three
 @example((np.array([[-0.39530129, 0.26391489], [0.60712827, -0.9721598],
                     [0.76766425, 0.25505812], [0.78297987, 0.27241823]]), np.zeros((1, 2))))
-def test_least_bounds_bracket_the_kernel_depth(case):
+def test_hull_finds_exactly_the_kernel_least_depths(case):
     pts, _ = case
     m = pts.shape[0]
     exact = depth_of(pts, pts, "simplicial")
     # every point is a vertex of the C(m - 1, 2) triangles through it
     assert (exact >= least_depth(m)).all()
-    bounds = least_bounds(pts)
-    if bounds is None:
-        return
-    lo, hi = bounds
-    assert (lo <= exact).all() and (exact <= hi).all()
-    certified = (lo == hi) & (lo == least_depth(m))
-    assert certified.any() and (exact[certified] == least_depth(m)).all()
-    assert set(np.unique(lo[~certified])) <= {0.0, lo.max()}
+    least = hull_least(pts)
+    if least is None:
+        assert m < 4 or not (exact == least_depth(m)).any()
+    else:
+        assert np.array_equal(least, exact == least_depth(m))
 
 
 @pytest.mark.parametrize("shape", ["gaussian", "lattice", "duplicates", "line"])
@@ -568,12 +565,13 @@ def test_every_point_is_at_least_at_the_least_depth(shape):
         pts = np.outer(rng.standard_normal(m), [1.0, -3.0]) + [0.5, 2.0]
     exact = depth_of(pts, pts, "simplicial")
     assert (exact >= least_depth(m)).all()
-    bounds = least_bounds(pts)
-    if shape in ("gaussian", "line"):  # unique extreme points
-        assert bounds is not None
-    if bounds is not None:
-        certified = bounds[0] == bounds[1]
-        assert (exact[certified] == least_depth(m)).all()
+    least = hull_least(pts)
+    if shape in ("gaussian", "line"):  # unique hull vertices, and the ends of the line
+        assert least is not None
+    if least is not None:
+        assert np.array_equal(least, exact == least_depth(m))
+    else:
+        assert not (exact == least_depth(m)).any()
 
 
 def test_next_count_is_above_the_least_depth_as_a_float():
@@ -585,21 +583,21 @@ def test_next_count_is_above_the_least_depth_as_a_float():
 
 
 def test_duplicated_inside_vertex_falls_back_to_the_screen():
-    # the rightmost point is doubled, so it is no certified witness; the box
-    # holds it and nothing else of the hull
+    # the rightmost point is doubled, so it is no strict vertex; the box holds
+    # it and nothing else of the hull
     pts = np.random.default_rng(17).standard_normal((120, 2))
     right = np.argmax(pts[:, 0])
     pts[0 if right else 1] = pts[right]
     box = Rectangle(lower=pts[right] - 1e-6, upper=pts[right] + 1e-6)
-    assert least_bounds(pts, box.contains(pts)) is None
+    assert hull_least(pts, box.contains(pts)) is None
     assert p_multi(pts, "simplicial", box) == reference_p_multi(pts, "simplicial", box)
 
 
-def test_least_bounds_decline_overflowing_direction_sums():
+def test_hull_declines_overflowing_direction_sums():
     # each axis spans 1.6e308, but |dx| + |dy| overflows between opposite corners
     pts = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.8e308, -0.8e308],
                     [-0.8e308, 0.8e308], [0.0, 0.0], [1.0, 2.0]])
-    assert least_bounds(pts) is None
+    assert hull_least(pts) is None
     box = Rectangle(lower=[0.7e308, 0.7e308], upper=[0.9e308, 0.9e308])
     assert p_multi(pts, "simplicial", box) == reference_p_multi(pts, "simplicial", box)
 
@@ -627,6 +625,28 @@ def test_interior_region_skips_the_screen(workers, screens):
                                workers)
     assert got == [reference_p_multi(cloud, "simplicial", region) for cloud in clouds]
     assert screens == []
+
+
+def battery_cloud(seed, rep, n=200, m=500):
+    """The cloud of replication ``rep`` of the ``run_part2`` battery, as
+    ``simulate`` draws it at that seed with true mean (0, 0)."""
+    rng = np.random.default_rng([seed, rep, 0])
+    data = np.zeros(2) + rng.standard_normal((n, 2)) @ np.linalg.cholesky(PART2_COV).T
+    return bootstrap_cloud(data, m, seed=[seed, rep, 1])
+
+
+# the small-box replications of seed 1 whose floor is the least depth, which the
+# sector witnesses of an earlier shortcut missed: three inside hull vertices
+# extreme along none of 16 axes, and one whose directions spanned too many sectors
+@pytest.mark.parametrize("rep", [26, 28, 38, 44])
+def test_small_box_hull_vertex_skips_the_screen(rep, screens, exact_queries):
+    region = PART2_REGIONS["e_small_box"][0]
+    cloud = battery_cloud(1, rep)
+    want = reference_p_multi(cloud, "simplicial", region)
+    exact_queries.clear()
+    got = p_multi(cloud, "simplicial", region)
+    assert got == want and got.depth_floor == least_depth(500)
+    assert screens == [] and exact_queries == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -674,25 +694,15 @@ def test_p_multi_max_with_shallow_corners_equals_the_reference(case):
         assert got == replace(p_multi(pts, "simplicial", region), corner_p=got.corner_p)
 
 
-def test_least_bounds_settle_few_replicates(exact_queries):
-    cloud = part2_cloud(0, m=2000)
+@pytest.mark.parametrize("m,reps", [(500, range(3)), (2000, range(1))])
+def test_hull_floor_makes_no_kernel_call(m, reps, exact_queries):
     region = PART2_REGIONS["a_interior"][0]
-    want = reference_p_multi(cloud, "simplicial", region)
-    exact_queries.clear()
-    assert p_multi(cloud, "simplicial", region) == want
-    assert len(exact_queries) == 2 and sum(exact_queries) < 2000 // 100
-
-
-def test_certified_floor_leaves_no_candidate_to_settle(exact_queries):
-    region = PART2_REGIONS["a_interior"][0]
-    for rep in range(3):
-        cloud = part2_cloud(rep, m=500)
+    for rep in reps:
+        cloud = part2_cloud(rep, m=m)
         want = reference_p_multi(cloud, "simplicial", region)
         exact_queries.clear()
         assert p_multi(cloud, "simplicial", region) == want
-        # every replicate is bounded below by the least depth, which the
-        # certified witness reaches: the floor's call gets no rows
-        assert len(exact_queries) == 2 and exact_queries[0] == 0
+        assert exact_queries == []
 
 
 def test_no_queries_make_an_empty_count():
@@ -702,7 +712,7 @@ def test_no_queries_make_an_empty_count():
     assert depth_of(pts, np.empty((0, 2)), "simplicial").shape == (0,)
 
 
-def test_shortcut_codes_its_witnesses_once(monkeypatch, screens):
+def test_hull_path_codes_no_sector(monkeypatch, screens):
     calls = []
     real = depth_module._sector_codes
 
@@ -714,7 +724,37 @@ def test_shortcut_codes_its_witnesses_once(monkeypatch, screens):
     region = PART2_REGIONS["d_corner"][0]
     cloud = part2_cloud(1, m=500)
     assert p_multi(cloud, "simplicial", region) == reference_p_multi(cloud, "simplicial", region)
-    assert screens == [] and len(calls) == 1 and 5 <= calls[0] <= 32
+    assert screens == [] and calls == []
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_far_scaled_cloud_keeps_the_float_filter(scale, monkeypatch, exact_queries):
+    # scaled back near 1 by a power of two, the hull needs no rational turn
+    # and no kernel call, where its float bounds would overflow or underflow
+    rational = []
+    real = predicates._exact_orient
+    monkeypatch.setattr(predicates, "_exact_orient", lambda *args: rational.append(args)
+                        or real(*args))
+    pts = np.random.default_rng(21).standard_normal((300, 2)) * scale
+    right = pts[np.argmax(pts[:, 0])]
+    box = Rectangle(lower=right - 0.01 * scale, upper=right + 0.01 * scale)
+    want = reference_p_multi(pts, "simplicial", box)
+    exact_queries.clear()
+    assert p_multi(pts, "simplicial", box) == want
+    assert rational == [] and exact_queries == []
+
+
+def test_vertex_within_the_margin_gets_its_depth_from_the_kernel(exact_queries):
+    # the middle vertex is 1e-14 out of the edge from (10, 0) to (0, 10): its
+    # turn angle, about 3e-15 radians, is below the margin of 2^-40
+    pts = np.random.default_rng(19).standard_normal((200, 2))
+    pts[:3] = [[10.0, 0.0], [0.0, 10.0], [5.0 + 1e-14, 5.0 + 1e-14]]
+    box = Rectangle(lower=pts[2] - 1e-12, upper=pts[2] + 1e-12)
+    assert box.contains(pts).tolist() == [False, False, True] + [False] * 197
+    want = reference_p_multi(pts, "simplicial", box)
+    exact_queries.clear()
+    assert p_multi(pts, "simplicial", box) == want
+    assert exact_queries[:1] == [1]
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """``import cdsupport`` loads numpy.random, concurrent.futures, csv and
 argparse only in the calls that use them, and the deferred seeding of the
-univariate streams keeps every stream bit for bit.
+univariate streams keeps every stream bit for bit.  Neither the import nor a
+depth p-value on a Gaussian cloud loads ``fractions``.
 
 The check runs in a fresh interpreter, because other test modules load these
 modules and ``sys.modules`` is shared by the whole session.
@@ -87,6 +88,37 @@ SCRIPT = textwrap.dedent(
 def test_deferred_modules_load_in_the_calls_that_use_them(tmp_path):
     result = subprocess.run(
         [sys.executable, "-c", SCRIPT], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+HULL_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    import cdsupport
+    from cdsupport import PART2_COV, Rectangle, bootstrap_cloud, p_multi, p_multi_max
+
+    assert "fractions" not in sys.modules, "import cdsupport"
+    data = np.random.default_rng(4).standard_normal((200, 2)) @ np.linalg.cholesky(PART2_COV).T
+    cloud = bootstrap_cloud(data, 500, seed=5)
+    for region in (Rectangle(lower=[-1, -1], upper=[1, 1]),
+                   Rectangle(lower=[-1, -4], upper=[0, 0], corners=[[5, 5]])):
+        assert p_multi(cloud, "simplicial", region).depth_floor == 3 / 500
+        p_multi_max(cloud, "simplicial", region)
+    assert "fractions" not in sys.modules, "p_multi on a Gaussian cloud"
+    """
+)
+
+
+def test_the_hull_of_a_gaussian_cloud_needs_no_rational_fallback(tmp_path):
+    # the exact orientation falls back to ``fractions`` only for the triples
+    # its float filter cannot certify, which continuous clouds do not reach
+    result = subprocess.run(
+        [sys.executable, "-c", HULL_SCRIPT], cwd=tmp_path, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
     )
     assert result.returncode == 0, result.stderr

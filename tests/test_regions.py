@@ -189,19 +189,46 @@ class TestHalfspace:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_of_a_normal_whose_squared_length_overflows(self):
-        # normal . normal is inf, so the foot comes out 0, within 1e-200 of
-        # the true boundary x = 1e-200
+        # normal . normal is inf, so normal and offset are first divided by
+        # 2^665, and the foot is the true boundary x = 1e-200
         h = Halfspace(normal=[1e200, 0.0], offset=1.0)
         grid = h.boundary_grid(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
         assert grid.shape == (129, 2)
-        assert (grid[:, 0] == 0.0).all()
+        assert (grid[:, 0] == 1e-200).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_of_a_normal_whose_squared_length_underflows(self):
         h = Halfspace(normal=[0.0, 2.8345852743287677e-165], offset=0.0)
         assert h.contains(np.array([[5.0, -1.0], [5.0, 1.0]])).tolist() == [True, False]
+        grid = h.boundary_grid(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+        assert grid.shape == (129, 2) and (grid[:, 1] == 0.0).all()
+        assert grid[:, 0].min() == -3.3 and grid[:, 0].max() == 3.3
+        # an offset whose foot overflows is still rejected
         with pytest.raises(ValueError, match="boundary point .* is not finite"):
-            h.boundary_grid(np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+            Halfspace(normal=[0.0, 2.8345852743287677e-165], offset=1e300).boundary_grid(
+                np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("normal,offset", [([1.0, 0.7], 0.3), ([1e-3, 1e-3], 1e-3),
+                                               ([2.0, -1.0], -5.0)])
+    def test_grid_foot_is_unchanged_where_the_squared_length_is_normal(self, normal, offset):
+        a = np.array(normal)
+        grid = Halfspace(normal=normal, offset=offset).boundary_grid(
+            np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+        direction = np.array([-a[1], a[0]]) / math.hypot(a[0], a[1])
+        corners = np.array([[-3.0, -3.0], [-3.0, 3.0], [3.0, -3.0], [3.0, 3.0]])
+        foot = a * offset / (a @ a)
+        t = (corners - foot) @ direction
+        pad = 0.05 * (t.max() - t.min())
+        assert np.array_equal(grid[0], foot + (t.min() - pad) * direction)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_contains_decides_an_overflowing_product_exactly(self):
+        h = Halfspace(normal=[1e10, 1e10], offset=0.0)
+        assert h.contains([[1e300, -1e300]]).tolist() == [True]
+        pts = np.array([[1e300, -1e300 * (1 - 2.0 ** -52)], [1e300, -1e300 * (1 + 2.0 ** -52)],
+                        [1e300, 1.0], [-1e300, -1.0], [0.5, -0.5]])
+        assert h.contains(pts).tolist() == [False, True, False, True, True]
 
 
 class TestQuadrantComplement:
