@@ -5,12 +5,12 @@ from .cd import (
     make_asymptotic_normal_cd,
     make_bootstrap_cd,
     make_student_t_cd,
+    sample_cd,
 )
 from .depth import (
     BootstrapCloud,
     MultiPValue,
     bootstrap_cloud,
-    mahalanobis_depth,
     p_multi,
     p_multi_max,
     simplicial_depth,
@@ -36,18 +36,12 @@ from .simulate import (
     write_qq_csv,
 )
 from .support import (
-    PieceSupport,
     SupportReport,
     bioeq_cd,
     bioeq_p,
     bioeq_tails,
     direct_support,
     extended_indirect_support,
-    full_support,
-    indirect_support,
-    max_direct_p,
-    p_max_uni,
-    p_star,
     p_value,
     weighted_indirect,
 )

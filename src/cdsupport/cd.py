@@ -11,6 +11,9 @@ sampling.  Three kinds are provided:
 * ``bootstrap-empirical`` -- piecewise-linear c.d.f. interpolated through the
                             order statistics of resampled means.
 
+``sample_cd`` is the one path from a sample to a CD, for the CLI's ``pval``
+and the Monte Carlo harness alike.
+
 All evaluation is done through the object's own ``cdf``.  Quantiles of the
 exact kinds are the closed-form inverses ``center + scale * stdtrit(df, p)``
 and ``center + scale * ndtri(p)``, which agree with that ``cdf`` to about
@@ -29,16 +32,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .depth import resample_means
+from .depth import _check_seed, resample_means
 
 __all__ = [
+    "CD_TOKENS",
     "ConfidenceDistribution",
     "make_student_t_cd",
     "make_asymptotic_normal_cd",
     "make_bootstrap_cd",
+    "sample_cd",
 ]
 
 CD_KINDS = ("exact-t", "asymptotic-normal", "bootstrap-empirical")
+
+# the names ``sample_cd`` takes for the Student-t, normal and bootstrap CDs
+CD_TOKENS = ("t", "z", "bootstrap")
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +133,30 @@ def _location_scale(n: int, mean, sd) -> tuple:
     if isinstance(mean, np.ndarray) or isinstance(sd, np.ndarray):
         mean, sd = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
         positive = (sd > 0.0).all()
-        finite = np.isfinite(mean).all() and np.isfinite(sd).all()
     else:
         mean, sd = float(mean), float(sd)
         positive = sd > 0.0
-        finite = math.isfinite(mean) and math.isfinite(sd)
     if not positive:
         raise ValueError(f"sample sd must be positive, got {sd}")
-    if not finite:
-        raise ValueError(f"sample mean and sd must be finite, got mean={mean}, sd={sd}")
+    _check_moments(mean, sd)
     return mean, sd / math.sqrt(n)
+
+
+def _check_moments(mean, sd) -> None:
+    """Reject a sample mean or sd, floats or arrays, that is not finite."""
+    if not (np.isfinite(mean).all() and np.isfinite(sd).all()):
+        raise ValueError(f"sample mean and sd must be finite, got mean={mean}, sd={sd}")
+
+
+def _check_boot_reps(reps: int) -> None:
+    if reps < 100:
+        raise ValueError(f"need reps >= 100 bootstrap replicates, got {reps}")
+
+
+def check_cd_token(kind) -> None:
+    """Reject a CD name that is not one of ``CD_TOKENS``."""
+    if kind not in CD_TOKENS:
+        raise ValueError(f"unknown cd kind {kind!r}")
 
 
 def make_student_t_cd(n: int, mean, sd) -> ConfidenceDistribution:
@@ -172,8 +194,7 @@ def make_bootstrap_cd(sample, reps: int, seed) -> ConfidenceDistribution:
         raise ValueError(f"need a sample of size >= 2, got {x.size}")
     if not np.isfinite(x).all():
         raise ValueError("sample contains non-finite values")
-    if reps < 100:
-        raise ValueError(f"need reps >= 100 bootstrap replicates, got {reps}")
+    _check_boot_reps(reps)
     if np.all(x == x[0]):
         raise ValueError("degenerate sample: all observations equal")
     with np.errstate(over="ignore", invalid="ignore"):  # sums of huge values overflow
@@ -187,3 +208,35 @@ def make_bootstrap_cd(sample, reps: int, seed) -> ConfidenceDistribution:
         raise ValueError("degenerate bootstrap distribution: replicates all equal")
     return ConfidenceDistribution(
         kind="bootstrap-empirical", center=center, scale=scale, grid=grid)
+
+
+def sample_cd(kind: str, sample, boot_m: int, seed) -> tuple:
+    """The CD of the mean named by ``kind``, one of ``CD_TOKENS``, with the
+    sample mean and sd (ddof 1) it was built from: ``(cd, mean, sd)``.
+
+    ``sample`` is 1-D, or for ``t`` and ``z`` a (block x n) array whose rows
+    are samples; the block then gets one CD with array center and scale,
+    and array mean and sd.  In this order it rejects an unknown kind, fewer
+    than 2 observations, a mean or sd that is not finite, fewer than 100
+    bootstrap replicates ``boot_m`` and a negative ``seed``, for every
+    kind, so that a report carrying ``boot_m`` and ``seed`` never shows bad
+    ones; then come the checks of the kind's own maker.
+    """
+    check_cd_token(kind)
+    x = np.atleast_1d(np.asarray(sample, dtype=float))
+    n = x.shape[-1]
+    if n < 2:
+        raise ValueError("need at least 2 observations")
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of huge values overflow
+        mean, sd = x.mean(axis=-1), x.std(axis=-1, ddof=1)
+    if x.ndim == 1:
+        mean, sd = float(mean), float(sd)
+    _check_moments(mean, sd)
+    _check_boot_reps(boot_m)
+    _check_seed(seed)
+    if kind == "bootstrap":
+        if x.ndim != 1:
+            raise ValueError("a bootstrap CD takes one 1-D sample")
+        return make_bootstrap_cd(x, boot_m, seed), mean, sd
+    make = make_student_t_cd if kind == "t" else make_asymptotic_normal_cd
+    return make(n, mean, sd), mean, sd

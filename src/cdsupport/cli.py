@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import support
-from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
+from .cd import CD_TOKENS, sample_cd
 from .depth import DEPTH_KINDS, MULTI_METHODS, bootstrap_cloud, check_region_dim
 from .regions import (
     Halfspace,
@@ -289,28 +289,11 @@ def _write_over(path, data: bytes) -> None:
 
 def cmd_pval(args) -> dict:
     sample = read_csv_columns(args.input, 1)
-    if sample.size < 2:
-        raise CliError("validation", "need at least 2 observations")
     try:
         region = parse_region(args.region)
     except ValueError as exc:
         raise CliError("parse", str(exc)) from None
-    n = int(sample.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, sd = float(sample.mean()), float(sample.std(ddof=1))
-    if not (math.isfinite(mean) and math.isfinite(sd)):
-        raise CliError("validation", f"sample mean and sd must be finite, got mean={mean}, sd={sd}")
-    # every CD's report carries --boot-reps and --seed, so every CD checks them
-    if args.boot_reps < 100:
-        raise CliError("validation", f"need reps >= 100 bootstrap replicates, got {args.boot_reps}")
-    if args.seed < 0:
-        raise CliError("validation", f"seed must be >= 0, got {args.seed}")
-    if args.cd == "t":
-        cd = make_student_t_cd(n, mean, sd)
-    elif args.cd == "z":
-        cd = make_asymptotic_normal_cd(n, mean, sd)
-    else:
-        cd = make_bootstrap_cd(sample, args.boot_reps, seed=args.seed)
+    cd, mean, sd = sample_cd(args.cd, sample, args.boot_reps, args.seed)
     method = METHOD_TOKENS[args.method]
     table = support.support_table(cd, region)
     pieces = table.pieces()
@@ -326,7 +309,7 @@ def cmd_pval(args) -> dict:
             "boot_reps": args.boot_reps,
             "seed": args.seed,
         },
-        "n": n,
+        "n": int(sample.size),
         "mean": mean,
         "sd": sd,
         "pieces": [
@@ -413,11 +396,13 @@ def cmd_bioeq(args) -> dict:
 
 def cmd_simulate(args) -> dict:
     truth = _parse_vector(args.true_mean, "--true-mean")
+    # one number is a scalar truth; ``ExperimentSpec`` rejects a univariate list
+    true_mean = truth[0] if len(truth) == 1 else truth
     if args.config and args.region:
         raise CliError("validation", "simulate takes --region or --config, not both")
     if args.config:
         region, cov = load_region_config(args.config)
-        model = {"model": "bivariate-normal", "true_mean": truth, "depth": args.depth,
+        model = {"model": "bivariate-normal", "true_mean": true_mean, "depth": args.depth,
                  "cov": PART2_COV if cov is None else cov}
         ignored = "cd"
     elif args.region:
@@ -425,9 +410,7 @@ def cmd_simulate(args) -> dict:
             region = parse_region(args.region)
         except ValueError as exc:
             raise CliError("parse", str(exc)) from None
-        if len(truth) != 1:
-            raise CliError("validation", "univariate runs need a scalar --true-mean")
-        model = {"model": "univariate-normal", "true_mean": truth[0], "cd": args.cd}
+        model = {"model": "univariate-normal", "true_mean": true_mean, "cd": args.cd}
         ignored = "depth"
     else:
         raise CliError("validation", "simulate needs --region or --config")
@@ -496,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pval", help="univariate region p-value from a CSV sample")
     common(p, region=True, input_file=True)
     p.add_argument("--method", choices=sorted(METHOD_TOKENS), default="full")
-    p.add_argument("--cd", choices=("t", "z", "bootstrap"), default="t")
+    p.add_argument("--cd", choices=CD_TOKENS, default="t")
     p.add_argument("--boot-reps", type=int, default=2000)
     p.set_defaults(fn=cmd_pval)
 
@@ -525,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--method", choices=sorted(METHOD_TOKENS) + list(MULTI_METHODS),
                    default="full")
-    p.add_argument("--cd", choices=("t", "z", "bootstrap"),
+    p.add_argument("--cd", choices=CD_TOKENS,
                    help="univariate runs only (default: t)")
     p.add_argument("--depth", choices=DEPTH_KINDS,
                    help="bivariate runs only (default: simplicial)")

@@ -102,7 +102,6 @@ from .regions import RegionND
 __all__ = [
     "BootstrapCloud",
     "bootstrap_cloud",
-    "mahalanobis_depth",
     "simplicial_depth",
     "simplicial_depth_brute",
     "depth_of",
@@ -242,12 +241,6 @@ def _mahalanobis_batch(mu: np.ndarray, inv_cov: np.ndarray, queries: np.ndarray)
     centered = queries - mu
     q = np.einsum("ij,jk,ik->i", centered, inv_cov, centered)
     return 1.0 / (1.0 + q)
-
-
-def mahalanobis_depth(cloud, w) -> float:
-    """Depth 1 / (1 + squared Mahalanobis distance) under the cloud's own
-    mean and covariance; equals 1 exactly at the cloud mean."""
-    return float(depth_of(cloud, w, "mahalanobis")[0])
 
 
 # -- simplicial depth (2-D, exact) -------------------------------------------
@@ -488,7 +481,8 @@ def _triangles_contain(a, b, c, w) -> np.ndarray:
 class _CheckedCloud:
     """A cloud that passed the cloud checks of ``depth_of`` for one depth kind.
 
-    ``queries`` runs the checks of one query set against it; ``depths`` and
+    ``queries`` runs the checks of one query set against it, and ``span``
+    the range check of the cloud's own points, once; ``depths`` and
     ``bounds`` evaluate checked query sets without checking again, and
     ``least`` finds the cloud's own points at the least depth.  The
     Mahalanobis mean and inverse covariance are derived on first use and
@@ -523,13 +517,13 @@ class _CheckedCloud:
                 f"query dimension {q.shape[1]} differs from the cloud's {self.pts.shape[1]}")
         if not np.isfinite(q).all():
             raise ValueError("queries contain non-finite values")
-        span = _span(self.pts, q)
-        if not np.isfinite(span).all():
-            axis = int(np.argmin(np.isfinite(span)))
-            raise ValueError(
-                f"coordinate range overflows: cloud and query values on axis {axis} "
-                "differ by more than the largest float")
-        return q, span
+        return q, _span(self.pts, q)
+
+    @cached_property
+    def span(self) -> np.ndarray:
+        """The per-axis range of the cloud's own points, with the check
+        ``queries`` makes of a query set's range."""
+        return _span(self.pts)
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -736,14 +730,21 @@ def _extent(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([col.min() for col in cols]), np.array([col.max() for col in cols])
 
 
-def _span(pts: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per axis, the range (``np.ptp``) of the cloud and queries together."""
+def _span(pts: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
+    """Per axis, the range (``np.ptp``) of the cloud and the queries, if
+    any, together; a range that overflows is rejected."""
     bottom, top = _extent(pts)
-    if q.shape[0] and q is not pts:
+    if q is not None and q.shape[0]:
         q_bottom, q_top = _extent(q)
         top, bottom = np.maximum(top, q_top), np.minimum(bottom, q_bottom)
     with np.errstate(over="ignore"):
-        return top - bottom
+        span = top - bottom
+    if not np.isfinite(span).all():
+        axis = int(np.argmin(np.isfinite(span)))
+        raise ValueError(
+            f"coordinate range overflows: cloud and query values on axis {axis} "
+            "differ by more than the largest float")
+    return span
 
 
 def _in_blocks(fn, n: int, rows: int) -> np.ndarray:
@@ -1044,8 +1045,9 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     """The one path of ``p_multi`` and ``p_multi_max``, from bounds on the
     replicate depths.
 
-    The replicates, the boundary grid and the corners each get the query
-    checks of ``depth_of`` once, against a cloud checked once.  Without
+    The boundary grid and the corners each get the query checks of
+    ``depth_of`` once, against a cloud checked once; the replicates, which
+    are the cloud, get only its range check (``_CheckedCloud.span``).  Without
     corners and with replicates inside, the convex hull comes first
     (``_CheckedCloud.least``): when it finds an inside replicate at the
     least depth C(m - 1, 2) / C(m, 3), that is the floor, and the tail is
@@ -1074,7 +1076,7 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     """
     pts = cloud.pts
     inside = region.contains(pts)
-    _, span = cloud.queries(pts)
+    span = cloud.span
     corner_depths, shallow = None, False
     if corners is not None and cloud.kind == "simplicial" and pts.shape[0] >= 4 and inside.any():
         corner_depths = cloud.depths(cloud.queries(corners)[0])

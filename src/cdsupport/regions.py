@@ -223,7 +223,13 @@ class Rectangle(RegionND):
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
-        return np.all((pts >= self.lower) & (pts <= self.upper), axis=1)
+        # one column at a time: an axis-1 ``np.all`` over the (m x k)
+        # booleans costs about as much as all the comparisons
+        inside = None
+        for col, lo, hi in zip(pts.T, self.lower, self.upper, strict=True):
+            within = (col >= lo) & (col <= hi)
+            inside = within if inside is None else inside & within
+        return inside
 
     def boundary_grid(self, box_lo, box_hi) -> np.ndarray:
         # 64 points per edge plus the finite vertices; infinite bounds are

@@ -9,12 +9,13 @@ master seed is an integer >= 0; seeds of 2**32 and above are split into
 Both models share one driver: ``run_experiment`` cuts ``range(reps)`` into
 contiguous blocks, maps them over ``threads`` block workers and joins the
 p-values in index order.  A univariate block is drawn into one (block, n)
-array, each row from its replication's own stream, and a single CD with
-array center and scale feeds the support kernel for the whole block (the
-bootstrap CD, whose grid differs per replication, is built per
-replication).  A bivariate block builds each replication's bootstrap cloud
-and depth p-value in turn.  A failure inside a block raises a ``ValueError``
-naming the replication and its seed tuple.
+array, each row from its replication's own stream, and ``cd.sample_cd``
+makes a single CD with array center and scale, which feeds the support
+kernel for the whole block (the bootstrap CD, whose grid differs per
+replication, is made per replication by the same function).  A bivariate
+block builds each replication's bootstrap cloud and depth p-value in turn.
+A failure inside a block raises a ``ValueError`` naming the replication and
+its seed tuple.
 
 A block derives all of its streams at once.  ``_stream_words`` runs numpy's
 ``SeedSequence`` hash (its pool mix and ``generate_state``, fixed uint32
@@ -44,8 +45,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import support
-from .cd import make_asymptotic_normal_cd, make_bootstrap_cd, make_student_t_cd
-from .depth import DEPTH_KINDS, MULTI_METHODS, bootstrap_cloud
+from .cd import check_cd_token, sample_cd
+from .depth import DEPTH_KINDS, MULTI_METHODS, _check_seed, bootstrap_cloud
 from .regions import NullRegion, RegionND
 
 __all__ = [
@@ -75,7 +76,7 @@ class ExperimentSpec:
     n: int
     reps: int = 2000
     method: str = "full"
-    cd: str = "t"                   # "t" | "z" | "bootstrap"
+    cd: str = "t"                   # one of cd.CD_TOKENS
     depth: str = "simplicial"
     boot_m: int = 500
     seed: int = 0
@@ -89,8 +90,7 @@ class ExperimentSpec:
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if self.model not in ("univariate-normal", "bivariate-normal"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.n < 2:
@@ -102,12 +102,11 @@ class ExperimentSpec:
         if self.model == "univariate-normal":
             if self.method not in support.METHODS:
                 raise ValueError(f"method {self.method!r} not valid for univariate runs")
-            if self.cd not in ("t", "z", "bootstrap"):
-                raise ValueError(f"unknown cd kind {self.cd!r}")
+            check_cd_token(self.cd)
             if not isinstance(self.region, NullRegion):
                 raise ValueError("univariate runs need a NullRegion")
             if np.ndim(self.true_mean) != 0:
-                raise ValueError("univariate truth must be a scalar")
+                raise ValueError("univariate runs need a scalar --true-mean")
             if np.asarray(self.true_mean).dtype.kind not in "biuf":
                 raise ValueError(f"true_mean must be a real number, got {self.true_mean!r}")
             if not math.isfinite(float(self.true_mean)):
@@ -326,18 +325,16 @@ def _univariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:
         y *= spec.sd
         y += spec.true_mean
     mapping = support.METHODS[spec.method]
+    # one CD for the whole block, or one bootstrap CD per replication from
+    # its stream (seed, r, 1)
     if spec.cd == "bootstrap":
-        return np.array([
-            mapping(support.support_table(
-                make_bootstrap_cd(row, spec.boot_m, seed=rng), spec.region
-            )).item()
-            for row, rng in zip(y, _streams(spec.seed, reps, 1))
-        ])
-    make_cd = make_student_t_cd if spec.cd == "t" else make_asymptotic_normal_cd
-    with np.errstate(over="ignore", invalid="ignore"):
-        center, scale = y.mean(axis=1), y.std(axis=1, ddof=1)
-    cd = make_cd(spec.n, center, scale)
-    return mapping(support.support_table(cd, spec.region))
+        samples = zip(y, _streams(spec.seed, reps, 1))
+    else:
+        samples = [(y, spec.seed)]
+    return np.concatenate([
+        mapping(support.support_table(sample_cd(spec.cd, x, spec.boot_m, seed)[0], spec.region))
+        for x, seed in samples
+    ])
 
 
 def _bivariate_block(spec: ExperimentSpec, reps: range) -> np.ndarray:

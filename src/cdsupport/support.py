@@ -3,20 +3,24 @@
 For a null region that is a union of disjoint closed intervals, each piece
 gets a direct support (CD mass on the piece), an indirect support (smallest
 doubled tail mass over the piece), and their clamped sum, the full support.
-The union p-value is the largest per-piece full support; variants trade
-size control against power:
-
-* ``p_value``     -- max over pieces of the full support,
-* ``max_direct_p``-- max over pieces of the direct support alone,
-* ``p_star``      -- largest minus second-largest per-piece full support,
-* ``p_max_uni``   -- max of the whole-region direct support and the
-                     indirect supports at the finite boundary points.
-
 Every mapping reads one :class:`SupportTable`, built from a single ``cdf``
-call on the vector of piece endpoints.  A CD whose center and scale are
-arrays stands for a block of CDs; its table has one column per CD, so the
-Monte Carlo harness and the scalar calls share this one code path.
-``METHODS`` names the mappings for the CLI and the harness.
+call on the vector of piece endpoints; ``METHODS`` names them for the CLI
+and the harness, trading size control against power:
+
+* ``full``       -- max over pieces of the full support, the union p-value
+                    (``p_value``),
+* ``direct``     -- CD mass on the whole region (``direct_support``),
+* ``max-direct`` -- max over pieces of the direct support alone,
+* ``p-star``     -- largest minus second-largest per-piece full support,
+* ``p-max``      -- max of the whole-region direct support and the
+                    indirect supports at the finite boundary points.
+
+A CD whose center and scale are arrays stands for a block of CDs; its table
+has one column per CD, so the Monte Carlo harness and the scalar calls share
+this one code path.  ``weighted_indirect`` and
+``extended_indirect_support`` are the paper's other singleton and region
+supports, and ``bioeq_cd``, ``bioeq_tails`` and ``bioeq_p`` its two
+one-sided equivalence test.
 """
 
 from __future__ import annotations
@@ -36,14 +40,9 @@ __all__ = [
     "METHODS",
     "support_table",
     "direct_support",
-    "indirect_support",
     "weighted_indirect",
     "extended_indirect_support",
-    "full_support",
     "p_value",
-    "max_direct_p",
-    "p_star",
-    "p_max_uni",
     "bioeq_cd",
     "bioeq_tails",
     "bioeq_p",
@@ -120,6 +119,9 @@ def _max_direct(t: SupportTable) -> np.ndarray:
 
 
 def _p_star(t: SupportTable) -> np.ndarray:
+    # a single-piece region gets its full support (the second order
+    # statistic is taken as zero), so the mapping is total and equals
+    # ``p_value`` there
     if t.full.shape[0] == 1:
         return t.full[0]
     top = np.sort(t.full, axis=0)
@@ -130,7 +132,7 @@ def _p_max(t: SupportTable) -> np.ndarray:
     direct = _direct_total(t)
     ends = (e for pc in t.region.pieces for e in (pc.lo, pc.hi))
     finite = [k for k, e in enumerate(ends) if math.isfinite(e)]
-    if not finite:
+    if not finite:  # the whole line: the direct support alone
         return direct
     return np.maximum(direct, _clamp01(t.tail[finite]).max(axis=0))
 
@@ -145,18 +147,9 @@ METHODS = {
 }
 
 
-def _scalar(method: str, cd: ConfidenceDistribution, region: NullRegion) -> float:
-    return METHODS[method](support_table(cd, region)).item()
-
-
 def direct_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """CD mass assigned to the whole region (sum over pieces)."""
-    return _scalar("direct", cd, region)
-
-
-def indirect_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
-    """Infimum over the region of twice the smaller tail mass."""
-    return support_table(cd, region).indirect.min(axis=0).item()
+    return _direct_total(support_table(cd, region)).item()
 
 
 def weighted_indirect(cd: ConfidenceDistribution, theta0: float, gamma: float) -> float:
@@ -184,40 +177,10 @@ def extended_indirect_support(cd: ConfidenceDistribution, region: NullRegion) ->
     return float(_clamp01(cd.cdf(cd.center - reach) + (1.0 - cd.cdf(cd.center + reach))))
 
 
-def full_support(cd: ConfidenceDistribution, piece: Interval) -> float:
-    """Direct plus indirect support of a single piece, clamped to [0, 1]."""
-    return support_table(cd, NullRegion((piece,))).full.item()
-
-
 def p_value(cd: ConfidenceDistribution, region: NullRegion) -> SupportReport:
     """Union p-value: the largest per-piece full support."""
     table = support_table(cd, region)
     return SupportReport(pieces=table.pieces(), p=_max_full(table).item())
-
-
-def max_direct_p(cd: ConfidenceDistribution, region: NullRegion) -> float:
-    """Power-oriented variant: the largest per-piece direct support."""
-    return _scalar("max-direct", cd, region)
-
-
-def p_star(cd: ConfidenceDistribution, region: NullRegion) -> float:
-    """Largest minus second-largest per-piece full support.
-
-    A single-piece region returns its full support (the second order
-    statistic is taken as zero), so the mapping is total and coincides with
-    :func:`p_value` there.
-    """
-    return _scalar("p-star", cd, region)
-
-
-def p_max_uni(cd: ConfidenceDistribution, region: NullRegion) -> float:
-    """Boundary-max mapping: max of the whole-region direct support and the
-    singleton indirect supports at all finite boundary points.
-
-    Falls back to the direct support alone when the region has no finite
-    endpoint (the whole line).
-    """
-    return _scalar("p-max", cd, region)
 
 
 def bioeq_cd(

@@ -1,8 +1,9 @@
-"""Scalar readings of univariate regions and support reports that only the
-tests use; the library reads regions through ``support.support_table``.
-Also the plain subtraction that the depth kernels' matrix products must
-reproduce, and the triangle-at-a-time loop that the blocks of
-``simplicial_depth_brute`` must reproduce."""
+"""Scalar readings of univariate regions, supports and depths that only the
+tests use; the library reads regions through ``support.support_table`` and
+its ``METHODS``, and depths through ``depth.depth_of``.  Also the plain
+subtraction that the depth kernels' matrix products must reproduce, and the
+triangle-at-a-time loop that the blocks of ``simplicial_depth_brute`` must
+reproduce."""
 
 import contextlib
 import math
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from cdsupport import depth
+from cdsupport.regions import NullRegion
+from cdsupport.support import METHODS, support_table
 
 
 def region_contains(region, theta: float) -> bool:
@@ -31,6 +34,37 @@ def boundary_points(region) -> list[float]:
 def piece_full(report) -> list[float]:
     """The full support of each piece of a ``SupportReport``."""
     return [ps.full for ps in report.pieces]
+
+
+def indirect_support(cd, region) -> float:
+    """Infimum over the region of twice the smaller tail mass."""
+    return support_table(cd, region).indirect.min(axis=0).item()
+
+
+def full_support(cd, piece) -> float:
+    """Direct plus indirect support of a single piece, clamped to [0, 1]."""
+    return support_table(cd, NullRegion((piece,))).full.item()
+
+
+def max_direct_p(cd, region) -> float:
+    """The largest per-piece direct support."""
+    return METHODS["max-direct"](support_table(cd, region)).item()
+
+
+def p_star(cd, region) -> float:
+    """Largest minus second-largest per-piece full support."""
+    return METHODS["p-star"](support_table(cd, region)).item()
+
+
+def p_max_uni(cd, region) -> float:
+    """Max of the whole-region direct support and the singleton indirect
+    supports at all finite boundary points."""
+    return METHODS["p-max"](support_table(cd, region)).item()
+
+
+def mahalanobis_depth(cloud, w) -> float:
+    """Mahalanobis depth of one point under the cloud's mean and covariance."""
+    return float(depth.depth_of(cloud, w, "mahalanobis")[0])
 
 
 def subtract_directly(left, right, out):

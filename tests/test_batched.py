@@ -20,15 +20,11 @@ from cdsupport import (
     PART2_COV,
     Rectangle,
     bootstrap_cloud,
+    cd as cd_module,
     direct_support,
-    full_support,
-    indirect_support,
     make_asymptotic_normal_cd,
     make_bootstrap_cd,
     make_student_t_cd,
-    max_direct_p,
-    p_max_uni,
-    p_star,
     p_value,
     parse_region,
     run_experiment,
@@ -36,7 +32,14 @@ from cdsupport import (
     support,
 )
 from cdsupport.regions import Interval, NullRegion
-from helpers import boundary_points
+from helpers import (
+    boundary_points,
+    full_support,
+    indirect_support,
+    max_direct_p,
+    p_max_uni,
+    p_star,
+)
 
 # -- scalar reference --------------------------------------------------------
 
@@ -311,14 +314,14 @@ def test_univariate_failure_names_replication(monkeypatch):
     bad = 53
     y = np.random.default_rng([7, bad, 0]).standard_normal(30)
     bad_mean = float(y.mean())
-    real = simulate.make_asymptotic_normal_cd
+    real = cd_module.make_asymptotic_normal_cd
 
     def flaky(n, mean, sd):
         if np.any(np.asarray(mean) == bad_mean):
             raise ValueError("injected failure")
         return real(n, mean, sd)
 
-    monkeypatch.setattr(simulate, "make_asymptotic_normal_cd", flaky)
+    monkeypatch.setattr(cd_module, "make_asymptotic_normal_cd", flaky)
     monkeypatch.setattr(simulate, "BLOCK_FLOATS", 20 * 30)
     with pytest.raises(ValueError, match=r"rep=53 with seed \(7, 53, 0\).*injected failure"):
         run_experiment(spec)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from cdsupport import (
     make_asymptotic_normal_cd,
     make_bootstrap_cd,
     make_student_t_cd,
+    sample_cd,
 )
 
 PHI_2 = 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0)))  # libm oracle for Phi(2)
@@ -211,6 +213,35 @@ def test_unknown_kind_rejected():
     # cdf and quantile evaluate every kind other than the bootstrap one with scipy
     with pytest.raises(ValueError, match="unknown CD kind"):
         ConfidenceDistribution(kind="exact-normal", center=0.0, scale=1.0)
+
+
+# (kind, sample, boot_m, seed, message): each check fails while every later one would too
+SAMPLE_CD_ERRORS = [
+    ("student", [1.0], 10, -1, "unknown cd kind 'student'"),
+    ("t", [1.0], 10, -1, "need at least 2 observations"),
+    ("z", [1e200, -3e200], 10, -1,
+     "sample mean and sd must be finite, got mean=-1e+200, sd=inf"),
+    ("t", [1.0, 2.0], 10, -1, "need reps >= 100 bootstrap replicates, got 10"),
+    ("z", [1.0, 2.0], 100, -1, "seed must be >= 0, got -1"),
+    ("bootstrap", [[1.0, 2.0], [3.0, 5.0]], 100, 0, "a bootstrap CD takes one 1-D sample"),
+    ("t", [[1.0, 2.0], [3.0, 3.0]], 100, 0,
+     "sample sd must be positive, got [0.70710678 0.        ]"),
+]
+
+
+@pytest.mark.parametrize("kind,sample,boot_m,seed,message", SAMPLE_CD_ERRORS)
+def test_sample_cd_checks_in_order(kind, sample, boot_m, seed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_cd(kind, sample, boot_m, seed)
+
+
+def test_sample_cd_block_rows_equal_single_samples():
+    y = np.random.default_rng(5).standard_normal((4, 9))
+    for kind in ("t", "z"):
+        block, mean, sd = sample_cd(kind, y, 100, 0)
+        for row, center, scale, m, s in zip(y, block.center, block.scale, mean, sd):
+            single, m1, s1 = sample_cd(kind, row, 100, 0)
+            assert (single.center, single.scale, m1, s1) == (center, scale, m, s)
 
 
 def test_exact_cd_uniform_at_truth():

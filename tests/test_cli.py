@@ -523,6 +523,20 @@ BAD_INPUT = [
     ("uni-true-mean-overflows", UNI + ["--true-mean", "1.7e308", "--cd", "z"],
      "validation", "replication rep=0 with seed (0, 0, 0) failed: sample mean and sd must be "
                    "finite, got mean=[inf], sd=[inf]"),
+    # pval and simulate build their CDs through ``cd.sample_cd``, which checks
+    # the region first and the sample's mean and sd before any CD kind's own check
+    ("pval-one-row-bad-region", ["pval", "--input", "{d}/single.csv", "--region", "[1,0]"],
+     "parse", "malformed region piece '[1,0]': lo > hi"),
+    ("uni-bootstrap-true-mean-overflows", UNI + ["--true-mean", "1.7e308", "--cd", "bootstrap"],
+     "validation", "replication rep=0 with seed (0, 0, 0) failed: sample mean and sd must be "
+                   "finite, got mean=inf, sd=inf"),
+    # ``ExperimentSpec`` rejects a univariate list truth after its earlier checks
+    ("uni-true-mean-pair-n", UNI + ["--true-mean", "1,2", "--n", "1"],
+     "validation", "need n >= 2, got 1"),
+    ("uni-true-mean-pair-seed", UNI + ["--true-mean", "1,2", "--seed", "-1"],
+     "validation", "seed must be >= 0, got -1"),
+    ("uni-true-mean-pair-depth", UNI + ["--true-mean", "1,2", "--depth", "mahalanobis"],
+     "validation", "--depth does not apply to univariate-normal runs"),
 ]
 
 

@@ -16,7 +16,6 @@ from cdsupport import (
     Rectangle,
     bootstrap_cloud,
     make_bootstrap_cd,
-    mahalanobis_depth,
     p_multi,
     p_multi_max,
     run_experiment,
@@ -27,7 +26,7 @@ from cdsupport import depth as depth_module
 from cdsupport.cli import main
 from cdsupport.depth import _simplicial_counts, depth_of, resample_means
 from cdsupport.simulate import parallel_map_indexed
-from helpers import simplicial_depth_loop
+from helpers import mahalanobis_depth, simplicial_depth_loop
 
 # computed directly from the paired differences in conftest.TABLE1
 TABLE1_MEAN = (0.17713333333333334, 0.26)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsupport import ExperimentSpec, run_experiment
+from cdsupport import ExperimentSpec, Rectangle, bioeq_p, bootstrap_cloud, p_multi, run_experiment
 from cdsupport.cli import METHOD_TOKENS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,13 +75,36 @@ def test_simulate_cli_bytes_match_golden(name, text, method, tmp_path, monkeypat
         assert {"json": _sha("sim.json"), "csv": _sha("sim.qq.csv")} == want, threads
 
 
-def test_run_part1_script_bytes_match_golden(tmp_path):
+def _script_env() -> dict:
+    """The environment of a script run: this checkout's ``src`` first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_run_part1_script_bytes_match_golden(tmp_path):
     subprocess.run([sys.executable, str(ROOT / "scripts" / "run_part1.py"),
-                    "--out-dir", str(tmp_path)], check=True, env=env, capture_output=True)
+                    "--out-dir", str(tmp_path)], check=True, env=_script_env(),
+                   capture_output=True)
     got = {f.name: _sha(f) for f in sorted(tmp_path.iterdir())}
     assert got == GOLDEN["script"]
+
+
+def test_run_applications_script_matches_the_library():
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "run_applications.py"),
+                          "--boot-reps", "200", "--seed", "1"], check=True, env=_script_env(),
+                         capture_output=True, text=True, timeout=120).stdout
+    # the script prints one indented JSON document per application
+    decoder, text, reports = json.JSONDecoder(), out.strip(), []
+    while text:
+        report, end = decoder.raw_decode(text)
+        reports.append(report)
+        text = text[end:].lstrip()
+    bio, model = reports
+    assert bio["p"] == bioeq_p(12, 12, 80.272, 82.559, 83.623, -16.51, 16.51)
+    cloud = bootstrap_cloud(_script_module("run_applications").MODEL_SYSTEM_DIFFS, 200, seed=1)
+    box = Rectangle(lower=[-0.154, -0.28], upper=[0.154, 0.28])
+    assert model["p"] == p_multi(cloud, "mahalanobis", box).p
 
 
 # -- the bivariate battery -----------------------------------------------------

@@ -142,6 +142,20 @@ class TestRectangle:
         assert sorted(map(tuple, r.corners.tolist())) == [
             (-1, -4), (-1, 4), (0, -4), (0, 4),
         ]
+        # 1-D and 3-D boxes: signed zeros compare equal and NaN is in no box,
+        # as in the np.all form over all columns at once
+        boxes = [
+            ([0.0], [1.0], [[0.5], [-0.0], [np.nan], [1.0], [1.5]],
+             [True, True, False, True, False]),
+            ([-0.0, -1.0, 0.0], [0.0, 1.0, np.inf],
+             [[0.0, 0.0, 0.0], [-0.0, 1.0, 1e308], [np.nan, 0.0, 0.0], [0.0, 0.0, -0.0],
+              [0.0, 0.0, -5e-324], [0.0, -1.0, np.inf], [0.0, np.nan, np.nan]],
+             [True, True, False, True, False, True, False]),
+        ]
+        for lower, upper, points, want in boxes:
+            box, pts = Rectangle(lower=lower, upper=upper), np.array(points)
+            assert box.contains(pts).tolist() == want
+            assert want == np.all((pts >= box.lower) & (pts <= box.upper), axis=1).tolist()
 
     def test_infinite_bounds_have_no_default_corners(self):
         r = Rectangle(lower=[-1, -math.inf], upper=[0, math.inf])

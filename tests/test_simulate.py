@@ -9,6 +9,7 @@ from cdsupport import (
     ExperimentSpec,
     PART2_COV,
     Rectangle,
+    cd as cd_module,
     ks_uniform,
     parse_region,
     run_experiment,
@@ -79,7 +80,7 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("truth", [[1.0, 2.0], [0.0], np.zeros((1, 1))])
     def test_rejects_non_scalar_univariate_truth(self, truth):
-        with pytest.raises(ValueError, match="univariate truth must be a scalar"):
+        with pytest.raises(ValueError, match="univariate runs need a scalar --true-mean"):
             ExperimentSpec(
                 model="univariate-normal", true_mean=truth,
                 region=parse_region("0"), n=20, reps=50,
@@ -320,14 +321,14 @@ class TestBlockDriver:
         spec = _uni_spec(region=parse_region("[0,0.1]"), n=30, reps=80, cd="z")
         bad_means = {float(np.random.default_rng([7, r, 0]).standard_normal(30).mean())
                      for r in (53, 70)}
-        real = simulate.make_asymptotic_normal_cd
+        real = cd_module.make_asymptotic_normal_cd
 
         def flaky(n, mean, sd):
             if bad_means.intersection(np.atleast_1d(mean).tolist()):
                 raise ValueError("injected failure")
             return real(n, mean, sd)
 
-        monkeypatch.setattr(simulate, "make_asymptotic_normal_cd", flaky)
+        monkeypatch.setattr(cd_module, "make_asymptotic_normal_cd", flaky)
         with pytest.raises(ValueError, match=r"^replication rep=53 with seed \(7, 53, 0\) "
                                              r"failed: injected failure$"):
             run_experiment(spec, threads=3)
@@ -355,6 +356,19 @@ class TestBlockDriver:
         assert blocks[-1].stop == reps
         limit = min(max(1, block_floats // 40), -(-reps // threads))
         assert all(1 <= len(block) <= limit for block in blocks)
+
+    # draws of sd 1e308 overflow; ``cd.sample_cd`` rejects the sample's mean
+    # and sd before the t-CD's positive-sd check or the bootstrap CD's
+    # non-finite-sample check
+    @pytest.mark.parametrize("cd,moments", [("t", "mean=[-inf], sd=[nan]"),
+                                            ("bootstrap", "mean=-inf, sd=nan")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_draws_fail_on_the_sample_moments(self, cd, moments):
+        spec = _uni_spec(region=parse_region("0"), n=20, reps=50, seed=0, sd=1e308, cd=cd)
+        message = ("replication rep=0 with seed (0, 0, 0) failed: sample mean and sd must be "
+                   f"finite, got {moments}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_experiment(spec)
 
 
 def test_report_fields_consistent():

@@ -11,20 +11,22 @@ from cdsupport import (
     bioeq_p,
     direct_support,
     extended_indirect_support,
-    full_support,
-    indirect_support,
     make_asymptotic_normal_cd,
     make_bootstrap_cd,
     make_student_t_cd,
-    max_direct_p,
-    p_max_uni,
-    p_star,
     p_value,
     parse_region,
     weighted_indirect,
 )
 from cdsupport.regions import Interval
-from helpers import piece_full
+from helpers import (
+    full_support,
+    indirect_support,
+    max_direct_p,
+    p_max_uni,
+    p_star,
+    piece_full,
+)
 
 
 def phi(x):
