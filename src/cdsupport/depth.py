@@ -21,13 +21,13 @@ memory stays bounded as the cloud grows for every caller.  Mahalanobis depth
 needs only O(queries) memory and is computed in one pass, from the cloud's
 mean and inverse covariance.
 
-The checks run where input enters: ``depth_of`` and ``_depth_bounds`` check
-the cloud and their one query set, and the p-values check the cloud once
-and each query set they evaluate (the replicates, the boundary grid, the
-corners) once, then evaluate through the same unchecked core.  They reject
-non-finite clouds and queries, and coordinates whose range over the cloud
-and queries overflows on some axis, where differences, and so depths,
-would be wrong.  A p-value derives the Mahalanobis factors once.
+The checks run where input enters: ``depth_of`` checks the cloud and its
+one query set, and the p-values check the cloud once and each query set
+they evaluate (the replicates, the boundary grid, the corners) once, then
+evaluate through the same unchecked core.  They reject non-finite clouds
+and queries, and coordinates whose range over the cloud and queries
+overflows on some axis, where differences, and so depths, would be wrong.
+A p-value derives the Mahalanobis factors once.
 
 Simplicial depth follows the angular sweep of Rousseeuw & Ruts (AS 307,
 1996) without any search: each direction from a query is folded into the
@@ -45,23 +45,23 @@ the subtraction does (see ``_differences``).
 
 The p-values never need every replicate's exact depth: only the floor, and
 which replicates lie at or below the floor or a corner depth.  So they first
-screen with ``_depth_bounds``: each query's directions are counted into
-``SECTORS`` sectors of their diamond angle, and triples are counted by
-sectors.  A computed diamond angle is a few ulps from the exact one, so a
-computed sector is at most one off, the triples that fit in H - 1
-consecutive sectors (H = SECTORS / 2, a half-circle) surely miss the query,
-and those that miss it surely fit in H + 2; this brackets the kernel's own
-count on every input.  When the queries are the cloud itself, as the
-replicates are, each unordered pair's sector is computed once, in square
-tiles over the upper triangle of the pair matrix, and counted for both of
-its points, the reverse direction half a circle on; other query sets are
-tiled in chunks of queries against the whole cloud.  Either way the
-finished histograms are counted in blocks of ``CHUNK_PAIRS // (2 *
-SECTORS)`` queries by one kernel, ``_count_bounds``.  Exact depths are
-then computed only for the replicates or grid points whose bounds hold
+screen the replicates with ``_CheckedCloud.bounds``: each replicate's
+directions to the others are counted into ``SECTORS`` sectors of their
+diamond angle, and triples are counted by sectors.  A computed diamond angle
+is a few ulps from the exact one, so a computed sector is at most one off,
+the triples that fit in H - 1 consecutive sectors (H = SECTORS / 2, a
+half-circle) surely miss the replicate, and those that miss it surely fit in
+H + 2; this brackets the kernel's own count on every input.  Each unordered
+pair's sector is computed once, in square tiles over the upper triangle of
+the pair matrix, and counted for both of its points, the reverse direction
+half a circle on; the finished histograms are counted in blocks of
+``CHUNK_PAIRS // (2 * SECTORS)`` replicates by one kernel, ``_count_bounds``.
+Exact depths are then computed only for the replicates whose bounds hold
 the floor or a corner depth: 12-22% of the replicates for ``p_multi_max``
 at seed 1 of the benchmark, whose corner depths sit in the dense middle of
-the depth distribution.
+the depth distribution.  The boundary grid, the floor's source when no
+replicate lies inside the region, is not screened: its points, a few
+hundred for a rectangle, get their exact depths in one kernel call.
 
 ``p_multi`` often needs no screen at all.  Every cloud point has simplicial
 depth at least C(m - 1, 2) / C(m, 3), and exactly the strict vertices of the
@@ -119,7 +119,7 @@ CHUNK_PAIRS = 1 << 15
 # sort key of a cloud point at the query: above every folded-angle key
 _KEY_AT_QUERY = np.iinfo(np.uint64).max
 
-# sectors per direction histogram in ``_depth_bounds``: a power of two, so
+# sectors per direction histogram of the screen: a power of two, so
 # that scaling a diamond angle by SECTORS / 4 is exact
 SECTORS = 128
 
@@ -482,11 +482,12 @@ class _CheckedCloud:
     """A cloud that passed the cloud checks of ``depth_of`` for one depth kind.
 
     ``queries`` runs the checks of one query set against it, and ``span``
-    the range check of the cloud's own points, once; ``depths`` and
-    ``bounds`` evaluate checked query sets without checking again, and
-    ``least`` finds the cloud's own points at the least depth.  The
-    Mahalanobis mean and inverse covariance are derived on first use and
-    kept, so a p-value that evaluates several query sets derives them once.
+    the range check of the cloud's own points, once; ``depths`` evaluates
+    checked query sets without checking again, ``bounds`` brackets the
+    depths of the cloud's own points, and ``least`` finds those at the
+    least depth.  The Mahalanobis mean and inverse covariance are derived
+    on first use and kept, so a p-value that evaluates several query sets
+    derives them once.
     """
 
     pts: np.ndarray
@@ -537,23 +538,65 @@ class _CheckedCloud:
         return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
                           max(1, CHUNK_PAIRS // m)) / math.comb(m, 3)
 
-    def bounds(self, q: np.ndarray, span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on the depths of checked queries with range ``span``: the
-        core of ``_depth_bounds``."""
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds on the depths of the cloud's own points,
+        ``depths(pts)``, after the range check of ``span``.
+
+        Mahalanobis depth is cheap, and both bounds are its exact depths.  For
+        simplicial depth each point gets a histogram of its directions to the
+        others over ``SECTORS`` sectors (``_sector_histograms``), and the
+        misses of ``_simplicial_counts`` are bracketed by counting triples of
+        directions by their sectors (``_count_bounds``), with H = SECTORS / 2
+        sectors to a half-circle:
+
+        * The computed sector of a direction is at most one off the exact
+          sector of its rounded (dx, dy): the rounding errors of r and of t
+          are some ulps, far below a sector.  ``_simplicial_counts`` orders
+          the same (dx, dy) by an ``arctan2`` that is also a few ulps from
+          the exact angle, and counts a triple as a miss exactly when one of
+          its directions sees the other two in its open half-circle of keys.
+        * The direction j -> i gets the reverse of the code s that i -> j
+          computed.  The kernel's rounded difference for j -> i is
+          fl(a - b) = -fl(b - a), since IEEE subtraction rounds
+          symmetrically; only the sign of a zero difference may differ, and
+          it moves neither the exact angle nor the kernel's key.  The exact
+          diamond angle satisfies t(-d) = t(d) + 2 (mod 4), so the sector of
+          -d is the sector of d plus H (mod SECTORS), and (s + H) mod SECTORS
+          is the sector of the computed angle of d plus 2, some ulps from the
+          exact angle of -d, like any computed sector.  Code ``SECTORS``
+          (t = 4, sector 0) reverses to H, and the at-point code to itself.
+        * A triple whose computed sectors fit in H - 1 consecutive sectors
+          spans less than 2 - 4 / SECTORS of computed, so of exact, diamond
+          angle up to some ulps.  A half-circle adds exactly 2 to t, and the
+          angle grows at least as fast as t, so the triple spans less than a
+          half-circle less about 4 / SECTORS radians, and the kernel counts
+          it as a miss: the lower bound on the misses.
+        * A triple the kernel counts as a miss lies, seen from the one
+          direction, in a closed half-circle of keys, so its computed diamond
+          angles span at most 2 plus some ulps, and its computed sectors fit
+          in H + 2 consecutive sectors from its first one: the upper bound,
+          capped at the C(L, 3) triples of the L directions not at the point.
+
+        Both are integer counts, turned into depths by the same division as
+        ``depths``, which is monotone; so lo <= depths(pts) <= hi on every
+        input, degenerate ones included.  A point for which some |dx| + |dy|
+        overflows gets the trivial bounds 0 and 1.
+        """
+        span = self.span
         if self.kind == "mahalanobis":
-            depths = self.depths(q)
+            depths = self.depths(self.pts)
             return depths, depths
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-        hist = _sector_histograms(self.pts, q)
-        lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), q.shape[0],
+        hist = _sector_histograms(self.pts)
+        lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), m,
                             max(1, CHUNK_PAIRS // (2 * SECTORS))).T
         total = math.comb(m, 3)
         with np.errstate(over="ignore"):
             if not np.isfinite(span.sum()):
                 # only here can |dx| + |dy| overflow; those rows lose their sectors
-                over = [np.isinf(np.abs(self.pts - point).sum(axis=1)).any() for point in q]
+                over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
                 lo[over], hi[over] = 0, total
         return lo / total, hi / total
 
@@ -723,11 +766,16 @@ def _strict_vertices(pts: np.ndarray, pad: float = 0.0, inside=None):
 
 
 def _extent(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis minimum and maximum of the rows of ``a``.  Reducing each
-    column alone is several times faster than an axis-0 reduction of a
-    narrow (rows x 2) array, and min and max are exact either way."""
-    cols = a.T
-    return np.array([col.min() for col in cols]), np.array([col.max() for col in cols])
+    """Per-axis minimum and maximum of the rows of ``a``.  One contiguous
+    copy of the transposed array and two row reductions are several times
+    faster than an axis-0 reduction of a narrow (rows x 2) array, or four
+    strided column reductions, and min and max are exact either way.  Only
+    the sign of a zero extent depends on the order in which ties of +0.0
+    and -0.0 are resolved, and no result depends on it: a range of
+    ``_span`` is only checked for finiteness or added to nonnegative terms,
+    and ``_grid_box`` pads the box by a positive amount."""
+    rows = np.ascontiguousarray(a.T)
+    return rows.min(axis=1), rows.max(axis=1)
 
 
 def _span(pts: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
@@ -779,8 +827,7 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     the query to the point, plus the query's row offset ``row * _WIDTH``, as
     a (queries x points) integer array.  The queries and points come as the
     factors ``left`` and ``right`` of ``_differences``; ``offsets`` holds
-    ``row * _WIDTH + H`` (H = SECTORS / 2) per pair, or per query as a
-    column.
+    ``row * _WIDTH + H`` (H = SECTORS / 2) per pair.
 
     The sector of a direction (dx, dy) is ``floor(t * SECTORS / 4)`` for its
     diamond angle t = 1 - r on and above the x axis and t = 3 + r below it,
@@ -789,8 +836,8 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     0.  The diamond angle is a continuous increasing function of the angle,
     with the antipode at t + 2.  A point at the query makes r = 0 / 0 = NaN
     and gets code ``SECTORS + 1``.  A direction whose |dx| + |dy| overflows
-    gets r = 0 and a wrong sector; ``_depth_bounds`` gives its query trivial
-    bounds.
+    gets r = 0 and a wrong sector; ``_CheckedCloud.bounds`` gives its query
+    trivial bounds.
 
     The differences are the subtraction's bit for bit, up to the sign of an
     exact zero (see ``_differences``).  A zero dx gives r = 0 and t = 1 or
@@ -799,9 +846,8 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     (code ``SECTORS``) for -0.0, and the histograms count code ``SECTORS``
     as sector 0.  So no count moves.  A code is the truncation of
     ``offsets`` less (r + 1) H, signed as dy, rounded once; the NaN at the
-    query becomes -(H + 1) first, which lands on
-    ``SECTORS + 1``.  Every pass but the one with column ``offsets`` takes
-    a scalar or an array of the same shape.
+    query becomes -(H + 1) first, which lands on ``SECTORS + 1``.  Every
+    pass takes a scalar or an array of the same shape.
 
     ``work`` is a (4 x cells) float array with cells >= queries x points,
     which the computation overwrites; the codes are returned in its last row.
@@ -824,11 +870,6 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     return codes
 
 
-def _row_offsets(rows: int) -> np.ndarray:
-    """(rows x 1) ``offsets`` of ``_sector_codes``: row * _WIDTH + H."""
-    return (np.arange(rows, dtype=float) * _WIDTH + SECTORS // 2)[:, None]
-
-
 def _tally(codes: np.ndarray, rows: int) -> np.ndarray:
     """The (rows x _WIDTH) histograms of codes offset by their row."""
     return np.bincount(codes.ravel(), minlength=rows * _WIDTH).reshape(rows, _WIDTH)
@@ -842,69 +883,56 @@ def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
     row j's.  Added in full rather than broadcast from a column, they cost
     a third as much.  Callers only read them."""
     offsets = np.arange(0, side * _WIDTH, _WIDTH)
-    rows = np.repeat(_row_offsets(side), side, axis=1)
+    rows = np.repeat(offsets[:, None] + float(SECTORS // 2), side, axis=1)
     return rows, offsets - offsets[:, None]
 
 
-# per thread, the kept buffers of ``_tile_buffers``: the replication workers of
-# ``simulate.run_experiment`` screen their clouds at the same time
+# per thread, the kept buffers of ``_tile_buffers``.  They stay per thread
+# rather than per process: the replication workers of
+# ``simulate.run_experiment`` are threads, and ``p_multi``, ``p_multi_max``
+# and ``depth_of`` are public, so a caller's own threads may screen clouds at
+# the same time, and one shared buffer would race
 _KEPT = threading.local()
 
 
-def _tile_buffers(cells: int) -> np.ndarray:
-    """This thread's (4 x cells) buffers for ``_sector_codes``.  Buffers of up
-    to ``CHUNK_PAIRS`` cells, which every tile of the self-screen and every
-    chunk of a cloud of at most ``CHUNK_PAIRS`` points fits, are kept from
-    call to call: a fresh buffer costs a page fault per 4 KiB, about 2.75 us
-    on a 2-core virtual machine, as long as the arithmetic on the page."""
+def _tile_buffers() -> np.ndarray:
+    """This thread's (4 x cells) buffers for ``_sector_codes``, with cells at
+    least ``CHUNK_PAIRS``, which every tile of the self-screen fits.  They are
+    kept from call to call: a fresh buffer costs a page fault per 4 KiB,
+    about 2.75 us on a 2-core virtual machine, as long as the arithmetic on
+    the page."""
     work = getattr(_KEPT, "work", None)
-    if work is not None and work.shape[1] >= cells:
-        return work
-    if cells > CHUNK_PAIRS:
-        return np.empty((4, cells))
-    work = _KEPT.work = np.empty((4, CHUNK_PAIRS))
+    if work is None or work.shape[1] < CHUNK_PAIRS:
+        work = _KEPT.work = np.empty((4, CHUNK_PAIRS))
     return work
 
 
-def _sector_histograms(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per query, the number of cloud directions with each code of
-    ``_sector_codes``, as a (queries x _WIDTH) array; code ``SECTORS`` is
-    counted as sector 0, so its column is 0.
+def _sector_histograms(pts: np.ndarray) -> np.ndarray:
+    """Per cloud point, the number of directions to the cloud's points with
+    each code of ``_sector_codes``, as a (points x _WIDTH) array; code
+    ``SECTORS`` is counted as sector 0, so its column is 0.
 
-    Other query sets are tiled in chunks of ``CHUNK_PAIRS // m`` queries
-    against the whole cloud.  When the queries are the cloud itself, the
-    upper triangle of the m x m pair matrix is tiled in squares of side
+    The upper triangle of the m x m pair matrix is tiled in squares of side
     ``isqrt(CHUNK_PAIRS)``: a tile on the diagonal counts its directions from
     each of its rows, and a tile off it computes the code s of each direction
     i -> j once and counts it for row i, and the reverse code for row j:
     (s + H) mod ``SECTORS`` for a sector (H = SECTORS / 2), H for code
-    ``SECTORS``, and itself at the query (see ``_depth_bounds`` for why that
-    is certified).  Each tile's integer counts are added as soon as they are
-    known, so memory stays one tile.
+    ``SECTORS``, and itself at the point (see ``_CheckedCloud.bounds`` for
+    why that is certified).  Each tile's integer counts are added as soon as
+    they are known, so memory stays one tile.
     """
-    n, m = queries.shape[0], pts.shape[0]
-    hist = np.zeros((n, _WIDTH), dtype=np.int64)
-    left, right = _lefts(queries), _rights(pts)
-    if queries is pts:
-        side = math.isqrt(CHUNK_PAIRS)
-        bands = [slice(start, start + side) for start in range(0, m, side)]
-        tiles = [(i, j) for i in range(len(bands)) for j in range(i, len(bands))]
-        cells = min(side, m) ** 2
-        offsets, shift = _tile_offsets(side)
-    else:
-        rows = max(1, CHUNK_PAIRS // m)
-        bands = [slice(start, start + rows) for start in range(0, n, rows)]
-        tiles = [(i, None) for i in range(len(bands))]
-        cells = min(rows, n) * m
-        offsets = _row_offsets(min(rows, n))
-    work = _tile_buffers(cells)
-    for i, j in tiles:
-        q = left[:, bands[i]]
-        p = right if j is None else right[:, :, bands[j]]
-        # a chunk's offsets are one column, which this slice keeps
+    m = pts.shape[0]
+    hist = np.zeros((m, _WIDTH), dtype=np.int64)
+    left, right = _lefts(pts), _rights(pts)
+    side = math.isqrt(CHUNK_PAIRS)
+    bands = [slice(start, start + side) for start in range(0, m, side)]
+    offsets, shift = _tile_offsets(side)
+    work = _tile_buffers()
+    for i, j in itertools.combinations_with_replacement(range(len(bands)), 2):
+        q, p = left[:, bands[i]], right[:, :, bands[j]]
         codes = _sector_codes(q, p, offsets[: q.shape[1], : p.shape[2]], work)
         hist[bands[i]] += _tally(codes, codes.shape[0])
-        if j is None or j == i:
+        if j == i:
             continue
         codes += shift[: codes.shape[0], : codes.shape[1]]
         counts = _tally(codes, codes.shape[1])
@@ -917,10 +945,10 @@ def _sector_histograms(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
-    """(queries x 2) lower and upper bounds on ``_simplicial_counts`` (see
-    ``_depth_bounds``) from the queries' ``_sector_histograms`` over a cloud
-    of m points, from the triples of directions whose sectors fit in H + 2,
-    and in H - 1, cyclically consecutive sectors (H = SECTORS / 2).
+    """(points x 2) lower and upper bounds on ``_simplicial_counts`` (see
+    ``_CheckedCloud.bounds``) from rows of the ``_sector_histograms`` of a
+    cloud of m points, from the triples of directions whose sectors fit in
+    H + 2, and in H - 1, cyclically consecutive sectors (H = SECTORS / 2).
 
     A triple is counted from each of its own sectors s that starts such a
     run.  With h_s directions in s and R in the next span - 1 sectors, those
@@ -951,52 +979,6 @@ def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
     live = m - hist[:, SECTORS + 1]
     misses[0] = np.minimum(misses[0], live * (live - 1) * (live - 2) // 6)
     return math.comb(m, 3) - np.stack(misses, axis=1)
-
-
-def _depth_bounds(cloud, queries, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on ``depth_of(cloud, queries, kind)``.
-
-    Mahalanobis depth is cheap, and both bounds are its exact depths.  For
-    simplicial depth each query gets a histogram of its directions over
-    ``SECTORS`` sectors (``_sector_histograms``), and the misses of
-    ``_simplicial_counts`` are bracketed by counting triples of directions
-    by their sectors, with H = SECTORS / 2 sectors to a half-circle:
-
-    * The computed sector of a direction is at most one off the exact sector
-      of its rounded (dx, dy): the rounding errors of r and of t are some
-      ulps, far below a sector.  ``_simplicial_counts`` orders the same
-      (dx, dy) by an ``arctan2`` that is also a few ulps from the exact
-      angle, and counts a triple as a miss exactly when one of its
-      directions sees the other two in its open half-circle of keys.
-    * When the queries are the cloud, the direction j -> i gets the reverse
-      of the code s that i -> j computed.  The kernel's rounded difference
-      for j -> i is fl(a - b) = -fl(b - a), since IEEE subtraction rounds
-      symmetrically; only the sign of a zero difference may differ, and it
-      moves neither the exact angle nor the kernel's key.  The exact diamond
-      angle satisfies t(-d) = t(d) + 2 (mod 4), so the sector of -d is the
-      sector of d plus H (mod SECTORS), and (s + H) mod SECTORS is the
-      sector of the computed angle of d plus 2, some ulps from the exact
-      angle of -d, like any computed sector.  Code ``SECTORS`` (t = 4,
-      sector 0) reverses to H, and the at-query code to itself.
-    * A triple whose computed sectors fit in H - 1 consecutive sectors
-      spans less than 2 - 4 / SECTORS of computed, so of exact, diamond
-      angle up to some ulps.  A half-circle adds exactly 2 to t, and the
-      angle grows at least as fast as t, so the triple spans less than a
-      half-circle less about 4 / SECTORS radians, and the kernel counts it
-      as a miss: the lower bound on the misses.
-    * A triple the kernel counts as a miss lies, seen from the one direction,
-      in a closed half-circle of keys, so its computed diamond angles span at
-      most 2 plus some ulps, and its computed sectors fit in H + 2
-      consecutive sectors from its first one: the upper bound, capped at
-      the C(L, 3) triples of the L directions not at the query.
-
-    Both are integer counts, turned into depths by the same division as
-    ``depth_of``, which is monotone; so lo <= depth_of <= hi on every input,
-    degenerate ones included.  A query for which some |dx| + |dy| overflows
-    gets the trivial bounds 0 and 1.
-    """
-    checked = _CheckedCloud.check(cloud, kind)
-    return checked.bounds(*checked.queries(queries))
 
 
 # -- depth-based p-values -----------------------------------------------------
@@ -1033,12 +1015,13 @@ def check_region_dim(region: RegionND, dim: int) -> None:
         raise ValueError(f"region dimension {region.dim} differs from the cloud's {dim}")
 
 
-def _settle(cloud: _CheckedCloud, queries, lo, hi, mask) -> None:
-    """Replace the bounds of the masked queries whose bounds differ by their
-    exact depths, in one ``depths`` call; the call is made even when none
-    differ, so that the calls a p-value makes do not depend on the data."""
+def _settle(cloud: _CheckedCloud, lo, hi, mask) -> None:
+    """Replace the bounds of the masked replicates whose bounds differ by
+    their exact depths, in one ``depths`` call; the call is made even when
+    none differ, so that the calls a p-value makes do not depend on the
+    data."""
     idx = np.flatnonzero(mask & (lo < hi))
-    lo[idx] = hi[idx] = cloud.depths(queries[idx])
+    lo[idx] = hi[idx] = cloud.depths(cloud.pts[idx])
 
 
 def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPValue:
@@ -1058,11 +1041,13 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     ``_least_depth(m)``, which no computed depth of a cloud point is below
     (Liu 1990; the kernel's own division).
 
-    The floor is settled exactly among the candidates whose lower bound is
-    below the least upper bound, min hi.  That keeps the floor F: F <= min
-    hi, and a candidate with lo >= min hi has depth >= F, so the minimum
-    over the settled depths, the certified ones (lo == hi) and the lower
-    bounds left is still F.  Then every replicate whose bounds straddle the
+    With replicates inside, the floor is settled exactly among the inside
+    replicates whose lower bound is below their least upper bound, min hi.
+    That keeps the floor F: F <= min hi, and a candidate with lo >= min hi
+    has depth >= F, so the minimum over the settled depths, the certified
+    ones (lo == hi) and the lower bounds left is still F.  Without, the
+    floor is the least exact depth over the boundary grid, computed in one
+    ``depths`` call.  Then every replicate whose bounds straddle the
     floor (outside ones) or a corner depth is settled in one more
     ``depths`` call.  Every comparison then reads a bound that equals the
     exact depth or lies on the same side of the threshold, so the result
@@ -1091,25 +1076,21 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
                                depth_floor=_least_depth(pts.shape[0]),
                                floor_source="inside-replicates",
                                corner_p=() if corners is None else (0.0,) * len(corner_depths))
-    lo, hi = cloud.bounds(pts, span) if bounds is None else bounds
+    lo, hi = cloud.bounds() if bounds is None else bounds
     if cloud.kind == "simplicial" and pts.shape[0] >= 3:
         lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
-        queries, cand_lo, cand_hi, cand = pts, lo, hi, inside
-        source = "inside-replicates"
+        _settle(cloud, lo, hi, inside & (lo < hi[inside].min()))
+        floor, source = float(lo[inside].min()), "inside-replicates"
     else:
-        queries, grid_span = cloud.queries(region.boundary_grid(*_grid_box(pts)))
-        cand_lo, cand_hi = cloud.bounds(queries, grid_span)
-        cand = np.ones(queries.shape[0], dtype=bool)
-        source = "boundary-grid"
-    _settle(cloud, queries, cand_lo, cand_hi, cand & (cand_lo < cand_hi[cand].min()))
-    floor = float(cand_lo[cand].min())
+        grid = cloud.queries(region.boundary_grid(*_grid_box(pts)))[0]
+        floor, source = float(cloud.depths(grid).min()), "boundary-grid"
     if corners is not None and corner_depths is None:
         corner_depths = cloud.depths(cloud.queries(corners)[0])
     straddle = ~inside & (lo <= floor) & (hi > floor)
     for d in () if corners is None else corner_depths:
         straddle |= (lo <= d) & (hi > d)
-    _settle(cloud, pts, lo, hi, straddle)
+    _settle(cloud, lo, hi, straddle)
     esp = float(inside.mean())
     tail = float(((~inside) & (hi <= floor)).mean())
     res = MultiPValue(
@@ -1139,7 +1120,7 @@ def p_multi(cloud, kind: str, region: RegionND, _depths=None) -> MultiPValue:
     geometry, get exact depths; that margin is 128 times the kernel's
     largest angle error, 2 * 2^-48 (see ``_CheckedCloud.least``).  Only when
     no inside replicate is at the least depth does the full screen of
-    ``_depth_bounds`` run.  A region of another dimension than the cloud is
+    ``_CheckedCloud.bounds`` run.  A region of another dimension than the cloud is
     rejected.
     """
     pts = _cloud_points(cloud)

@@ -68,9 +68,9 @@ def certainly_left(a: np.ndarray, b: np.ndarray, q: np.ndarray, reach: float,
     that bound is above the filter's floor; below the floor, or not
     finite, the edge certifies no point.
     """
-    edge = b - a
-    turned = edge[:, ::-1] * _TURN  # (-ey, ex)
     with np.errstate(over="ignore", invalid="ignore"):
+        edge = b - a
+        turned = edge[:, ::-1] * _TURN  # (-ey, ex)
         limit = np.abs(edge).sum(axis=1) * (_EDGE_BOUND * reach + pad)
         det = turned @ q.T
         det -= (turned * a).sum(axis=1, keepdims=True)

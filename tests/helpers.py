@@ -1,9 +1,11 @@
 """Scalar readings of univariate regions, supports and depths that only the
 tests use; the library reads regions through ``support.support_table`` and
 its ``METHODS``, and depths through ``depth.depth_of``.  Also the plain
-subtraction that the depth kernels' matrix products must reproduce, and the
+subtraction that the depth kernels' matrix products must reproduce, the
 triangle-at-a-time loop that the blocks of ``simplicial_depth_brute`` must
-reproduce."""
+reproduce, the every-ordered-pair sector histograms that the tiles of the
+self-screen must reproduce, and the column-by-column extent that its
+contiguous reductions must reproduce."""
 
 import contextlib
 import math
@@ -80,6 +82,39 @@ def subtracting_directly():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth, "_differences", subtract_directly)
         yield
+
+
+def pair_offsets(rows: int, cols: int) -> np.ndarray:
+    """(rows x cols) ``offsets`` of ``depth._sector_codes``: row * _WIDTH + H
+    at every entry of a row."""
+    column = np.arange(rows, dtype=float) * depth._WIDTH + depth.SECTORS // 2
+    return np.repeat(column[:, None], cols, axis=1)
+
+
+def sector_histograms_direct(pts, queries):
+    """``depth._sector_histograms`` for any query points, with the direction
+    of every (query, point) pair coded directly, in chunks of
+    ``CHUNK_PAIRS // m`` queries against the whole cloud: the reference for
+    the self-screen's tiles, which code each unordered pair once and count
+    its reverse code for the other point."""
+    n, m = queries.shape[0], pts.shape[0]
+    hist = np.zeros((n, depth._WIDTH), dtype=np.int64)
+    right = depth._rights(pts)
+    rows = max(1, depth.CHUNK_PAIRS // m)
+    for start in range(0, n, rows):
+        left = depth._lefts(queries[start:start + rows])
+        k = left.shape[1]
+        codes = depth._sector_codes(left, right, pair_offsets(k, m), np.empty((4, k * m)))
+        hist[start:start + k] += depth._tally(codes, k)
+    hist[:, 0] += hist[:, depth.SECTORS]
+    hist[:, depth.SECTORS] = 0
+    return hist
+
+
+def extent_by_columns(a):
+    """``depth._extent`` as one reduction per column of ``a``."""
+    cols = a.T
+    return np.array([col.min() for col in cols]), np.array([col.max() for col in cols])
 
 
 def simplicial_depth_loop(cloud, w) -> float:

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from cdsupport import depth as depth_module
 from cdsupport.cli import main
 from cdsupport.depth import _simplicial_counts, depth_of, resample_means
 from cdsupport.simulate import parallel_map_indexed
-from helpers import mahalanobis_depth, simplicial_depth_loop
+from helpers import extent_by_columns, mahalanobis_depth, simplicial_depth_loop
 
 # computed directly from the paired differences in conftest.TABLE1
 TABLE1_MEAN = (0.17713333333333334, 0.26)
@@ -341,8 +342,8 @@ class TestDepthPath:
 
         def run(i):
             pts = clouds[i]
-            return depth_of(pts, queries, "simplicial"), *depth_module._depth_bounds(
-                pts, pts, "simplicial")
+            return (depth_of(pts, queries, "simplicial"),
+                    *depth_module._CheckedCloud.check(pts, "simplicial").bounds())
 
         one = parallel_map_indexed(run, 3, 1)
         assert one[0][0].shape == (1500,)
@@ -589,6 +590,50 @@ def test_signed_zeros_give_the_same_depths():
 
 
 @st.composite
+def extent_arrays(draw):
+    """(rows x 2) arrays of 1..300 rows: +0.0 and -0.0 mixed, with or
+    without +-1 among them; or Gaussian."""
+    rows = draw(st.integers(1, 300))
+    values = draw(st.sampled_from([(0.0, -0.0), (0.0, -0.0, 1.0, -1.0), None]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if values is None:
+        return rng.standard_normal((rows, 2))
+    return np.array(values)[rng.integers(0, len(values), size=(rows, 2))]
+
+
+@given(extent_arrays())
+@settings(max_examples=300, deadline=None)
+def test_extent_equals_the_column_reductions(a):
+    for mine, reference in zip(depth_module._extent(a), extent_by_columns(a)):
+        assert np.array_equal(mine, reference)
+        # every bit but the sign of a zero extent, which is the order's choice
+        # and reaches no result (see below); one row leaves no choice
+        same = (reference != 0.0) | (a.shape[0] == 1)
+        assert np.array_equal(np.signbit(mine)[same], np.signbit(reference)[same])
+
+
+def test_sign_of_a_zero_extent_reaches_no_result(monkeypatch):
+    # a cloud on the x axis, +0.0 and -0.0 mixed, so its extent on the y axis
+    # is zero, of a sign the reduction order picks (201 rows: numpy's
+    # contiguous and column reductions pick differently at this seed)
+    rng = np.random.default_rng(1)
+    pts = np.column_stack([rng.standard_normal(201), rng.choice([0.0, -0.0], 201)])
+    regions = [Rectangle(lower=[-0.5, -1.0], upper=[0.5, 1.0]),
+               Rectangle(lower=[5.0, 5.0], upper=[6.0, 6.0]),
+               Halfspace(normal=[0.0, 1.0], offset=-0.5, corners=[[0.0, -0.5]])]
+
+    def results():
+        return [repr(astuple(p_value(pts, "simplicial", region))) for region in regions
+                for p_value in (p_multi, p_multi_max)]
+
+    want = results()
+    for extent in (extent_by_columns,  # and each zero's sign flipped
+                   lambda a: tuple(np.where(e == 0.0, -e, e) for e in extent_by_columns(a))):
+        monkeypatch.setattr(depth_module, "_extent", extent)
+        assert results() == want
+
+
+@st.composite
 def brute_cases(draw):
     """A cloud of 3..18 points and a query on an edge, at a point or anywhere.
 
@@ -784,7 +829,8 @@ class TestTooFewPoints:
     def test_empty_cloud_is_rejected(self, kind):
         cloud = np.zeros((0, 2))
         self.raises("cloud has no points", depth_of, cloud, [[0.0, 0.0]], kind)
-        self.raises("cloud has no points", depth_module._depth_bounds, cloud, [[0.0, 0.0]], kind)
+        self.raises("cloud has no points",
+                    lambda: depth_module._CheckedCloud.check(cloud, kind).bounds())
         self.raises("cloud has no points", p_multi, cloud, kind, self.BOX)
         self.raises("cloud has no points", p_multi_max, cloud, kind, self.BOX)
 

@@ -1,9 +1,9 @@
 """Certified bounds on simplicial depth, and the depth p-values built on them.
 
 ``p_multi`` and ``p_multi_max`` compute exact depths only where the bounds of
-``depth._depth_bounds`` cannot decide.  The reference below computes every
-replicate's exact depth, as both functions did before the screen; the two
-must agree bit for bit.
+``depth._CheckedCloud.bounds`` on the replicates cannot decide.  The
+reference below computes every replicate's exact depth, as both functions
+did before the screen; the two must agree bit for bit.
 """
 
 import contextlib
@@ -13,11 +13,13 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdsupport import (
     PART2_COV,
+    Halfspace,
+    PointSet,
     QuadrantComplement,
     Rectangle,
     bootstrap_cloud,
@@ -32,7 +34,6 @@ from cdsupport.depth import (
     SECTORS,
     MultiPValue,
     _count_bounds,
-    _depth_bounds,
     _grid_box,
     _sector_histograms,
     _simplicial_counts,
@@ -40,7 +41,7 @@ from cdsupport.depth import (
     depth_of,
 )
 from cdsupport.simulate import parallel_map_indexed
-from helpers import subtracting_directly
+from helpers import pair_offsets, sector_histograms_direct, subtracting_directly
 
 # -- the all-depths reference ---------------------------------------------------
 
@@ -120,6 +121,74 @@ def test_given_depths_equal_the_reference(name, kind):
     assert got == p_multi(cloud, kind, region)
 
 
+@st.composite
+def grid_floor_cases(draw):
+    """A cloud of 20..300 points, a region that holds none of them, and
+    whether the region lies inside the cloud's hull, so that its simplicial
+    floor is positive.
+
+    Clouds: Gaussian, scaled per axis; integer lattice; few distinct points,
+    many repeated.  Regions: a rectangle beyond the cloud, or a tiny one
+    between two of its points; a halfspace or a quadrant complement just
+    short of the cloud; a point set of the cloud's mean, inside its hull,
+    alone or with a far point.  Corners: the region's own, or the cloud's
+    mean and the first point of the boundary grid.
+    """
+    m = draw(st.integers(20, 300))
+    shape = draw(st.sampled_from(["gaussian", "lattice", "duplicates"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "lattice":
+        pts = rng.integers(-4, 5, size=(m, 2)).astype(float)
+    elif shape == "duplicates":
+        base = rng.standard_normal((max(5, m // 8), 2))
+        pts = base[rng.integers(0, base.shape[0], size=m)]
+    else:
+        pts = rng.standard_normal((m, 2)) * rng.uniform(0.5, 2.0, size=2)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    width, mean = hi - lo, pts.mean(axis=0)
+    gap = draw(st.sampled_from([1e-9, 0.1, 2.0]))
+    which = draw(st.sampled_from(["box-beyond", "box-between", "halfspace", "quadrant",
+                                  "mean", "mean-and-far"]))
+    normal = rng.standard_normal(2)
+    i, j = rng.integers(0, m, size=2)
+
+    def make(corners):
+        if which == "box-beyond":
+            x0 = hi[0] + gap * width[0]
+            return Rectangle(lower=[x0, lo[1]], upper=[x0 + width[0], hi[1]], corners=corners)
+        if which == "box-between":
+            centre = (pts[i] + pts[j]) / 2
+            return Rectangle(lower=centre - 1e-6 * width, upper=centre + 1e-6 * width,
+                             corners=corners)
+        if which == "halfspace":
+            dots = pts @ normal
+            return Halfspace(normal=normal, offset=dots.min() - gap * np.ptp(dots),
+                             corners=corners)
+        if which == "quadrant":
+            return QuadrantComplement(corner=lo - gap * width, corners=corners)
+        far = [mean] if which == "mean" else [mean, hi + 3 * width]
+        return PointSet(points=far, corners=corners)
+
+    region = make(None)
+    if region.corners.size == 0 or draw(st.booleans()):
+        region = make([mean, region.boundary_grid(*_grid_box(pts))[0]])
+    assume(not region.contains(pts).any())
+    return pts, region, which == "mean"
+
+
+@given(grid_floor_cases())
+@settings(max_examples=150, deadline=None)
+def test_boundary_grid_floor_equals_the_exact_reference(case):
+    pts, region, in_hull = case
+    for kind in ("simplicial", "mahalanobis"):
+        for p_value, reference in ((p_multi, reference_p_multi),
+                                   (p_multi_max, reference_p_multi_max)):
+            got = p_value(pts, kind, region)
+            assert astuple(got) == astuple(reference(pts, kind, region))
+            assert got.floor_source == "boundary-grid"
+            assert got.depth_floor > 0.0 or not in_hull
+
+
 @pytest.mark.parametrize("m", [150, 2000])
 def test_bootstrap_cloud_at_the_oneshot_box(m):
     box = Rectangle(lower=[-0.1, -0.2], upper=[0.1, 0.2])
@@ -160,6 +229,11 @@ def test_p_multi_settles_few_replicates(exact_queries):
 
 
 # -- the bounds bracket the kernel's count ----------------------------------------
+
+
+def screen_bounds(pts, kind="simplicial"):
+    """The screen's bounds on the depths of a cloud's own points."""
+    return depth_module._CheckedCloud.check(pts, kind).bounds()
 
 
 @st.composite
@@ -204,11 +278,13 @@ def bounds_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_bounds_bracket_the_kernel_count(case):
     pts, queries = case
-    counts = _simplicial_counts(pts, queries)
-    lo, hi = _count_bounds(_sector_histograms(pts, queries), pts.shape[0]).T
+    # the hard queries join the cloud: the screen bounds only a cloud's own points
+    cloud = np.vstack([pts, queries])
+    counts = _simplicial_counts(cloud, cloud)
+    lo, hi = _count_bounds(_sector_histograms(cloud), cloud.shape[0]).T
     assert (lo <= counts).all() and (counts <= hi).all()
-    lo_d, hi_d = _depth_bounds(pts, queries, "simplicial")
-    exact = depth_of(pts, queries, "simplicial")
+    lo_d, hi_d = screen_bounds(cloud)
+    exact = depth_of(cloud, cloud, "simplicial")
     assert (lo_d <= exact).all() and (exact <= hi_d).all()
 
 
@@ -222,11 +298,11 @@ def test_self_screen_bounds_bracket_the_kernel_count(case):
     pts, _ = case
     m = pts.shape[0]
     counts = _simplicial_counts(pts, pts)
-    direct = _sector_histograms(pts, pts.copy())  # every ordered pair computed
+    direct = sector_histograms_direct(pts, pts)  # every ordered pair computed
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(depth_module, "CHUNK_PAIRS", SMALL_CHUNK)
-        hist = _sector_histograms(pts, pts)
-        lo_d, hi_d = _depth_bounds(pts, pts, "simplicial")
+        hist = _sector_histograms(pts)
+        lo_d, hi_d = screen_bounds(pts)
     lo, hi = _count_bounds(hist, m).T
     assert (lo <= counts).all() and (counts <= hi).all()
     assert (hist.sum(axis=1) == m).all()
@@ -243,8 +319,9 @@ SIGNED_ZEROS = np.array([[0.0, 0.0], [1.0, -0.0], [2.0, 0.0], [-0.0, -0.0], [0.5
 
 def wrapped_codes(pts):
     """Per query, how many of its directions get code ``SECTORS``."""
-    args = (depth_module._lefts(pts), depth_module._rights(pts),
-            depth_module._row_offsets(pts.shape[0]), np.empty((4, pts.size ** 2)))
+    m = pts.shape[0]
+    args = (depth_module._lefts(pts), depth_module._rights(pts), pair_offsets(m, m),
+            np.empty((4, m * m)))
     return (depth_module._sector_codes(*args) % depth_module._WIDTH == SECTORS).sum(axis=1)
 
 
@@ -258,10 +335,10 @@ def test_self_screen_reverses_the_wrapped_code(chunk, monkeypatch):
     for differences, wrapped in ((contextlib.nullcontext(), 0), (subtracting_directly(), 3)):
         with differences:
             assert wrapped_codes(pts)[0] == wrapped
-            direct = _sector_histograms(pts, pts.copy())  # every ordered pair computed
+            direct = sector_histograms_direct(pts, pts)  # every ordered pair computed
             with monkeypatch.context() as patch:
                 patch.setattr(depth_module, "CHUNK_PAIRS", chunk)
-                hist = _sector_histograms(pts, pts)
+                hist = _sector_histograms(pts)
         # exact coordinates: every reverse code equals the code computed directly
         assert np.array_equal(hist, direct)
         # (3, -0.0) sees the other 7 points on the x axis at t = 2
@@ -313,8 +390,8 @@ def test_products_give_the_subtraction_results(case):
     def screen_and_kernel():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(depth_module, "CHUNK_PAIRS", SMALL_CHUNK)
-            tiled = _sector_histograms(pts, pts)
-        return (_sector_histograms(pts, pts), tiled, _sector_histograms(pts, queries),
+            tiled = _sector_histograms(pts)
+        return (_sector_histograms(pts), tiled, sector_histograms_direct(pts, queries),
                 _simplicial_counts(pts, queries))
 
     got = screen_and_kernel()
@@ -331,7 +408,7 @@ def test_products_give_the_subtraction_results(case):
 def test_diamond_angle_four_wraps_to_sector_zero():
     # seen from the origin, (1, -1e-20) has r = 1 / (1 + 1e-20) = 1, so t = 3 + r = 4
     pts = np.array([[1.0, -1e-20], [1.0, 1e-20], [1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
-    hist = _sector_histograms(pts, np.zeros((1, 2)))
+    hist = sector_histograms_direct(pts, np.zeros((1, 2)))
     assert hist.shape == (1, SECTORS + 2)
     assert hist[0, 0] == 3 and hist[0, SECTORS] == 0  # t = 4 is counted as sector 0
     assert hist[0, SECTORS // 2] == 1 and hist[0, SECTORS + 1] == 1
@@ -341,15 +418,20 @@ def test_diamond_angle_four_wraps_to_sector_zero():
 
 def test_mahalanobis_bounds_are_the_depths():
     cloud = part2_cloud(2, m=200)
-    lo, hi = _depth_bounds(cloud, cloud.points, "mahalanobis")
+    lo, hi = screen_bounds(cloud.points, "mahalanobis")
     exact = depth_of(cloud, cloud.points, "mahalanobis")
     assert np.array_equal(lo, exact) and np.array_equal(hi, exact)
 
 
-def test_far_query_bounds_are_exact():
-    pts = np.random.default_rng(12).standard_normal((300, 2))
-    lo, hi = _depth_bounds(pts, [[50.0, 50.0], [0.0, -80.0]], "simplicial")
-    assert lo.tolist() == hi.tolist() == [0.0, 0.0]
+def test_far_point_bounds_are_exact():
+    # each far point sees the others within a few sectors, so every triangle
+    # of the others misses it: it has the least depth, and the bounds say so
+    pts = np.vstack([np.random.default_rng(12).standard_normal((300, 2)),
+                     [[50.0, 50.0], [0.0, -80.0]]])
+    lo, hi = screen_bounds(pts)
+    exact = depth_of(pts, pts, "simplicial")
+    want = [least_depth(302)] * 2
+    assert lo[-2:].tolist() == hi[-2:].tolist() == exact[-2:].tolist() == want
 
 
 # -- coordinates whose range overflows ----------------------------------------------
@@ -367,7 +449,7 @@ def test_overflowing_range_is_rejected_by_name(kind, query):
     with pytest.raises(ValueError, match=message):
         depth_of(OVERFLOW_CLOUD, [query], kind)
     with pytest.raises(ValueError, match=message):
-        _depth_bounds(OVERFLOW_CLOUD, [query], kind)
+        screen_bounds(np.vstack([OVERFLOW_CLOUD, [query]]), kind)
     box = Rectangle(lower=[-1.0, -1.0], upper=[2.0, 2.0])
     for p_value in (p_multi, p_multi_max):
         with pytest.raises(ValueError, match=message):
@@ -386,9 +468,9 @@ def test_overflowing_direction_sums_get_trivial_bounds():
     # between opposite corners
     pts = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.8e308, -0.8e308],
                     [-0.8e308, 0.8e308], [0.0, 0.0], [1.0, 2.0]])
-    queries = np.vstack([pts, [[0.1e308, -0.3e308]]])
-    lo, hi = _depth_bounds(pts, queries, "simplicial")
-    exact = depth_of(pts, queries, "simplicial")
+    cloud = np.vstack([pts, [[0.1e308, -0.3e308]]])
+    lo, hi = screen_bounds(cloud)
+    exact = depth_of(cloud, cloud, "simplicial")
     assert (lo <= exact).all() and (exact <= hi).all()
     assert lo[0] == 0.0 and hi[0] == 1.0  # (0.8e308, 0.8e308) sees its opposite corner
     assert np.isfinite(exact).all()
@@ -604,13 +686,13 @@ def test_hull_declines_overflowing_direction_sums():
 
 @pytest.fixture
 def screens(monkeypatch):
-    """Number of rows of each ``_sector_histograms`` call: the full screen."""
+    """Number of points of each ``_sector_histograms`` call: the full screen."""
     calls = []
     real = depth_module._sector_histograms
 
-    def counting(pts, queries):
-        calls.append(queries.shape[0])
-        return real(pts, queries)
+    def counting(pts):
+        calls.append(pts.shape[0])
+        return real(pts)
 
     monkeypatch.setattr(depth_module, "_sector_histograms", counting)
     return calls
@@ -659,8 +741,8 @@ def test_far_box_and_p_multi_max_still_screen(workers, screens):
 
     far = on_workers(p_multi, PART2_REGIONS["far_box"][0])
     assert {res.floor_source for res in far} == {"boundary-grid"}
-    # per cloud, the replicates, then the grid
-    assert screens.count(500) == workers and len(screens) == 2 * workers
+    # per cloud, the replicates; the grid gets exact depths
+    assert screens == [500] * workers
     screens.clear()
     # the corner (0, 0) is deep in every cloud
     region = PART2_REGIONS["d_corner"][0]

@@ -6,6 +6,7 @@ decide with no rounding at all.  Scipy's qhull, in floats, is an oracle only
 for clouds in general position.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +91,17 @@ def test_certainly_left_is_never_wrong(case, pad):
         (ax, ay), (bx, by), (qx, qy) = ([Fraction(v) for v in p] for p in (a[i], b[i], q[j]))
         det = (bx - ax) * (qy - ay) - (by - ay) * (qx - ax)
         assert det > Fraction(pad) * (abs(bx - ax) + abs(by - ay))
+
+
+def test_overflowing_edges_raise_no_warning_and_certify_no_point():
+    # every b - a overflows on some axis
+    a = np.array([[-1.7e308, -1.7e308], [-1.7e308, 1.7e308], [0.0, -1.7e308]])
+    b = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308], [1.0, 1.7e308]])
+    q = np.array([[0.0, 0.0], [-1.0, 1e308], [1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        left = certainly_left(a, b, q, 1.7e308)
+    assert not left.any()
 
 
 @st.composite
