@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import json
 import math
 import os
@@ -75,37 +76,42 @@ def read_csv_columns(path, columns: int) -> np.ndarray:
     ``_parse_plain`` accepts is parsed in one call; any other goes through
     the per-row reader, ``_read_rows``, which names the line at fault.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError("io", f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise CliError("parse", _undecodable(path, exc)) from None
+    text = _read_text(path)
     data = _parse_plain(text, columns)
     if data is None:
         data = _read_rows(path, text.split("\n"), columns)
     return data[:, 0] if columns == 1 else data
 
 
-def _undecodable(path, exc: UnicodeDecodeError) -> str:
-    """The error message for a file that is not text in the encoding it was
-    read with.  The text reader decodes in chunks, so ``exc.start`` counts
-    from the start of a chunk; decoding the whole file again gives the
-    offset in the file."""
+def _read_text(path) -> str:
+    """The UTF-8 text of an input file, without one leading byte-order mark,
+    its line ends read as text mode reads them."""
     try:
         with open(path, "rb") as fh:
-            fh.read().decode(exc.encoding)
-    except UnicodeDecodeError as whole:
-        exc = whole
-    except OSError:
-        pass
-    return f"{path}: not {exc.encoding} text at byte offset {exc.start} ({exc.reason})"
+            data = fh.read()
+    except OSError as exc:
+        raise CliError("io", f"cannot read {path}: {exc}") from None
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise CliError("parse", f"{path}: not {exc.encoding} text at byte offset {exc.start} "
+                                f"({exc.reason})") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _is_header(line: str) -> bool:
+    """Whether a table's first non-blank line is a header: none of its
+    fields is a number."""
+    for field in line.split(","):
+        with contextlib.suppress(ValueError):
+            float(field.strip())
+            return False
+    return True
 
 
 def _read_rows(path, lines: list[str], columns: int) -> np.ndarray:
     """The rows of a table, one line at a time: the first non-blank line
-    is a header when some field of it is not a number."""
+    is a header when none of its fields is a number."""
     rows = []
     numbered = [(lineno, ln.strip()) for lineno, ln in enumerate(lines, start=1) if ln.strip()]
     for i, (lineno, line) in enumerate(numbered):
@@ -113,8 +119,8 @@ def _read_rows(path, lines: list[str], columns: int) -> np.ndarray:
         try:
             values = [float(f) for f in fields]
         except ValueError:
-            if i == 0:
-                continue  # header: the first non-blank line
+            if i == 0 and _is_header(line):
+                continue
             raise CliError("parse", f"{path}:{lineno}: non-numeric row {line!r}") from None
         if len(values) != columns:
             raise CliError(
@@ -129,45 +135,31 @@ def _read_rows(path, lines: list[str], columns: int) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-@functools.cache
-def _plain_body(columns: int) -> re.Pattern:
-    """Lines that are blank or hold ``columns`` comma-separated fields, each
-    one run of characters other than comma and ASCII whitespace, with only
-    spaces and tabs around them."""
-    field = r"[^,\s\x1c-\x1f]+[ \t]*"
-    row = rf"[ \t]*(?:{field}(?:,[ \t]*{field}){{{columns - 1}}})?"
-    return re.compile(rf"(?:{row}\n)*{row}", re.ASCII)
-
-
 def _parse_plain(text: str, columns: int) -> np.ndarray | None:
-    """The (rows x columns) table of ``text`` in one ``np.array`` call, or
+    """The (rows x columns) table of ``text`` in one ``np.loadtxt`` call, or
     None when the per-row reader must decide.
 
-    It takes only ASCII text whose whitespace is spaces, tabs and newlines,
-    with an optional header on the first non-blank line, every other
-    non-blank line holding exactly ``columns`` non-empty fields without
-    inner whitespace, and every value a finite number.  Each field is then
-    one whitespace-separated token, and numpy converts a string as
-    ``float`` does, so the array equals the per-row reader's.
+    It takes only ASCII text.  numpy converts a field as ``float`` does
+    once ``str.strip`` has trimmed its ends, and refuses what the two would
+    read apart (``1_0``, a line of only whitespace), so every table it
+    returns is the per-row reader's.  A blank body, a wrong width or a
+    value that is not finite is left to that reader to word.
     """
     if not text.isascii():
         return None
     body = text.lstrip()
     end = body.find("\n")
+    if _is_header(body if end < 0 else body[:end]):
+        body = "" if end < 0 else body[end + 1:]
+    if not body.strip():
+        return None  # loadtxt would warn that the input holds no data
     try:
-        [float(f) for f in (body if end < 0 else body[:end]).split(",")]
-    except ValueError:
-        body = "" if end < 0 else body[end + 1:]  # the header
-    if not _plain_body(columns).fullmatch(body):
-        return None
-    tokens = body.replace(",", " ").split()
-    try:
-        values = np.array(tokens, dtype=float)
+        values = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return None
-    if not values.size or not np.isfinite(values).all():
+    if values.shape[1] != columns or not np.isfinite(values).all():
         return None
-    return values.reshape(-1, columns)
+    return values
 
 
 def _parse_vector(text: str, key: str) -> list[float]:
@@ -193,11 +185,7 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
     ``corners`` (semicolon-separated points) and ``cov`` (rows separated by
     semicolons) for simulation runs.
     """
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CliError("io", f"cannot read {path}: {exc}") from None
+    lines = _read_text(path).splitlines()
     kv: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -537,7 +538,25 @@ BAD_INPUT = [
      "validation", "seed must be >= 0, got -1"),
     ("uni-true-mean-pair-depth", UNI + ["--true-mean", "1,2", "--depth", "mahalanobis"],
      "validation", "--depth does not apply to univariate-normal runs"),
+    # a byte-order mark is dropped: the one row is data, not a header, and
+    # the config's first key is read
+    ("bom-one-row", ["pval", "--input", "{d}/bom_single.csv", "--region", "0"],
+     "validation", "need at least 2 observations"),
+    ("bom-config-no-hi", PVAL2D + ["--config", "{d}/bom_no_hi.cfg"],
+     "parse", "{d}/bom_no_hi.cfg: shape 'rectangle' needs key 'hi'"),
+    ("config-not-utf8", PVAL2D + ["--config", "{d}/not_utf8.cfg"],
+     "parse", "{d}/not_utf8.cfg: not utf-8 text at byte offset 48 (invalid start byte)"),
+    ("biv-config-not-utf8", BIV + ["--config", "{d}/not_utf8.cfg", "--method", "multi"],
+     "parse", "{d}/not_utf8.cfg: not utf-8 text at byte offset 48 (invalid start byte)"),
+    # a first line with a number in it is data, never a header
+    ("mixed-first-row", ["pval", "--input", "{d}/mixed_first.csv", "--region", "0"],
+     "parse", "{d}/mixed_first.csv:1: non-numeric row '1.5,'"),
 ]
+
+
+BOM = "\ufeff".encode()
+# a halfspace config with byte 0xff at offset 48, in its last comment
+NOT_UTF8_CONFIG = b"shape = halfspace\nnormal = 1, 0\noffset = 0\n# abc\xff\n"
 
 
 @pytest.fixture
@@ -565,6 +584,10 @@ def bad_input_dir(tmp_path, table1):
     (tmp_path / "header_only.csv").write_text("\nx\n\n")
     (tmp_path / "single.csv").write_text("0.5\n")
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff1.0\n2.0\n")
+    (tmp_path / "not_utf8.cfg").write_bytes(NOT_UTF8_CONFIG)
+    (tmp_path / "bom_single.csv").write_bytes(BOM + b"0.5\n")
+    (tmp_path / "bom_no_hi.cfg").write_bytes(BOM + b"shape = rectangle\nlo = -1, -1\n")
+    (tmp_path / "mixed_first.csv").write_text("1.5,\n2.0\n3.5\n")
     for name, normal, offset in (("tiny_normal", "0.0, 2.8345852743287677e-165", "0.0"),
                                  ("far_boundary", "10, 0", "-1e308")):
         (tmp_path / f"{name}.cfg").write_text(
@@ -621,6 +644,56 @@ def test_undecodable_byte_is_located_in_the_file(tmp_path, capsys):
     assert json.loads(err)["error"] == {
         "category": "parse",
         "message": f"{path}: not utf-8 text at byte offset 20000 (invalid start byte)"}
+
+
+def test_byte_order_mark_is_not_a_header(tmp_path, capsys):
+    # spreadsheet tools start UTF-8 files with a byte-order mark; the first
+    # row stays data, and the report is the one for the file without it
+    path = tmp_path / "sample.csv"
+    argv = ["pval", "--input", str(path), "--cd", "t", "--region", "0"]
+    outputs = []
+    for mark in (b"", BOM):
+        path.write_bytes(mark + b"1.5\n2.0\n3.5\n")
+        outputs.append(run_cli(argv, capsys))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and json.loads(outputs[0][1])["n"] == 3
+
+
+@pytest.mark.parametrize("text,lineno,line", [("x,1\n2,3\n", 1, "x,1"),
+                                               ("1\x1c,x\n2,3\n", 1, "1\x1c,x"),
+                                               ("\n -0 , y\n2,3\n", 2, "-0 , y")])
+def test_a_first_line_with_a_number_is_data(text, lineno, line, tmp_path):
+    # a field the row reader takes for a number keeps the line from being a header
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(cli.CliError) as raised:
+        cli.read_csv_columns(path, 2)
+    assert str(raised.value) == f"{path}:{lineno}: non-numeric row {line!r}"
+
+
+def test_config_with_a_byte_order_mark_parses(tmp_path):
+    text = b"shape = rectangle\nlo = -1, -2\nhi = 1, 2\ncov = 1, 0 ; 0, 1\n"
+    loaded = []
+    for mark in (b"", BOM):
+        path = tmp_path / "region.cfg"
+        path.write_bytes(mark + text)
+        region, cov = load_region_config(path)
+        loaded.append((region.describe(), cov.tolist()))
+    assert loaded[0] == loaded[1]
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\t\n", "\nx\n\n", "x"],
+                         ids=["empty", "blank-only", "header-only", "header-no-newline"])
+def test_empty_table_is_one_error_line_with_no_warning(text, tmp_path, capsys):
+    # numpy's text reader warns on a body with no data; it never sees one
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["pval", "--input", str(path), "--region", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == json.dumps({"error": {"category": "parse",
+                                        "message": f"{path}: no numeric rows"}}) + "\n"
 
 
 def test_memory_error_is_one_error_line(bad_input_dir, capsys):
@@ -763,12 +836,24 @@ def read_or_error(read, *args):
 @example(case=("1,2,3\n4\n", 2))
 @example(case=("1\n2\n1_0\n", 1))
 @example(case=("a,b\n1, 2\n\n 3 ,4 \n", 2))
+@example(case=("1\n \t\n2\n", 1))
+@example(case=("1_0\n2\n", 1))
+@example(case=("Infinity\n2\n", 1))
+@example(case=("1,nan\n2,3\n", 2))
+@example(case=("1\x0b\n2\n", 1))
+@example(case=("1,2\x1c\n3,4\n", 2))
+@example(case=("\x1cx\x1f\n1\n", 1))
+@example(case=("x\r\n1,2\r\n3,4\r\n", 2))
+@example(case=("\ufeff1.5\n2\n", 1))
+@example(case=("\ufeffx,y\n1,2\n", 2))
+@example(case=("x\n\n \n\n", 1))
+@example(case=("1.5,\n2\n", 1))
+@example(case=("x,1\n2,3\n", 2))
 def test_one_call_parse_equals_the_row_reader(case, tmp_path):
     text, columns = case
     path = tmp_path / "data.csv"
     path.write_bytes(text.encode())
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = cli._read_text(path).split("\n")
 
     def rows(path, columns):
         data = cli._read_rows(path, lines, columns)
@@ -782,6 +867,26 @@ def test_plain_files_take_the_one_call_parse(monkeypatch, tmp_path):
     path.write_text("a,b\n\n1.5, -2\n 3e-3 ,4\n\n")
     monkeypatch.setattr(cli, "_read_rows", None)
     assert cli.read_csv_columns(path, 2).tolist() == [[1.5, -2.0], [0.003, 4.0]]
+
+
+LONG_DECIMALS = st.builds(
+    "{}{}.{}e{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=40),
+    st.text("0123456789", max_size=40),
+    st.integers(-380, 330),
+)
+
+
+@given(fields=st.lists(st.one_of(st.floats().map(repr), LONG_DECIMALS),
+                       min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_loadtxt_rounds_as_float_does(fields):
+    # the one-call parse relies on numpy's text reader giving ``float``'s
+    # bits for every number; a numpy whose parser rounds otherwise fails here
+    parsed = np.loadtxt(io.StringIO("\n".join(fields)), delimiter=",", comments=None, ndmin=2)
+    expected = np.array([[float(field)] for field in fields])
+    assert parsed.tobytes() == expected.tobytes()
 
 
 # -- --out is rewritten in place -----------------------------------------------------
