@@ -41,9 +41,7 @@ from .support import (
     bioeq_p,
     bioeq_tails,
     direct_support,
-    extended_indirect_support,
     p_value,
-    weighted_indirect,
 )
 
 __version__ = "0.1.0"

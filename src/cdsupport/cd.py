@@ -14,13 +14,10 @@ sampling.  Three kinds are provided:
 ``sample_cd`` is the one path from a sample to a CD, for the CLI's ``pval``
 and the Monte Carlo harness alike.
 
-All evaluation is done through the object's own ``cdf``.  Quantiles of the
-exact kinds are the closed-form inverses ``center + scale * stdtrit(df, p)``
-and ``center + scale * ndtri(p)``, which agree with that ``cdf`` to about
-1e-13 in probability.
+All evaluation is done through the object's own ``cdf``.
 
-``scipy.special`` is imported on the first ``cdf`` or ``quantile`` of an
-exact kind, not with this module: the bootstrap CD, bootstrap clouds and
+``scipy.special`` is imported on the first ``cdf`` of an exact kind, not
+with this module: the bootstrap CD, bootstrap clouds and
 depth p-values never load it, and importing it costs a fresh process more
 than its whole set-up otherwise.
 """
@@ -68,7 +65,9 @@ class ConfidenceDistribution:
 
         ``theta`` broadcasts against an array ``center``/``scale``.
         """
-        th = _not_nan(theta, "cdf")
+        th = np.asarray(theta, dtype=float)
+        if np.isnan(th).any():
+            raise ValueError("cdf argument must not be NaN")
         if self.kind == "bootstrap-empirical":
             out = self._bootstrap_cdf(th)
         else:
@@ -78,40 +77,6 @@ class ConfidenceDistribution:
             out = special.stdtr(self.df, z) if self.kind == "exact-t" else special.ndtr(z)
         return float(out) if np.ndim(out) == 0 else out
 
-    def pdf(self, theta):
-        """CD density at ``theta``; only the exact kinds carry a density."""
-        th = _not_nan(theta, "pdf")
-        z = (th - self.center) / self.scale
-        if self.kind == "exact-t":
-            v = float(self.df)
-            lognorm = (
-                math.lgamma((v + 1.0) / 2.0)
-                - math.lgamma(v / 2.0)
-                - 0.5 * math.log(v * math.pi)
-            )
-            out = np.exp(lognorm - 0.5 * (v + 1.0) * np.log1p(z * z / v)) / self.scale
-        elif self.kind == "asymptotic-normal":
-            out = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * self.scale)
-        else:
-            raise ValueError(f"{self.kind} CD has no evaluable density")
-        out = np.where(np.isinf(th), 0.0, out)
-        return float(out) if np.ndim(out) == 0 else out
-
-    def quantile(self, p):
-        """Inverse c.d.f.; ``p`` must lie strictly inside (0, 1), so NaN is
-        rejected."""
-        ps = np.asarray(p, dtype=float)
-        if not ((ps > 0.0) & (ps < 1.0)).all():
-            raise ValueError("quantile level must lie strictly inside (0, 1)")
-        if self.kind == "bootstrap-empirical":
-            out = np.interp(ps, np.linspace(0.0, 1.0, self.grid.size), self.grid)
-        else:
-            from scipy import special
-
-            z = special.stdtrit(self.df, ps) if self.kind == "exact-t" else special.ndtri(ps)
-            out = self.center + self.scale * z
-        return float(out) if np.ndim(out) == 0 else out
-
     # -- internals ---------------------------------------------------------
 
     def _bootstrap_cdf(self, th):
@@ -119,13 +84,6 @@ class ConfidenceDistribution:
         out = np.interp(th, self.grid, levels)
         # interp clamps outside the knot range, which is exactly the 0/1 tails
         return out
-
-
-def _not_nan(theta, method: str) -> np.ndarray:
-    th = np.asarray(theta, dtype=float)
-    if np.isnan(th).any():
-        raise ValueError(f"{method} argument must not be NaN")
-    return th
 
 
 def _location_scale(n: int, mean, sd) -> tuple:

@@ -40,6 +40,7 @@ from .regions import (
     RegionND,
     format_region,
     json_bound,
+    number,
     parse_region,
 )
 from .simulate import PART2_COV, ExperimentSpec, run_experiment, write_qq_csv
@@ -101,7 +102,8 @@ def _read_text(path) -> str:
 
 def _is_header(line: str) -> bool:
     """Whether a table's first non-blank line is a header: none of its
-    fields is a number."""
+    fields is a number, nor one that only Python's ``float`` reads, such as
+    ``1_0``; such a first line is a bad row, never a header to drop."""
     for field in line.split(","):
         with contextlib.suppress(ValueError):
             float(field.strip())
@@ -117,7 +119,7 @@ def _read_rows(path, lines: list[str], columns: int) -> np.ndarray:
     for i, (lineno, line) in enumerate(numbered):
         fields = [f.strip() for f in line.split(",")]
         try:
-            values = [float(f) for f in fields]
+            values = [number(f) for f in fields]
         except ValueError:
             if i == 0 and _is_header(line):
                 continue
@@ -163,8 +165,9 @@ def _parse_plain(text: str, columns: int) -> np.ndarray | None:
 
 
 def _parse_vector(text: str, key: str) -> list[float]:
+    """The comma-separated numbers of ``text``; an empty field is an error."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [number(tok) for tok in text.split(",")]
     except ValueError:
         raise CliError("parse", f"config key {key!r}: bad number in {text!r}") from None
 
@@ -176,6 +179,15 @@ def _parse_points(text: str, key: str) -> list[list[float]]:
     return points
 
 
+# each config shape's own keys; any shape may also give ``corners`` and ``cov``
+_SHAPE_KEYS = {
+    "rectangle": ("lo", "hi"),
+    "halfspace": ("normal", "offset"),
+    "quadrant-complement": ("corner",),
+    "points": ("points",),
+}
+
+
 def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
     """Key-value region config; returns the region and an optional covariance.
 
@@ -183,10 +195,12 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
     rectangle ``lo``/``hi``, halfspace ``normal``/``offset``,
     quadrant-complement ``corner``, point list ``points``; optional
     ``corners`` (semicolon-separated points) and ``cov`` (rows separated by
-    semicolons) for simulation runs.
+    semicolons) for simulation runs.  A key given twice, or one that the
+    shape does not read, is an error.
     """
     lines = _read_text(path).splitlines()
     kv: dict[str, str] = {}
+    where: dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -194,10 +208,20 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
         if "=" not in line:
             raise CliError("parse", f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        kv[key] = value
+        if key in kv:
+            raise CliError("parse", f"{path}:{lineno}: key {key!r} repeats line {where[key]}")
+        kv[key], where[key] = value, lineno
     shape = kv.get("shape")
     if shape is None:
         raise CliError("parse", f"{path}: missing required key 'shape'")
+    if shape not in _SHAPE_KEYS:
+        raise CliError("parse", f"{path}: unknown shape {shape!r}")
+    for key in kv:  # in file order
+        if key not in ("shape", "corners", "cov", *_SHAPE_KEYS[shape]):
+            raise CliError("parse", f"{path}:{where[key]}: shape {shape!r} takes no key {key!r}")
+    for key in _SHAPE_KEYS[shape]:
+        if key not in kv:
+            raise CliError("parse", f"{path}: shape {shape!r} needs key {key!r}")
     corners = _parse_points(kv["corners"], "corners") if "corners" in kv else None
     try:
         if shape == "rectangle":
@@ -215,12 +239,8 @@ def load_region_config(path) -> tuple[RegionND, np.ndarray | None]:
         elif shape == "quadrant-complement":
             region = QuadrantComplement(corner=_parse_vector(kv["corner"], "corner"),
                                         corners=corners)
-        elif shape == "points":
-            region = PointSet(points=_parse_points(kv["points"], "points"), corners=corners)
         else:
-            raise CliError("parse", f"{path}: unknown shape {shape!r}")
-    except KeyError as exc:
-        raise CliError("parse", f"{path}: shape {shape!r} needs key {exc.args[0]!r}") from None
+            region = PointSet(points=_parse_points(kv["points"], "points"), corners=corners)
     except ValueError as exc:
         raise CliError("validation", f"{path}: {exc}") from None
     cov = None
@@ -445,6 +465,19 @@ def cmd_simulate(args) -> dict:
 # -- entry point ---------------------------------------------------------------
 
 
+def _flag_type(kind):
+    """An argparse ``type`` that reads a flag value by ``number``.  It bears
+    ``kind``'s name, by which argparse words a rejection:
+    ``invalid int value: '1_0'``."""
+    def read(text: str):
+        return number(text, kind)
+    read.__name__ = kind.__name__
+    return read
+
+
+_FLOAT, _INT = _flag_type(float), _flag_type(int)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then shared; parsing
@@ -461,30 +494,30 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--region", help="region text, e.g. '[-0.01,0.01];0.5'")
         if config:
             p.add_argument("--config", help="key-value region config file")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_INT, default=0)
         p.add_argument("--out", help="report path (default: stdout)")
 
     p = sub.add_parser("pval", help="univariate region p-value from a CSV sample")
     common(p, region=True, input_file=True)
     p.add_argument("--method", choices=sorted(METHOD_TOKENS), default="full")
     p.add_argument("--cd", choices=CD_TOKENS, default="t")
-    p.add_argument("--boot-reps", type=int, default=2000)
+    p.add_argument("--boot-reps", type=_INT, default=2000)
     p.set_defaults(fn=cmd_pval)
 
     p = sub.add_parser("pval2d", help="depth-based bivariate p-value from a CSV sample")
     common(p, input_file=True, config=True)
     p.add_argument("--depth", choices=DEPTH_KINDS, default="mahalanobis")
-    p.add_argument("--boot-reps", type=int, default=2000)
+    p.add_argument("--boot-reps", type=_INT, default=2000)
     p.set_defaults(fn=cmd_pval2d)
 
     p = sub.add_parser("bioeq", help="equivalence p-value from summary statistics")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--mean-t", type=float, required=True)
-    p.add_argument("--mean-r", type=float, required=True)
-    p.add_argument("--var-d", type=float, required=True)
-    p.add_argument("--lower", type=float, required=True)
-    p.add_argument("--upper", type=float, required=True)
+    p.add_argument("--n1", type=_INT, required=True)
+    p.add_argument("--n2", type=_INT, required=True)
+    p.add_argument("--mean-t", type=_FLOAT, required=True)
+    p.add_argument("--mean-r", type=_FLOAT, required=True)
+    p.add_argument("--var-d", type=_FLOAT, required=True)
+    p.add_argument("--lower", type=_FLOAT, required=True)
+    p.add_argument("--upper", type=_FLOAT, required=True)
     p.add_argument("--alphas", default="0.01,0.05,0.1")
     p.add_argument("--out", help="report path (default: stdout)")
     p.set_defaults(fn=cmd_bioeq)
@@ -492,16 +525,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo uniformity run")
     common(p, region=True, config=True)
     p.add_argument("--true-mean", default="0", help="scalar, or 'a,b' for bivariate")
-    p.add_argument("--n", type=int, default=200)
-    p.add_argument("--reps", type=int, default=2000)
+    p.add_argument("--n", type=_INT, default=200)
+    p.add_argument("--reps", type=_INT, default=2000)
     p.add_argument("--method", choices=sorted(METHOD_TOKENS) + list(MULTI_METHODS),
                    default="full")
     p.add_argument("--cd", choices=CD_TOKENS,
                    help="univariate runs only (default: t)")
     p.add_argument("--depth", choices=DEPTH_KINDS,
                    help="bivariate runs only (default: simplicial)")
-    p.add_argument("--boot-reps", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1,
+    p.add_argument("--boot-reps", type=_INT, default=500)
+    p.add_argument("--threads", type=_INT, default=1,
                    help="workers that run blocks of replications, for both models")
     p.add_argument("--qq-out", help="QQ CSV path (default: <out>.qq.csv)")
     p.set_defaults(fn=cmd_simulate)

@@ -8,6 +8,9 @@ The univariate grammar accepts semicolon-separated pieces::
     [b,inf)      upper half-line
     (-inf,inf)   the whole line
 
+Every number is read by ``number``, the one rule for each number the
+package reads from text: region pieces, the CLI's tables, configs and flags.
+
 Pieces are normalized on construction: sorted ascending, with overlapping or
 touching pieces merged, so consecutive pieces always have a strict gap.
 """
@@ -93,13 +96,27 @@ _UPPER = re.compile(r"^\[([^,\)]+),\s*inf\s*\)$")
 _WHOLE = re.compile(r"^\(\s*-inf\s*,\s*inf\s*\)$")
 
 
-def _number(tok: str, piece: str) -> float:
+def number(token: str, kind: type = float):
+    """``kind(token)`` for ``kind`` ``float`` or ``int``, when ``token`` is a
+    number: it is ASCII, holds no ``_``, and ``kind`` parses it.  ``kind``
+    alone would also read ``1_0`` as 10 and the Arabic-Indic digit
+    ``\u0661`` as 1.  Anything else raises ``ValueError``; a value that is
+    not finite is left to the caller."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a number: {token!r}")
+    return kind(token)
+
+
+def _number(tok: str, piece: str, what: str = "endpoint") -> float:
+    """The finite number ``tok`` of region piece ``piece``; a singleton
+    piece is its own token."""
     try:
-        v = float(tok)
+        v = number(tok)
     except ValueError:
-        raise ValueError(f"malformed region piece {piece!r}: bad number {tok.strip()!r}") from None
+        bad = "" if what == "singleton" else f": bad number {tok.strip()!r}"
+        raise ValueError(f"malformed region piece {piece!r}{bad}") from None
     if not math.isfinite(v):
-        raise ValueError(f"malformed region piece {piece!r}: endpoint must be finite")
+        raise ValueError(f"malformed region piece {piece!r}: {what} must be finite")
     return v
 
 
@@ -124,12 +141,7 @@ def parse_region(text: str) -> NullRegion:
                 raise ValueError(f"malformed region piece {tok!r}: lo > hi")
             pieces.append(Interval(lo, hi))
         else:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise ValueError(f"malformed region piece {tok!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"malformed region piece {tok!r}: singleton must be finite")
+            v = _number(tok, tok, "singleton")
             pieces.append(Interval(v, v))
     return NullRegion(tuple(pieces))
 

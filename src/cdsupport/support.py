@@ -17,10 +17,8 @@ and the harness, trading size control against power:
 
 A CD whose center and scale are arrays stands for a block of CDs; its table
 has one column per CD, so the Monte Carlo harness and the scalar calls share
-this one code path.  ``weighted_indirect`` and
-``extended_indirect_support`` are the paper's other singleton and region
-supports, and ``bioeq_cd``, ``bioeq_tails`` and ``bioeq_p`` its two
-one-sided equivalence test.
+this one code path.  ``bioeq_cd``, ``bioeq_tails`` and ``bioeq_p`` are the
+paper's two one-sided equivalence test.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ __all__ = [
     "METHODS",
     "support_table",
     "direct_support",
-    "weighted_indirect",
-    "extended_indirect_support",
     "p_value",
     "bioeq_cd",
     "bioeq_tails",
@@ -150,31 +146,6 @@ METHODS = {
 def direct_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
     """CD mass assigned to the whole region (sum over pieces)."""
     return _direct_total(support_table(cd, region)).item()
-
-
-def weighted_indirect(cd: ConfidenceDistribution, theta0: float, gamma: float) -> float:
-    """Tail-weighted singleton support min{H/gamma, (1-H)/(1-gamma)}, clamped."""
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie strictly inside (0, 1), got {gamma}")
-    h = cd.cdf(theta0)
-    return float(_clamp01(min(h / gamma, (1.0 - h) / (1.0 - gamma))))
-
-
-def extended_indirect_support(cd: ConfidenceDistribution, region: NullRegion) -> float:
-    """Mass of the density level set at or below the region's minimum density.
-
-    Implemented for CDs with a symmetric unimodal density (the exact kinds):
-    the density minimum over the region sits at the piece endpoint farthest
-    from the center, and the level set is the pair of tails beyond that
-    distance.  Regions with an infinite endpoint get level 0, hence mass 0.
-    """
-    cd.pdf(cd.center)  # raises for kinds without a density
-    reach = 0.0
-    for piece in region.pieces:
-        if math.isinf(piece.lo) or math.isinf(piece.hi):
-            return 0.0
-        reach = max(reach, abs(piece.lo - cd.center), abs(piece.hi - cd.center))
-    return float(_clamp01(cd.cdf(cd.center - reach) + (1.0 - cd.cdf(cd.center + reach))))
 
 
 def p_value(cd: ConfidenceDistribution, region: NullRegion) -> SupportReport:

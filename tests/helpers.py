@@ -1,6 +1,7 @@
-"""Scalar readings of univariate regions, supports and depths that only the
-tests use; the library reads regions through ``support.support_table`` and
-its ``METHODS``, and depths through ``depth.depth_of``.  Also the plain
+"""Scalar readings of univariate regions, CDs, supports and depths that only
+the tests use; the library reads regions through ``support.support_table``
+and its ``METHODS``, CDs through their ``cdf``, and depths through
+``depth.depth_of``.  Also the plain
 subtraction that the depth kernels' matrix products must reproduce, the
 triangle-at-a-time loop that the blocks of ``simplicial_depth_brute`` must
 reproduce, the every-ordered-pair sector histograms that the tiles of the
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from cdsupport import depth
 from cdsupport.regions import NullRegion
@@ -36,6 +38,64 @@ def boundary_points(region) -> list[float]:
 def piece_full(report) -> list[float]:
     """The full support of each piece of a ``SupportReport``."""
     return [ps.full for ps in report.pieces]
+
+
+def cd_pdf(cd, theta):
+    """Density of an exact-kind CD at ``theta``; 0 at an infinite ``theta``."""
+    th = np.asarray(theta, dtype=float)
+    if np.isnan(th).any():
+        raise ValueError("pdf argument must not be NaN")
+    z = (th - cd.center) / cd.scale
+    if cd.kind == "exact-t":
+        v = float(cd.df)
+        lognorm = math.lgamma((v + 1.0) / 2.0) - math.lgamma(v / 2.0) - 0.5 * math.log(v * math.pi)
+        out = np.exp(lognorm - 0.5 * (v + 1.0) * np.log1p(z * z / v)) / cd.scale
+    elif cd.kind == "asymptotic-normal":
+        out = np.exp(-0.5 * z * z) / (math.sqrt(2.0 * math.pi) * cd.scale)
+    else:
+        raise ValueError(f"{cd.kind} CD has no evaluable density")
+    out = np.where(np.isinf(th), 0.0, out)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def cd_quantile(cd, p):
+    """Inverse c.d.f. of a CD at levels strictly inside (0, 1): the closed
+    forms ``center + scale * stdtrit(df, p)`` and ``center + scale * ndtri(p)``
+    for the exact kinds, the knot grid interpolated for the bootstrap one."""
+    ps = np.asarray(p, dtype=float)
+    if not ((ps > 0.0) & (ps < 1.0)).all():
+        raise ValueError("quantile level must lie strictly inside (0, 1)")
+    if cd.kind == "bootstrap-empirical":
+        out = np.interp(ps, np.linspace(0.0, 1.0, cd.grid.size), cd.grid)
+    else:
+        z = special.stdtrit(cd.df, ps) if cd.kind == "exact-t" else special.ndtri(ps)
+        out = cd.center + cd.scale * z
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def weighted_indirect(cd, theta0: float, gamma: float) -> float:
+    """Tail-weighted singleton support min{H/gamma, (1-H)/(1-gamma)}, clamped."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must lie strictly inside (0, 1), got {gamma}")
+    h = cd.cdf(theta0)
+    return min(max(min(h / gamma, (1.0 - h) / (1.0 - gamma)), 0.0), 1.0)
+
+
+def extended_indirect_support(cd, region) -> float:
+    """Mass of the density level set at or below the region's minimum density.
+
+    For the exact kinds, whose densities are symmetric and unimodal, the
+    least density over the region sits at the piece endpoint farthest from
+    the center, and the level set is the pair of tails beyond that
+    distance; a region with an infinite endpoint gets level 0, hence mass 0.
+    """
+    cd_pdf(cd, cd.center)  # raises for kinds without a density
+    reach = 0.0
+    for piece in region.pieces:
+        if math.isinf(piece.lo) or math.isinf(piece.hi):
+            return 0.0
+        reach = max(reach, abs(piece.lo - cd.center), abs(piece.hi - cd.center))
+    return min(max(cd.cdf(cd.center - reach) + (1.0 - cd.cdf(cd.center + reach)), 0.0), 1.0)
 
 
 def indirect_support(cd, region) -> float:

@@ -28,6 +28,7 @@ from cdsupport import (
     parse_region,
 )
 from cdsupport.cli import load_region_config, main
+from cdsupport.regions import number
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -551,6 +552,34 @@ BAD_INPUT = [
     # a first line with a number in it is data, never a header
     ("mixed-first-row", ["pval", "--input", "{d}/mixed_first.csv", "--region", "0"],
      "parse", "{d}/mixed_first.csv:1: non-numeric row '1.5,'"),
+    # a number is ASCII and holds no "_": Python's float alone reads 1_0 as 10
+    # and the Arabic-Indic digit one as 1.  A first line that float reads is
+    # data, so it fails as a row instead of being dropped as a header
+    ("underscore-row", ["pval", "--input", "{d}/underscore.csv", "--cd", "t", "--region", "0"],
+     "parse", "{d}/underscore.csv:1: non-numeric row '1_0'"),
+    ("arabic-digit-row", ["pval", "--input", "{d}/arabic_digit.csv", "--cd", "t",
+                          "--region", "0"],
+     "parse", "{d}/arabic_digit.csv:1: non-numeric row '\u0661'"),
+    ("underscore-region", ["pval", "--input", "{d}/one.csv", "--region", "[0,1_0]"],
+     "parse", "malformed region piece '[0,1_0]': bad number '1_0'"),
+    ("arabic-digit-region", ["pval", "--input", "{d}/one.csv", "--region", "\u0661"],
+     "parse", "malformed region piece '\u0661'"),
+    ("underscore-seed", PVAL2D + ["--config", "{d}/half.cfg", "--seed", "1_0"],
+     "usage", "argument --seed: invalid int value: '1_0'"),
+    ("underscore-n1", BIOEQ + ["--n1", "1_2", "--var-d", "4", "--lower", "-8", "--upper", "8"],
+     "usage", "argument --n1: invalid int value: '1_2'"),
+    ("underscore-mean-t", BIOEQ + ["--mean-t", "8_0.272", "--var-d", "4", "--lower", "-8",
+                                   "--upper", "8"],
+     "usage", "argument --mean-t: invalid float value: '8_0.272'"),
+    # a config key is read once, and only when its shape reads it
+    ("config-repeated-key", BIV + ["--config", "{d}/repeated_key.cfg", "--method", "multi"],
+     "parse", "{d}/repeated_key.cfg:4: key 'lo' repeats line 2"),
+    ("config-misspelt-key", BIV + ["--config", "{d}/misspelt_cov.cfg", "--method", "multi"],
+     "parse", "{d}/misspelt_cov.cfg:4: shape 'rectangle' takes no key 'covariance'"),
+    ("config-other-shape-key", PVAL2D + ["--config", "{d}/rectangle_normal.cfg"],
+     "parse", "{d}/rectangle_normal.cfg:4: shape 'rectangle' takes no key 'normal'"),
+    ("config-empty-field", PVAL2D + ["--config", "{d}/empty_field.cfg"],
+     "parse", "config key 'lo': bad number in '-1,,-1'"),
 ]
 
 
@@ -588,6 +617,8 @@ def bad_input_dir(tmp_path, table1):
     (tmp_path / "bom_single.csv").write_bytes(BOM + b"0.5\n")
     (tmp_path / "bom_no_hi.cfg").write_bytes(BOM + b"shape = rectangle\nlo = -1, -1\n")
     (tmp_path / "mixed_first.csv").write_text("1.5,\n2.0\n3.5\n")
+    (tmp_path / "underscore.csv").write_text("1_0\n2\n3\n")
+    (tmp_path / "arabic_digit.csv").write_bytes("\u0661\n2\n3\n".encode())
     for name, normal, offset in (("tiny_normal", "0.0, 2.8345852743287677e-165", "0.0"),
                                  ("far_boundary", "10, 0", "-1e308")):
         (tmp_path / f"{name}.cfg").write_text(
@@ -596,7 +627,14 @@ def bad_input_dir(tmp_path, table1):
                        ("no_shape", "# a box\nlo = -1, -1\nhi = 1, 1\n"),
                        ("circle", "shape = circle\n"),
                        ("no_hi", "shape = rectangle\nlo = -1, -1\n"),
-                       ("flipped", "shape = rectangle\nlo = 1, -1\nhi = -1, 1\n")):
+                       ("flipped", "shape = rectangle\nlo = 1, -1\nhi = -1, 1\n"),
+                       ("repeated_key", "shape = rectangle\nlo = -1, -1\nhi = 1, 1\n"
+                                        "lo = -0.5, -0.5\ncovariance = 2, 0 ; 0, 2\n"),
+                       ("misspelt_cov", "shape = rectangle\nlo = -1, -1\nhi = 1, 1\n"
+                                        "covariance = 2, 0 ; 0, 2\n"),
+                       ("rectangle_normal", "shape = rectangle\nlo = -1, -1\nhi = 1, 1\n"
+                                            "normal = 5, 5\n"),
+                       ("empty_field", "shape = rectangle\nlo = -1,,-1\nhi = 1, 1\n")):
         (tmp_path / f"{name}.cfg").write_text(text)
     return tmp_path
 
@@ -608,7 +646,16 @@ def bad_input_dir(tmp_path, table1):
                          ids=[case[0] for case in BAD_INPUT])
 def test_bad_input_is_one_error_line(argv, category, message, bad_input_dir, capsys):
     d = str(bad_input_dir)
-    code, out, err = run_cli([arg.format(d=d) for arg in argv], capsys)
+    argv = [arg.format(d=d) for arg in argv]
+    if category == "usage":
+        # argparse rejects a flag value: exit status 2, the usage, then one error line
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out) == (2, "")
+        assert captured.err.endswith(f"\ncdsupport {argv[0]}: error: {message}\n")
+        return
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (1, "")
     line = json.dumps({"error": {"category": category, "message": message.format(d=d)}})
     assert err == line + "\n"
@@ -887,6 +934,40 @@ def test_loadtxt_rounds_as_float_does(fields):
     parsed = np.loadtxt(io.StringIO("\n".join(fields)), delimiter=",", comments=None, ndmin=2)
     expected = np.array([[float(field)] for field in fields])
     assert parsed.tobytes() == expected.tobytes()
+
+
+ARABIC_INDIC_DIGITS = [chr(0x660 + i) for i in range(10)]
+NUMBER_LIKE = st.lists(st.sampled_from([*"0123456789.e+-_ ", "inf", "nan", *ARABIC_INDIC_DIGITS]),
+                       max_size=6).map("".join)
+
+
+def _reads(read, *args) -> bool:
+    try:
+        read(*args)
+    except ValueError:
+        return False
+    return True
+
+
+@given(token=NUMBER_LIKE)
+@settings(max_examples=500, deadline=None)
+@example(token="1_0")
+@example(token="\u0661")
+@example(token=" -inf ")
+@example(token="")
+def test_one_rule_decides_every_number(token):
+    # the rule accepts exactly the ASCII strings without "_" that float
+    # (int for the integer flags) accepts
+    plain = token.isascii() and "_" not in token
+    assert _reads(number, token) == (plain and _reads(float, token))
+    assert _reads(number, token, int) == (plain and _reads(int, token))
+    if _reads(number, token):
+        assert number(token) == float(token) or math.isnan(number(token))
+    else:
+        # and numpy's table reader, which parses plain tables, takes no
+        # field that the rule refuses
+        table = f"1,{token}"
+        assert not _reads(lambda: np.loadtxt(io.StringIO(table), delimiter=",", comments=None))
 
 
 # -- --out is rewritten in place -----------------------------------------------------

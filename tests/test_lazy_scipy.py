@@ -53,14 +53,12 @@ SCRIPT = textwrap.dedent(
 
     boot = make_bootstrap_cd(rng.standard_normal(40), 300, seed=2)
     boot.cdf(np.linspace(-1.0, 1.0, 7))
-    boot.quantile([0.1, 0.5, 0.9])
     assert not loaded(), "bootstrap CD"
 
     theta = np.linspace(-3.0, 3.0, 61)
-    levels = np.linspace(0.01, 0.99, 99)
     t_cd = make_student_t_cd(12, 0.4, 1.3)
     z_cd = make_asymptotic_normal_cd(12, 0.4, 1.3)
-    got = [t_cd.cdf(theta), z_cd.cdf(theta), t_cd.quantile(levels), z_cd.quantile(levels)]
+    got = [t_cd.cdf(theta), z_cd.cdf(theta)]
     assert loaded(), "t and normal CDs"
 
     from scipy import special
@@ -68,8 +66,6 @@ SCRIPT = textwrap.dedent(
     want = [
         special.stdtr(11, (theta - 0.4) / t_cd.scale),
         special.ndtr((theta - 0.4) / z_cd.scale),
-        0.4 + t_cd.scale * special.stdtrit(11, levels),
-        0.4 + z_cd.scale * special.ndtri(levels),
     ]
     assert all(np.array_equal(g, w) for g, w in zip(got, want)), "same bits as scipy"
     """

@@ -10,22 +10,23 @@ from cdsupport import (
     bioeq_cd,
     bioeq_p,
     direct_support,
-    extended_indirect_support,
     make_asymptotic_normal_cd,
     make_bootstrap_cd,
     make_student_t_cd,
     p_value,
     parse_region,
-    weighted_indirect,
 )
 from cdsupport.regions import Interval
 from helpers import (
+    cd_pdf,
+    extended_indirect_support,
     full_support,
     indirect_support,
     max_direct_p,
     p_max_uni,
     p_star,
     piece_full,
+    weighted_indirect,
 )
 
 
@@ -100,8 +101,8 @@ class TestExtendedIndirect:
         # which for these densities is the pair of tails beyond |theta0 - center|
         cd = make_student_t_cd(9, 0.25, 1.4)
         reach = abs(theta0 - cd.center)
-        left, _ = integrate.quad(cd.pdf, -np.inf, cd.center - reach)
-        right, _ = integrate.quad(cd.pdf, cd.center + reach, np.inf)
+        left, _ = integrate.quad(lambda x: cd_pdf(cd, x), -np.inf, cd.center - reach)
+        right, _ = integrate.quad(lambda x: cd_pdf(cd, x), cd.center + reach, np.inf)
         got = extended_indirect_support(cd, parse_region(repr(theta0)))
         assert got == pytest.approx(left + right, abs=1e-8)
         assert got == pytest.approx(
