@@ -7,30 +7,44 @@
 For each seed, ``python3 bench/run.py --workload W --seed S`` runs once in
 each checkout, the parent first at even positions and the change first at
 odd ones, so that a drift of the host hits both sides alike.  Each run's
-record is the JSON of its last stdout line.  The output file keeps one
-entry per workload, so runs of several workloads can share it: their pairs,
-and per end-to-end metric of ``BENCHMARK.json`` the parent's and the
-change's quartiles, the change's wins (ties count for neither side), the
-parent's quartile spread and the median gain, positive when the change is
-better in the metric's own direction.
+record is the JSON of its last stdout line, with the JSON objects among the
+detail lines printed before it (per-case p50s, the host's load) under
+``detail``.  The output file keeps one entry per workload, so runs of
+several workloads can share it: their pairs, and per end-to-end metric of
+``BENCHMARK.json`` the parent's and the change's quartiles, the change's
+wins (ties count for neither side), the parent's quartile spread, the
+median gain, positive when the change is better in the metric's own
+direction, and two verdicts:
+
+- ``gain_shown``: the change wins at least 9 of every 10 pairs and its
+  median gain exceeds the parent's quartile spread;
+- ``within_bound``: the change's median is no worse than the parent's by
+  more than the metric's ``bound``, a fraction of the parent's median.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+# a detail line of ``bench/run.py`` whose value is a JSON object
+DETAIL = re.compile(r"  (\w+): (\{.*\})")
+
 
 def run_bench(root: Path, workload: str, seed: int) -> dict:
-    """The record ``bench/run.py`` prints last, run in checkout ``root``."""
+    """The record ``bench/run.py`` prints last, run in checkout ``root``,
+    with the detail lines ``  key: {...}`` printed before it."""
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seed", str(seed)],
                          cwd=root, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    *lines, last = out.stdout.strip().splitlines()
+    found = (DETAIL.fullmatch(line) for line in lines)
+    return {**json.loads(last), "detail": {m[1]: json.loads(m[2]) for m in found if m}}
 
 
 def quartiles(values: list) -> list:
@@ -38,23 +52,28 @@ def quartiles(values: list) -> list:
 
 
 def summarize(pairs: list, metrics: list) -> dict:
-    """Per metric ({"name", "better"} from ``BENCHMARK.json``), the quartiles
-    of each side over the pairs, the change's wins, the parent's quartile
-    spread and the median gain; and the failed operations per side."""
+    """Per metric ({"name", "better", "bound"} from ``BENCHMARK.json``), the
+    quartiles of each side over the pairs, the change's wins, the parent's
+    quartile spread, the median gain and the two verdicts; and the failed
+    operations per side."""
     summary = {"pairs": len(pairs)}
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
         parent = [pair["parent"]["metrics"][name]["value"] for pair in pairs]
         change = [pair["change"]["metrics"][name]["value"] for pair in pairs]
         p_q, c_q = quartiles(parent), quartiles(change)
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        spread, gain = p_q[2] - p_q[0], sign * (c_q[1] - p_q[1])
         summary[name] = {
             "better": metric["better"],
             "parent_q1_median_q3": p_q,
             "change_q1_median_q3": c_q,
             "change_over_parent": c_q[1] / p_q[1],
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-            "parent_quartile_spread": p_q[2] - p_q[0],
-            "median_gain": sign * (c_q[1] - p_q[1]),
+            "change_wins": wins,
+            "parent_quartile_spread": spread,
+            "median_gain": gain,
+            "gain_shown": 10 * wins >= 9 * len(pairs) and gain > spread,
+            "within_bound": gain >= -metric["bound"] * abs(p_q[1]),
         }
     summary["failed"] = {side: sum(pair[side]["failed"] for pair in pairs)
                          for side in ("parent", "change")}

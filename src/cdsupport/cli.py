@@ -165,15 +165,21 @@ def _parse_plain(text: str, columns: int) -> np.ndarray | None:
 
 
 def _parse_vector(text: str, key: str) -> list[float]:
-    """The comma-separated numbers of ``text``; an empty field is an error."""
+    """The comma-separated numbers of ``text``, the value of a config key or
+    of a flag such as ``--alphas``; an empty field is an error."""
     try:
         return [number(tok) for tok in text.split(",")]
     except ValueError:
-        raise CliError("parse", f"config key {key!r}: bad number in {text!r}") from None
+        where = key if key.startswith("--") else f"config key {key!r}"
+        raise CliError("parse", f"{where}: bad number in {text!r}") from None
 
 
 def _parse_points(text: str, key: str) -> list[list[float]]:
-    points = [_parse_vector(part, key) for part in text.split(";") if part.strip()]
+    """The semicolon-separated rows of ``text``; an empty row is an error."""
+    parts = text.split(";")
+    if not all(part.strip() for part in parts):
+        raise CliError("parse", f"config key {key!r}: empty row in {text!r}")
+    points = [_parse_vector(part, key) for part in parts]
     if len({len(point) for point in points}) > 1:
         raise CliError("parse", f"config key {key!r}: rows of unequal length in {text!r}")
     return points

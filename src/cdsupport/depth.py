@@ -14,6 +14,12 @@ thread; concurrent callers, such as the replication workers of
 ``resample_means`` draws, gathers and sums a cloud's indices in blocks of
 ``max(1, CHUNK_PAIRS // n)`` replicates from one generator, so a cloud of m
 replicates of n rows holds one block at a time, not its (m x n) index draw.
+The indices are numpy's own ``integers(0, n)`` stream.  For a ``PCG64``
+generator on a little-endian host and 2 <= n <= 2^32, ``_index_blocks``
+computes that stream in whole-array steps from ``random_raw`` words, by the
+multiply-shift numpy runs per element (Lemire, ACM TOMACS 29(1), 2019),
+rejections and the generator's pending half word included; every other
+generator, host and n draws through ``integers`` itself.
 
 ``_CheckedCloud`` is the one place that decides how depths are computed.
 Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
@@ -90,6 +96,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -170,28 +177,109 @@ def resample_means(x: np.ndarray, reps: int, seed) -> np.ndarray:
     gathered and summed in blocks of ``max(1, CHUNK_PAIRS // n)``
     replicates from the one generator, whose consecutive draws continue one
     stream (an odd-sized block included), so the memory held at once is one
-    block rather than the whole draw.  ``np.take`` gathers several times
-    faster than fancy indexing.  For k = 1 a block is gathered as (block x n),
-    whose contiguous n axis numpy sums pairwise, as it does for
-    ``x[idx]``.  For k = 2 numpy sums each replicate in plain order over
+    block rather than the whole draw.  ``_index_blocks`` draws each block:
+    from a ``PCG64``'s raw words when it can reproduce ``integers`` there,
+    and through ``integers`` otherwise; either way a generator passed as
+    ``seed`` ends where that one draw would leave it.  ``np.take`` gathers
+    several times faster than fancy indexing.  For k = 1 a block is gathered
+    as (block x n), whose contiguous n axis numpy sums pairwise, as it does
+    for ``x[idx]``.  For k = 2 numpy sums each replicate in plain order over
     n, and reducing the middle axis of (block x n x 2) is slow, so the
     transposed block is gathered as (n x block x 2) and summed along its
     outer axis, in the same order; a block of one replicate is no
-    exception, since its inner axis still holds the 2 columns.
+    exception, since its inner axis still holds the 2 columns.  The
+    transposed indices and the gathered values go to this thread's kept
+    buffers (``_kept``), so a block allocates nothing larger than its raw
+    words; ``mode="clip"`` lets ``np.take`` write there unbuffered, and
+    clips nothing, since every index is below n.
     """
     n, k = x.shape
     _check_seed(seed)
     rng = np.random.default_rng(seed)
     out = np.empty((reps, k))
     step = max(1, CHUNK_PAIRS // n)
-    for start in range(0, reps, step):
-        idx = rng.integers(0, n, size=(min(step, reps - start), n))
-        rows = slice(start, start + step)
+    counts = [min(step, reps - start) * n for start in range(0, reps, step)]
+    for block, flat in enumerate(_index_blocks(rng, n, counts)):
+        idx = flat.reshape(-1, n)
+        rows = slice(block * step, block * step + step)
+        gathered = _kept("gathered", flat.size * k, np.float64)
         if k == 1:
-            out[rows, 0] = np.take(x[:, 0], idx).mean(axis=1)
+            gathered = np.take(x[:, 0], idx, out=gathered.reshape(idx.shape), mode="clip")
+            out[rows, 0] = gathered.mean(axis=1)
         else:
-            out[rows] = np.take(x, idx.T, axis=0).sum(axis=0) / n
+            idx_t = _kept("transposed", flat.size, np.int64).reshape(n, -1)
+            np.copyto(idx_t, idx.T)
+            gathered = np.take(x, idx_t, axis=0, out=gathered.reshape(n, -1, 2), mode="clip")
+            out[rows] = gathered.sum(axis=0) / n
     return out
+
+
+def _index_blocks(rng: np.random.Generator, n: int, counts):
+    """Per count in ``counts``, in order, the next ``count`` indices of
+    ``rng.integers(0, n)`` as an int64 array, leaving ``rng`` where those
+    calls would; consume every block, each before the next is drawn.
+
+    numpy draws each index from a uint32 candidate c, taken by the bit
+    generator's ``next_uint32``: the index is (c * n) >> 32, unless the low
+    word (c * n) mod 2^32 is below (2^32 - n) mod n, when c is dropped and
+    the next candidate taken; n = 2^32 takes c itself, which is the same.
+    For a ``PCG64`` on a little-endian host the candidates are the uint32
+    halves of its ``random_raw`` words in memory order, low half first,
+    after the half word the generator may hold pending (``has_uint32``,
+    ``uinteger``).  So a block is one ``random_raw`` call and three
+    whole-array steps: products, the smallest low word, a shift.  A
+    rejection, 96 in 2^32 per index at n = 200, sends the block through the
+    exact slow path, which compacts the accepted candidates and draws more.
+    A high half left over at a block's end is the next block's first
+    candidate, and at the end the pending half word and the last word's
+    high half are written to the generator's state, as ``next_uint32``
+    leaves them, under the generator's lock, so that a draw of another
+    thread is never undone.  The products, shifted in place into the
+    indices, live in this thread's kept buffer (``_kept``), and only the
+    raw words, half their size, are fresh per block.  Any other bit
+    generator, a big-endian host, n = 1 (no draws at all) and n > 2^32 (a
+    64-bit draw) go through ``integers`` itself.
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or sys.byteorder != "little" or not 2 <= n <= 1 << 32:
+        for count in counts:
+            yield rng.integers(0, n, size=count)
+        return
+    state = bitgen.state
+    half = state["uinteger"] if state["has_uint32"] else None
+    last = state["uinteger"]
+    threshold, scale = ((1 << 32) - n) % n, np.uint64(n)
+
+    def products(count: int, out: np.ndarray) -> np.ndarray:
+        """c * n of the next ``count`` candidates, in ``out[:count]``."""
+        nonlocal half, last
+        start = 0
+        if half is not None and count:
+            out[0], half, start = half * n, None, 1
+        words = (count - start + 1) // 2
+        if words:
+            halves = bitgen.random_raw(words).view(np.uint32)
+            np.multiply(halves[:count - start], scale, out=out[start:count])
+            last = int(halves[-1])
+            if 2 * words > count - start:
+                half = last
+        return out[:count]
+
+    for count in counts:
+        prod = products(count, _kept("products", count, np.uint64))
+        if threshold and prod.view(np.uint32)[::2].min() < threshold:
+            parts = []
+            while prod.size:
+                keep = prod.view(np.uint32)[::2] >= threshold
+                parts.append(prod[keep])
+                short = prod.size - parts[-1].size
+                prod = products(short, np.empty(short, np.uint64))
+            prod = np.concatenate(parts)
+        yield np.right_shift(prod, 32, out=prod).view(np.int64)
+    with bitgen.lock:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = int(half is not None), last
+        bitgen.state = state
 
 
 def bootstrap_cloud(data, reps: int, seed) -> BootstrapCloud:
@@ -887,11 +975,12 @@ def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, offsets - offsets[:, None]
 
 
-# per thread, the kept buffers of ``_tile_buffers``.  They stay per thread
-# rather than per process: the replication workers of
-# ``simulate.run_experiment`` are threads, and ``p_multi``, ``p_multi_max``
-# and ``depth_of`` are public, so a caller's own threads may screen clouds at
-# the same time, and one shared buffer would race
+# per thread, the kept buffers of ``_tile_buffers`` and ``_kept``.
+# They stay per thread rather than per process: the replication workers of
+# ``simulate.run_experiment`` are threads, and ``p_multi``, ``p_multi_max``,
+# ``depth_of`` and ``bootstrap_cloud`` are public, so a caller's own threads
+# may screen or resample clouds at the same time, and one shared buffer would
+# race
 _KEPT = threading.local()
 
 
@@ -905,6 +994,21 @@ def _tile_buffers() -> np.ndarray:
     if work is None or work.shape[1] < CHUNK_PAIRS:
         work = _KEPT.work = np.empty((4, CHUNK_PAIRS))
     return work
+
+
+def _kept(name: str, count: int, dtype) -> np.ndarray:
+    """``count`` items of this thread's kept buffer ``name``, which holds
+    ``2 * CHUNK_PAIRS`` items of ``dtype``: enough for every block of
+    ``resample_means`` but one replicate of more than that many rows, which
+    gets a fresh array.  Kept for the reason ``_tile_buffers`` gives: in the
+    ``mc_biv`` battery, fresh gathers after the raw-word draw took about
+    1,560 minor page faults per pass, as the allocator's history had it,
+    and kept buffers take none."""
+    buf = getattr(_KEPT, name, None)
+    if buf is None:
+        buf = np.empty(2 * CHUNK_PAIRS, dtype)
+        setattr(_KEPT, name, buf)
+    return buf[:count] if count <= buf.size else np.empty(count, dtype)
 
 
 def _sector_histograms(pts: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "ops_per_s", "better": "higher"}, {"name": "p50_gmean_ms", "better": "lower"}]
+METRICS = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+           {"name": "p50_gmean_ms", "better": "lower", "bound": 0.25}]
 
 
 def record(ops, p50, failed=0):
@@ -46,3 +47,45 @@ def test_a_slower_change_has_a_negative_gain():
 def test_seed_ranges_are_inclusive():
     assert bench_pairs.seed_range("2301-2310") == range(2301, 2311)
     assert bench_pairs.seed_range("7") == range(7, 8)
+
+
+def verdicts(parent, change, metric="ops_per_s"):
+    """gain_shown and within_bound of one metric over pairs of its values."""
+    pairs = [{"parent": record(p, p), "change": record(c, c)} for p, c in zip(parent, change)]
+    got = bench_pairs.summarize(pairs, METRICS)[metric]
+    return got["gain_shown"], got["within_bound"]
+
+
+def test_a_gain_needs_nine_wins_in_ten_and_a_gain_beyond_the_spread():
+    parent = [100.0 + s for s in range(10)]  # quartiles 102.25, 104.5, 106.75: spread 4.5
+    # nine wins, the median gain 5 beyond the spread; then eight
+    assert verdicts(parent, [p + 6.0 for p in parent[:9]] + [parent[9] - 1.0]) == (True, True)
+    assert verdicts(parent, [p + 6.0 for p in parent[:8]] + parent[8:]) == (False, True)
+    # ten wins, but the median gain 4 within the spread
+    assert verdicts(parent, [p + 4.0 for p in parent]) == (False, True)
+    # in the lower-is-better direction, a gain is a smaller value
+    assert verdicts(parent, [p - 5.0 for p in parent], "p50_gmean_ms") == (True, True)
+    assert verdicts(parent, [p + 5.0 for p in parent], "p50_gmean_ms") == (False, True)
+
+
+def test_the_bound_is_a_fraction_of_the_parents_median():
+    parent = [100.0] * 5
+    assert verdicts(parent, [75.0] * 5) == (False, True)
+    assert verdicts(parent, [74.0] * 5) == (False, False)
+    assert verdicts(parent, [125.0] * 5, "p50_gmean_ms") == (False, True)
+    assert verdicts(parent, [126.0] * 5, "p50_gmean_ms") == (False, False)
+
+
+def test_a_run_keeps_the_detail_objects_printed_before_its_record(tmp_path):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import json, sys\n"
+        "print('workload=mc_biv seed=' + sys.argv[-1])\n"
+        "print('  ops_per_s   286.9 1/s')\n"
+        "print('  passes: 12')\n"
+        "print('  case_p50_ms: ' + json.dumps({'a_interior': 61.5}))\n"
+        "print('  FAILED gate replay.a {}')\n"
+        "print(json.dumps({'correct': True, 'failed': 0, 'metrics': {}}))\n")
+    got = bench_pairs.run_bench(tmp_path, "mc_biv", 7)
+    assert got == {"correct": True, "failed": 0, "metrics": {},
+                   "detail": {"case_p50_ms": {"a_interior": 61.5}}}

@@ -580,6 +580,18 @@ BAD_INPUT = [
      "parse", "{d}/rectangle_normal.cfg:4: shape 'rectangle' takes no key 'normal'"),
     ("config-empty-field", PVAL2D + ["--config", "{d}/empty_field.cfg"],
      "parse", "config key 'lo': bad number in '-1,,-1'"),
+    # an empty row between semicolons is an error, as an empty field is
+    ("config-empty-row", PVAL2D + ["--config", "{d}/empty_row.cfg"],
+     "parse", "config key 'points': empty row in '0,0 ;; 1,1'"),
+    ("biv-config-trailing-semicolon", BIV + ["--config", "{d}/trailing_semicolon.cfg",
+                                             "--method", "multi"],
+     "parse", "config key 'cov': empty row in '1,0;'"),
+    # a list given as a flag is named by its flag
+    ("bioeq-alphas-underscore", BIOEQ + ["--var-d", "4", "--lower", "-8", "--upper", "8",
+                                         "--alphas", "0.05,1_0"],
+     "parse", "--alphas: bad number in '0.05,1_0'"),
+    ("uni-true-mean-underscore", UNI + ["--true-mean", "1_0"],
+     "parse", "--true-mean: bad number in '1_0'"),
 ]
 
 
@@ -634,7 +646,10 @@ def bad_input_dir(tmp_path, table1):
                                         "covariance = 2, 0 ; 0, 2\n"),
                        ("rectangle_normal", "shape = rectangle\nlo = -1, -1\nhi = 1, 1\n"
                                             "normal = 5, 5\n"),
-                       ("empty_field", "shape = rectangle\nlo = -1,,-1\nhi = 1, 1\n")):
+                       ("empty_field", "shape = rectangle\nlo = -1,,-1\nhi = 1, 1\n"),
+                       ("empty_row", "shape = points\npoints = 0,0 ;; 1,1\n"),
+                       ("trailing_semicolon", "shape = halfspace\nnormal = 1, 0\noffset = 0\n"
+                                              "cov = 1,0;\n")):
         (tmp_path / f"{name}.cfg").write_text(text)
     return tmp_path
 

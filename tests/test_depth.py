@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from dataclasses import astuple
@@ -128,6 +129,67 @@ def test_bootstrap_cloud_never_holds_the_whole_draw():
         tracemalloc.stop()
     # the whole (reps x n) int64 index draw alone is 30.5 MB
     assert peak < reps * n * 8 // 8
+
+
+# n where numpy's bounded draw rejects no candidate (2, 2^32), at most 96 in
+# 2^32 (3, 200), or up to about half of them (2^31 + 1, 3e9, 2^32 - 1)
+DRAW_N = [2, 3, 200, 2**31 + 1, 3 * 10**9, 2**32 - 1, 2**32]
+
+
+def same_state(a, b) -> bool:
+    """Deep equality of two bit generator states, whose values may be arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[key], b[key]) for key in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["no-half-word", "half-word-held"])
+@pytest.mark.parametrize("n", DRAW_N)
+def test_index_blocks_are_numpys_bounded_draw(n, held):
+    mine, numpy_own = np.random.default_rng([n, 27]), np.random.default_rng([n, 27])
+    if held:
+        for rng in (mine, numpy_own):
+            rng.integers(0, 2**32, dtype=np.uint32)  # one half of a word, the other held
+        assert mine.bit_generator.state["has_uint32"] == 1
+    chunk = depth_module.CHUNK_PAIRS
+    # odd and even counts, blocks of one call, and calls one after the other
+    for counts in ([1, 2, 7], [1000, 1001, chunk], [chunk + 3], [4, 1]):
+        got = [block.copy() for block in depth_module._index_blocks(mine, n, counts)]
+        want = [numpy_own.integers(0, n, size=count) for count in counts]
+        assert [block.dtype for block in got] == [np.dtype(np.int64)] * len(counts)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert same_state(mine.bit_generator.state, numpy_own.bit_generator.state)
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                                    np.random.PCG64DXSM])
+@pytest.mark.parametrize("n, k", [(1, 2), (1, 1), (37, 2), (37, 1)])
+def test_every_generator_gives_numpys_draw(bitgen, n, k):
+    # PCG64 draws from raw words; the others, and n = 1, through integers
+    x = np.random.default_rng(n).standard_normal((n, k))
+    mine, numpy_own = np.random.Generator(bitgen(8)), np.random.Generator(bitgen(8))
+    got = resample_means(x, 1000, mine)
+    assert np.array_equal(got, x[numpy_own.integers(0, n, size=(1000, n))].mean(axis=1))
+    assert same_state(mine.bit_generator.state, numpy_own.bit_generator.state)
+
+
+def test_resampling_threads_keep_their_own_buffers():
+    # each thread resamples in its own kept buffers, so threads that
+    # resample at the same time, switching often, get the serial means
+    x = np.random.default_rng(5).standard_normal((300, 2))
+
+    def run(i):
+        return [resample_means(x, 400, [i, j]) for j in range(5)]
+
+    serial = parallel_map_indexed(run, 6, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = parallel_map_indexed(run, 6, 4)
+    finally:
+        sys.setswitchinterval(interval)
+    for want, got in zip(serial, threaded):
+        assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
 class TestMahalanobisDepth:
