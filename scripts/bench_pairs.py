@@ -20,20 +20,43 @@ direction, and two verdicts:
   median gain exceeds the parent's quartile spread;
 - ``within_bound``: the change's median is no worse than the parent's by
   more than the metric's ``bound``, a fraction of the parent's median.
+
+A command target times a fixed argv instead of a workload:
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --command part2-t1 --pairs 5 \\
+        --out BENCH_28.json
+
+Each run writes into a fresh temporary directory, passed as the argv's last
+argument; its record holds the wall seconds (``wall_s``), the exit code and
+a SHA-256 over the files the run wrote, by relative path and content.  A
+run that exits nonzero counts as failed, and a pair whose two hashes differ
+is a failed pair (``pairs_failed``), since both sides must write the same
+numbers.  The summary is the workloads' one, over ``COMMAND_METRICS``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
 # a detail line of ``bench/run.py`` whose value is a JSON object
 DETAIL = re.compile(r"  (\w+): (\{.*\})")
+
+# command targets: an argv run in the checkout, its output directory appended
+COMMANDS = {
+    "part2-t1": [sys.executable, "scripts/run_part2.py", "--threads", "1", "--out-dir"],
+}
+# the end-to-end metric of a command target, with the bound of BENCHMARK.json's
+# throughput metric
+COMMAND_METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25}]
 
 
 def run_bench(root: Path, workload: str, seed: int) -> dict:
@@ -45,6 +68,29 @@ def run_bench(root: Path, workload: str, seed: int) -> dict:
     *lines, last = out.stdout.strip().splitlines()
     found = (DETAIL.fullmatch(line) for line in lines)
     return {**json.loads(last), "detail": {m[1]: json.loads(m[2]) for m in found if m}}
+
+
+def tree_sha256(root: Path) -> str:
+    """SHA-256 over the files under ``root``, in sorted order of their
+    relative paths, each as its path, a NUL, its length and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
+def run_command(root: Path, argv: list) -> dict:
+    """One run of ``argv`` in checkout ``root``, writing into a fresh
+    temporary directory: its wall seconds, exit code and output hash."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        t0 = time.perf_counter()
+        done = subprocess.run([*argv, out_dir], cwd=root, capture_output=True)
+        wall = time.perf_counter() - t0
+        sha = tree_sha256(Path(out_dir))
+    return {"failed": int(done.returncode != 0), "exit_code": done.returncode, "sha256": sha,
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
 
 
 def quartiles(values: list) -> list:
@@ -90,28 +136,50 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--seeds", required=True, type=seed_range, help="A-B, inclusive")
+    target = ap.add_mutually_exclusive_group(required=True)
+    target.add_argument("--workload")
+    target.add_argument("--command", choices=sorted(COMMANDS))
+    ap.add_argument("--seeds", type=seed_range, help="A-B, inclusive; workloads only")
+    ap.add_argument("--pairs", type=int, default=5, help="pairs of a command target")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.workload and args.seeds is None:
+        ap.error("--workload needs --seeds")
+    if args.command:
+        metrics, key, labels = COMMAND_METRICS, "pair", range(args.pairs)
+
+        def run(root, _):
+            return run_command(root, COMMANDS[args.command])
+    else:
+        metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+        key, labels = "seed", args.seeds
+
+        def run(root, seed):
+            return run_bench(root, args.workload, seed)
     pairs = []
-    for i, seed in enumerate(args.seeds):
+    for i, label in enumerate(labels):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        pair = {"seed": seed, "first": order[0]}
+        pair = {key: label, "first": order[0]}
         for side in order:
-            pair[side] = run_bench(getattr(args, side), args.workload, seed)
+            pair[side] = run(getattr(args, side), label)
+        if args.command:
+            pair["same_output"] = pair["parent"]["sha256"] == pair["change"]["sha256"]
         pairs.append(pair)
-        print(json.dumps({"seed": seed, "first": order[0], **{
-            side: {m["name"]: pair[side]["metrics"][m["name"]]["value"] for m in metrics}
-            for side in ("parent", "change")}}), flush=True)
+        print(json.dumps({**{k: v for k, v in pair.items() if k not in ("parent", "change")},
+                          **{side: {m["name"]: pair[side]["metrics"][m["name"]]["value"]
+                                    for m in metrics} for side in ("parent", "change")}}),
+              flush=True)
+    summary = summarize(pairs, metrics)
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("command", "python3 bench/run.py --workload W --seed S, in each checkout")
-    record.setdefault("workloads", {})[args.workload] = {
-        "seeds": [args.seeds.start, args.seeds.stop - 1],
-        "summary": summarize(pairs, metrics),
-        "pairs": pairs,
-    }
+    if args.command:
+        summary["pairs_failed"] = sum(not pair["same_output"] for pair in pairs)
+        record.setdefault("commands", {})[args.command] = {
+            "argv": [*COMMANDS[args.command][1:], "<fresh temporary directory>"],
+            "summary": summary, "pairs": pairs}
+    else:
+        record.setdefault("command", "python3 bench/run.py --workload W --seed S, in each checkout")
+        record.setdefault("workloads", {})[args.workload] = {
+            "seeds": [args.seeds.start, args.seeds.stop - 1], "summary": summary, "pairs": pairs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

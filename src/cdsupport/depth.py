@@ -135,6 +135,17 @@ _WIDTH = SECTORS + 2
 # code of the reverse direction of a code, once t = 4 is folded into sector 0
 _REVERSE = np.r_[(np.arange(SECTORS) + SECTORS // 2) % SECTORS, SECTORS, SECTORS + 1]
 
+# spans of ``_count_bounds``, in sectors: the triples that fit in the first
+# include every kernel miss, and those that fit in the second are all misses.
+# The wide spans hold on every row, the tight ones on rows that pass the edge
+# check of ``_edge_clear`` (see ``_CheckedCloud.bounds``)
+_WIDE_SPANS = (SECTORS // 2 + 2, SECTORS // 2 - 1)
+_TIGHT_SPANS = (SECTORS // 2 + 1, SECTORS // 2)
+
+# the edge check's margin, in sectors: a row passes when none of its computed
+# sector positions t * SECTORS / 4 lies this close to a sector edge
+_EDGE_MARGIN = 2.0 ** -30
+
 # the hull shortcut's margin, in radians, on the angle of a direction: the
 # kernel's key for a direction is within 2^-48 of its exact angle
 _HULL_MARGIN = 2.0 ** -40
@@ -326,8 +337,26 @@ def _mahalanobis_factors(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _mahalanobis_batch(mu: np.ndarray, inv_cov: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """1 / (1 + q) per query, with q its quadratic form in ``inv_cov``.
+
+    The terms of a far query's form can overflow to +inf and -inf, whose sum
+    is NaN.  Only the rows whose form is not finite are computed again, from
+    their centred coordinates scaled by 2^-e, with 2^e the least power of
+    two above the row's largest magnitude, and the form scaled back by
+    2^(2 e).  The scaling is exact but for a coordinate pushed below the
+    normal range, more than 2^1000 times smaller than the row's largest,
+    whose terms lie far below the rounding of the form.  A form that still
+    overflows is +inf, depth 0.0; every finite row keeps its value bit for
+    bit.
+    """
     centered = queries - mu
     q = np.einsum("ij,jk,ik->i", centered, inv_cov, centered)
+    far = np.flatnonzero(~np.isfinite(q))
+    if far.size:
+        e = np.frexp(np.abs(centered[far]).max(axis=1))[1]
+        scaled = np.ldexp(centered[far], -e[:, None])
+        with np.errstate(over="ignore"):
+            q[far] = np.ldexp(np.einsum("ij,jk,ik->i", scaled, inv_cov, scaled), 2 * e)
     return 1.0 / (1.0 + q)
 
 
@@ -626,9 +655,11 @@ class _CheckedCloud:
         return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
                           max(1, CHUNK_PAIRS // m)) / math.comb(m, 3)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Lower and upper bounds on the depths of the cloud's own points,
-        ``depths(pts)``, after the range check of ``span``.
+        ``depths(pts)``, after the range check of ``span``, and the sector
+        histograms they came from (None for Mahalanobis depth), from which
+        ``tight_bounds`` brackets the rows its caller still needs closer.
 
         Mahalanobis depth is cheap, and both bounds are its exact depths.  For
         simplicial depth each point gets a histogram of its directions to the
@@ -673,7 +704,7 @@ class _CheckedCloud:
         span = self.span
         if self.kind == "mahalanobis":
             depths = self.depths(self.pts)
-            return depths, depths
+            return depths, depths, None
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
@@ -686,7 +717,61 @@ class _CheckedCloud:
                 # only here can |dx| + |dy| overflow; those rows lose their sectors
                 over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
                 lo[over], hi[over] = 0, total
-        return lo / total, hi / total
+        return lo / total, hi / total, hist
+
+    def tight_bounds(self, hist: np.ndarray, idx: np.ndarray):
+        """The points ``idx`` that pass the edge check, and the bounds on
+        their depths from spans of H and H + 1 sectors (H = SECTORS / 2), as
+        (points, lo, hi); ``hist`` holds their rows of the histograms of
+        ``bounds``, in the order of ``idx``.
+
+        The bounds of ``bounds`` count triples by sectors as if any computed
+        sector could be one off.  A point passes the edge check
+        (``_edge_clear``) when, from ``_differences`` as the screen takes
+        them, none of its directions but the one to itself has a sector
+        position 32 dx / (|dx| + |dy|) (that is, t * SECTORS / 4 up to an
+        integer, whatever the half-plane) within eps = ``_EDGE_MARGIN`` =
+        2^-30 of an integer.  Measure positions in sectors, t * SECTORS / 4
+        with t the exact diamond angle of a rounded difference.  The check's
+        position rounds twice after the exact difference, by under 2^-47;
+        the screen's, with its row offset below 2^15, by under 2^-37; and a
+        kernel key is within 2^-48 radians of its exact angle, which the
+        diamond angle follows at a rate of at most 1, so within 2^-43.  So:
+
+        * Every computed sector of a passing point is exact, the floor of
+          its exact position, which lies more than eps - 2^-47 from every
+          edge, further than the screen's rounding.  That holds for the
+          reverse codes too: j -> i takes (s + H) mod SECTORS from the code
+          s of i -> j, whose difference is the exact negation of j's own,
+          and negation moves the position by exactly H.
+        * Three directions whose sectors fit in H consecutive sectors have
+          exact positions within less than H - 2 (eps - 2^-47), so, as the
+          angle grows at least as fast as t, exact angles within a
+          half-circle less about 2^-34 radians, and keys, each within 2^-48
+          of its angle, within an open half-circle: the kernel counts the
+          triple as a miss, and the lower bound on the misses counts it.
+        * A triple the kernel counts as a miss has keys within a closed
+          half-circle from its first direction, so exact angles within a
+          half-circle and 2^-47 of it, exact positions within H + 2^-42 of
+          its position, and screen positions within H + 2^-42 + 2^-36.  The
+          first lies more than eps - 2^-36 below the end of its sector s,
+          so the last lies below s + H + 1: every miss fits in the H + 1
+          sectors from s, and the upper bound counts it.
+
+        Axis-aligned directions (r = 0 or +-1), a repeated position (r is
+        NaN) and the directions of lattice clouds generally fail, and so
+        does a direction whose |dx| + |dy| overflows, where r is 0; those
+        points keep the bounds of ``bounds``.  The counts are
+        ``_count_bounds`` with ``_TIGHT_SPANS``, divided as ``depths``
+        divides, so lo <= depths(pts[points]) <= hi.
+        """
+        m = self.pts.shape[0]
+        clear = _edge_clear(self.pts, idx)
+        hist = hist[clear]
+        counts = _in_blocks(lambda rows: _count_bounds(hist[rows], m, _TIGHT_SPANS),
+                            hist.shape[0], max(1, CHUNK_PAIRS // (2 * SECTORS)))
+        counts = counts / math.comb(m, 3)
+        return idx[clear], counts[:, 0], counts[:, 1]
 
     def least(self, inside: np.ndarray, span: np.ndarray):
         """Which points of the cloud have the least simplicial depth
@@ -1048,19 +1133,23 @@ def _sector_histograms(pts: np.ndarray) -> np.ndarray:
     return hist
 
 
-def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
+def _count_bounds(hist: np.ndarray, m: int, spans=_WIDE_SPANS) -> np.ndarray:
     """(points x 2) lower and upper bounds on ``_simplicial_counts`` (see
     ``_CheckedCloud.bounds``) from rows of the ``_sector_histograms`` of a
     cloud of m points, from the triples of directions whose sectors fit in
-    H + 2, and in H - 1, cyclically consecutive sectors (H = SECTORS / 2).
+    the first and in the second of ``spans`` cyclically consecutive
+    sectors: H + 2 and H - 1 (``_WIDE_SPANS``, H = SECTORS / 2) on any row,
+    H + 1 and H (``_TIGHT_SPANS``) on a row that passes the edge check of
+    ``_CheckedCloud.tight_bounds``.
 
     A triple is counted from each of its own sectors s that starts such a
     run.  With h_s directions in s and R in the next span - 1 sectors, those
     are C(h_s, 3) + C(h_s, 2) R + h_s C(R, 2) triples, six times which is
-    h_s (h_s - 1) (h_s - 2) + 3 h_s R (h_s + R - 2).  A triple within H - 1
-    sectors has one gap of more than half the circle, and only the sector
-    after it starts a run, so that count is exact; the H + 2 count may
-    count a triple twice, which keeps it an upper bound on the misses.
+    h_s (h_s - 1) (h_s - 2) + 3 h_s R (h_s + R - 2).  A triple within H
+    sectors leaves a gap of more than H sectors before its first one, and
+    only the sector after that gap starts a run, so the second count is
+    exact; the first may count a triple twice, which keeps it an upper bound
+    on the misses.
     """
     h = hist[:, :SECTORS]
     half = SECTORS // 2
@@ -1075,7 +1164,7 @@ def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
     six_same = np.einsum("ij,ij->i", r, h_less_2)
     hr = np.empty_like(r)
     misses = []
-    for span in (half + 2, half - 1):
+    for span in spans:
         np.subtract(running[:, span: span + SECTORS], running[:, 1: SECTORS + 1], out=r)
         np.multiply(h, r, out=hr)
         r += h_less_2
@@ -1083,6 +1172,38 @@ def _count_bounds(hist: np.ndarray, m: int) -> np.ndarray:
     live = m - hist[:, SECTORS + 1]
     misses[0] = np.minimum(misses[0], live * (live - 1) * (live - 2) // 6)
     return math.comb(m, 3) - np.stack(misses, axis=1)
+
+
+def _edge_clear(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Whether each point ``pts[idx]`` passes the edge check of
+    ``_CheckedCloud.tight_bounds``: no direction from it, but the one to its
+    own position, has 32 dx / (|dx| + |dy|) within ``_EDGE_MARGIN`` of an
+    integer; a NaN, at a repeated position, fails.
+
+    The points go in blocks of ``CHUNK_PAIRS // m``, whose differences come
+    from ``_differences`` as in the screen, into this thread's tile buffers
+    (``_tile_buffers``), so no block allocates more than its flags.
+    """
+    m = pts.shape[0]
+    right = _rights(pts)
+    work = _tile_buffers()
+    step = max(1, CHUNK_PAIRS // m)
+    clear = np.empty(idx.size, dtype=bool)
+    for start in range(0, idx.size, step):
+        rows = idx[start: start + step]
+        size = rows.size * m
+        dx, dy = _differences(_lefts(pts[rows]), right, work[:2, :size].reshape(2, rows.size, m))
+        pos, near = (row[:size].reshape(rows.size, m) for row in work[2:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.abs(dx, out=pos)
+            pos += np.abs(dy, out=near)
+            np.divide(dx, pos, out=pos)
+        pos *= SECTORS / 4  # a power of two: exact
+        pos -= np.rint(pos, out=near)
+        np.abs(pos, out=pos)
+        pos[np.arange(rows.size), rows] = 1.0  # the point itself
+        clear[start: start + step] = pos.min(axis=1) >= _EDGE_MARGIN  # NaN fails
+    return clear
 
 
 # -- depth-based p-values -----------------------------------------------------
@@ -1126,6 +1247,16 @@ def _settle(cloud: _CheckedCloud, lo, hi, mask) -> None:
     data."""
     idx = np.flatnonzero(mask & (lo < hi))
     lo[idx] = hi[idx] = cloud.depths(cloud.pts[idx])
+
+
+def _straddles(lo, hi, outside, floor: float, corner_depths) -> np.ndarray:
+    """Which bounds hold the floor, of outside replicates only, or a corner
+    depth, with the depth at or below it on one side and above it on the
+    other."""
+    straddle = outside & (lo <= floor) & (hi > floor)
+    for d in corner_depths:
+        straddle |= (lo <= d) & (hi > d)
+    return straddle
 
 
 def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPValue:
@@ -1173,14 +1304,15 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     if bounds is None and (corners is None or shallow) and inside.any():
         least = cloud.least(inside, span)
         if least is not None:
-            # as ``mean`` divides the counts: the correctly rounded quotient
-            esp = np.count_nonzero(inside) / pts.shape[0]
-            tail = np.count_nonzero(least & ~inside) / pts.shape[0]
+            # as ``mean`` divides the counts: the correctly rounded quotient,
+            # a Python float, as every other path gives
+            esp = int(np.count_nonzero(inside)) / pts.shape[0]
+            tail = int(np.count_nonzero(least & ~inside)) / pts.shape[0]
             return MultiPValue(p=min(esp + tail, 1.0), esp=esp, tail=tail,
                                depth_floor=_least_depth(pts.shape[0]),
                                floor_source="inside-replicates",
                                corner_p=() if corners is None else (0.0,) * len(corner_depths))
-    lo, hi = cloud.bounds() if bounds is None else bounds
+    lo, hi, hist = cloud.bounds() if bounds is None else (*bounds, None)
     if cloud.kind == "simplicial" and pts.shape[0] >= 3:
         lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
@@ -1191,9 +1323,14 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
         floor, source = float(cloud.depths(grid).min()), "boundary-grid"
     if corners is not None and corner_depths is None:
         corner_depths = cloud.depths(cloud.queries(corners)[0])
-    straddle = ~inside & (lo <= floor) & (hi > floor)
-    for d in () if corners is None else corner_depths:
-        straddle |= (lo <= d) & (hi > d)
+    thresholds = () if corners is None else corner_depths
+    straddle = _straddles(lo, hi, ~inside, floor, thresholds)
+    idx = np.flatnonzero(straddle)
+    if hist is not None and idx.size:
+        idx, lo_t, hi_t = cloud.tight_bounds(hist[idx], idx)
+        del hist
+        lo[idx], hi[idx] = np.maximum(lo_t, _least_depth(pts.shape[0])), hi_t
+        straddle[idx] = _straddles(lo[idx], hi[idx], ~inside[idx], floor, thresholds)
     _settle(cloud, lo, hi, straddle)
     esp = float(inside.mean())
     tail = float(((~inside) & (hi <= floor)).mean())

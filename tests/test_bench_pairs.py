@@ -1,7 +1,10 @@
 """The summary of ``scripts/bench_pairs.py``, on synthetic records: no
 benchmark runs."""
 
+import hashlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,3 +92,51 @@ def test_a_run_keeps_the_detail_objects_printed_before_its_record(tmp_path):
     got = bench_pairs.run_bench(tmp_path, "mc_biv", 7)
     assert got == {"correct": True, "failed": 0, "metrics": {},
                    "detail": {"case_p50_ms": {"a_interior": 61.5}}}
+
+
+# writes the name of its working directory's marker file into the output directory
+STUB = ("import pathlib, sys; out = pathlib.Path(sys.argv[-1]); "
+        "(out / 'sub').mkdir(); (out / 'sub' / 'report.json').write_text("
+        "pathlib.Path('marker').read_text())")
+
+
+@pytest.mark.parametrize("markers,pairs_failed", [(("same", "same"), 0), (("one", "two"), 3)])
+def test_a_command_target_hashes_each_sides_output(markers, pairs_failed, tmp_path,
+                                                   monkeypatch):
+    sides = []
+    for name, marker in zip(("parent", "change"), markers):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "marker").write_text(marker)
+        sides.append(str(tmp_path / name))
+    monkeypatch.setitem(bench_pairs.COMMANDS, "part2-t1", [sys.executable, "-c", STUB])
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([*sides, "--command", "part2-t1", "--pairs", "3",
+                             "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["commands"]["part2-t1"]
+    assert [pair["first"] for pair in got["pairs"]] == ["parent", "change", "parent"]
+    assert got["summary"]["pairs"] == 3 and got["summary"]["pairs_failed"] == pairs_failed
+    assert got["summary"]["failed"] == {"parent": 0, "change": 0}
+    for pair in got["pairs"]:
+        for side, marker in zip(("parent", "change"), markers):
+            assert pair[side]["exit_code"] == 0 and pair[side]["metrics"]["wall_s"]["value"] > 0
+            assert pair[side]["sha256"] == hashlib.sha256(
+                f"sub/report.json\0{len(marker)}\0{marker}".encode()).hexdigest()
+
+
+def test_a_failing_command_is_a_failed_run(tmp_path, monkeypatch):
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+    monkeypatch.setitem(bench_pairs.COMMANDS, "part2-t1",
+                        [sys.executable, "-c", "import sys; sys.exit(3)"])
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--command",
+                      "part2-t1", "--pairs", "2", "--out", str(out)])
+    got = json.loads(out.read_text())["commands"]["part2-t1"]
+    assert got["summary"]["failed"] == {"parent": 2, "change": 2}
+    assert got["pairs"][0]["parent"]["exit_code"] == 3
+
+
+def test_a_workload_needs_seeds(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "mc_biv",
+                          "--out", str(tmp_path / "x.json")])

@@ -228,6 +228,24 @@ class TestPval2d:
         assert (report["esp"], report["tail"], report["depth_floor"], report["floor_source"]) == (
             res.esp, res.tail, res.depth_floor, res.floor_source)
 
+    def test_far_point_gets_a_mahalanobis_report(self, table1, table1_csv, tmp_path, capsys):
+        # the quadratic form of (1e155, 1e155) overflows: its depth is 0.0,
+        # where the report once held NaN and was refused
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("shape = points\npoints = 0,0; 1e155,1e155\n")
+        code, out, _ = run_cli(
+            ["pval2d", "--input", str(table1_csv), "--config", str(cfg),
+             "--depth", "mahalanobis", "--boot-reps", "300", "--seed", "2"],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(out)
+        region = PointSet(points=[[0.0, 0.0], [1e155, 1e155]])
+        res = p_multi_max(bootstrap_cloud(table1, 300, seed=2), "mahalanobis", region)
+        assert (report["p_max"], report["corner_p"], report["depth_floor"]) == (
+            res.p, list(res.corner_p), res.depth_floor)
+        assert report["corner_p"][1] == 0.0
+
     def test_quadrant_complement_config(self, table1_csv, tmp_path, capsys):
         cfg = tmp_path / "quad.cfg"
         cfg.write_text("shape = quadrant-complement\ncorner = 0, 0\ncorners = 0,0\n")

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from dataclasses import astuple
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +217,33 @@ class TestMahalanobisDepth:
         want = 1.0 / (1.0 + diff @ inv @ diff)
         assert abs(mahalanobis_depth(pts, w) - want) <= 1e-10
 
+    def test_far_query_has_a_finite_depth(self):
+        # the einsum's terms overflow to +inf and -inf: once their sum was NaN
+        z = np.random.default_rng(3).standard_normal((300, 2))
+        cloud = np.column_stack([z[:, 0], z[:, 0] + 0.1 * z[:, 1]])  # correlation 0.995
+        queries = np.array([[1e155, 1e155], [3e153, 3e153], [1e5, 1e5], [0.5, -0.3]])
+        got = depth_of(cloud, queries, "mahalanobis")
+        # (1e155, 1e155): the form itself overflows; the others are finite
+        assert got[0] == 0.0
+        mu, inv_cov = depth_module._mahalanobis_factors(cloud)
+        # the terms of (3e153, 3e153) overflow, but not the form, ~9e306
+        with mpmath.workprec(200):
+            centred = [mpmath.mpf(float(v)) - mpmath.mpf(float(m)) for v, m in zip(queries[1], mu)]
+            form = sum(centred[i] * mpmath.mpf(float(inv_cov[i, j])) * centred[j]
+                       for i in range(2) for j in range(2))
+            assert got[1] == pytest.approx(float(1 / (1 + form)), rel=1e-9)
+        # rows whose form is finite keep their value bit for bit
+        centred = queries - mu
+        plain = 1.0 / (1.0 + np.einsum("ij,jk,ik->i", centred, inv_cov, centred))
+        assert np.isnan(plain[1]) and np.array_equal(got[2:], plain[2:])
+
+    def test_far_region_has_a_finite_floor(self):
+        z = np.random.default_rng(4).standard_normal((300, 2))
+        cloud = np.column_stack([z[:, 0], z[:, 0] + z[:, 1]])  # correlation 0.7
+        region = Rectangle(lower=[1e200, 1e200], upper=[2e200, 2e200])
+        res = p_multi(cloud, "mahalanobis", region)
+        assert (res.p, res.depth_floor, res.floor_source) == (0.0, 0.0, "boundary-grid")
+
     def test_singular_cloud_rejected(self):
         line = np.column_stack([np.arange(10.0), 2.0 * np.arange(10.0)])
         with pytest.raises(ValueError, match="singular|ill-conditioned"):
@@ -372,6 +400,25 @@ class TestPMultiMax:
         pts = np.random.default_rng(51).standard_normal((150, 2))
         with pytest.raises(ValueError, match="corner"):
             p_multi_max(pts, "mahalanobis", Halfspace(normal=[1.0, 0.0], offset=0.0))
+
+
+def test_every_field_is_a_python_float():
+    rng = np.random.default_rng(0)
+    cloud = bootstrap_cloud(rng.standard_normal((200, 2)), 500, seed=1)
+    paths = {
+        # an inside hull vertex: the least depth decides
+        "hull": p_multi(cloud, "simplicial", Rectangle(lower=[-1, -1], upper=[1, 1])),
+        "screen": p_multi_max(cloud, "simplicial", Rectangle(lower=[-0.05, -0.05],
+                                                             upper=[0.05, 0.05])),
+        "grid": p_multi_max(cloud, "simplicial", Rectangle(lower=[5, 5], upper=[6, 6])),
+        "mahalanobis": p_multi_max(cloud, "mahalanobis", Rectangle(lower=[-0.05, -0.05],
+                                                                   upper=[0.05, 0.05])),
+    }
+    assert paths["hull"].depth_floor == depth_module._least_depth(500)
+    assert paths["grid"].floor_source == "boundary-grid"
+    for name, res in paths.items():
+        fields = (res.p, res.esp, res.tail, res.depth_floor, *res.corner_p)
+        assert {type(v) for v in fields} == {float}, name
 
 
 def test_singleton_p_uniform_at_truth():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from cdsupport import (
     PART2_COV,
+    ExperimentSpec,
     Halfspace,
     PointSet,
     QuadrantComplement,
@@ -25,15 +26,18 @@ from cdsupport import (
     bootstrap_cloud,
     p_multi,
     p_multi_max,
+    run_experiment,
 )
 from cdsupport import depth as depth_module
 from cdsupport import predicates
 from cdsupport.cli import load_region_config, main
 from cdsupport.depth import (
+    _TIGHT_SPANS,
     MULTI_METHODS,
     SECTORS,
     MultiPValue,
     _count_bounds,
+    _edge_clear,
     _grid_box,
     _sector_histograms,
     _simplicial_counts,
@@ -228,12 +232,59 @@ def test_p_multi_settles_few_replicates(exact_queries):
     assert len(exact_queries) == 2 and sum(exact_queries) < 2000 // 20
 
 
+def test_p_multi_max_settles_a_third_of_the_straddlers(exact_queries):
+    # 540 replicates straddle a corner depth or the floor; the edge-checked
+    # tight spans decide all but 167 of them
+    cloud = part2_cloud(0, m=2000)
+    region = PART2_REGIONS["e_small_box"][0]
+    want = reference_p_multi_max(cloud, "simplicial", region)
+    exact_queries.clear()
+    assert p_multi_max(cloud, "simplicial", region) == want
+    # the corners, the floor candidates, the straddlers
+    assert len(exact_queries) == 3 and exact_queries[0] == 4
+    assert sum(exact_queries[1:]) < 200
+
+
+def oneshot_box_cloud(i=7, m=2000):
+    """The cloud and box of query ``i`` of the benchmark's one-shot mix at
+    seed 1, its first ``pval2d --depth simplicial`` query (``query_input``)."""
+    rng = np.random.default_rng([1, i])
+    seed = int(rng.integers(2**31))
+    data = rng.standard_normal((200, 2)) @ np.linalg.cholesky(PART2_COV).T
+    return bootstrap_cloud(data, m, seed=seed), Rectangle(lower=[-0.1, -0.2], upper=[0.1, 0.2])
+
+
+def test_oneshot_box_sends_few_replicates_to_the_kernel(exact_queries):
+    # 444 replicates before the tight spans, 131 with them
+    cloud, box = oneshot_box_cloud()
+    want = reference_p_multi_max(cloud, "simplicial", box)
+    exact_queries.clear()
+    assert p_multi_max(cloud, "simplicial", box) == want
+    assert exact_queries[0] == 4 and sum(exact_queries[1:]) <= 140
+
+
+# replicate rows given exact depths over the 50 runs of the seed-1 ``mc_biv``
+# multi-max cases, with the wide spans alone
+WIDE_SPAN_ROWS = {"d_corner": 2843, "e_small_box": 5410}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SPAN_ROWS))
+def test_mc_biv_multi_max_settles_under_two_fifths(name, exact_queries):
+    spec = ExperimentSpec(model="bivariate-normal", true_mean=(0.0, 0.0),
+                          region=PART2_REGIONS[name][0], n=200, reps=50, method="multi-max",
+                          depth="simplicial", boot_m=500, seed=1)
+    run_experiment(spec, threads=1)
+    corners = 4 * spec.reps  # each run's corner depths: one call of 4 queries
+    assert exact_queries.count(4) >= spec.reps
+    assert sum(exact_queries) - corners <= 0.4 * WIDE_SPAN_ROWS[name]
+
+
 # -- the bounds bracket the kernel's count ----------------------------------------
 
 
 def screen_bounds(pts, kind="simplicial"):
     """The screen's bounds on the depths of a cloud's own points."""
-    return depth_module._CheckedCloud.check(pts, kind).bounds()
+    return depth_module._CheckedCloud.check(pts, kind).bounds()[:2]
 
 
 @st.composite
@@ -286,6 +337,47 @@ def test_bounds_bracket_the_kernel_count(case):
     lo_d, hi_d = screen_bounds(cloud)
     exact = depth_of(cloud, cloud, "simplicial")
     assert (lo_d <= exact).all() and (exact <= hi_d).all()
+    # the rows that pass the edge check, of every shape: tight spans bracket too
+    hist = _sector_histograms(cloud)
+    clear = np.flatnonzero(_edge_clear(cloud, np.arange(cloud.shape[0])))
+    tight_lo, tight_hi = _count_bounds(hist[clear], cloud.shape[0], _TIGHT_SPANS).T
+    assert (tight_lo <= counts[clear]).all() and (counts[clear] <= tight_hi).all()
+    wide = _count_bounds(hist[clear], cloud.shape[0])
+    assert (tight_lo >= wide[:, 0]).all() and (tight_hi <= wide[:, 1]).all()
+    checked = depth_module._CheckedCloud.check(cloud, "simplicial")
+    idx, lo_t, hi_t = checked.tight_bounds(hist[clear], clear)
+    assert np.array_equal(idx, clear)
+    assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
+
+
+def test_most_gaussian_rows_pass_the_edge_check():
+    pts = np.random.default_rng(14).standard_normal((500, 2))
+    clear = _edge_clear(pts, np.arange(500))
+    assert clear.mean() > 0.95
+    counts = _simplicial_counts(pts, pts[clear])
+    lo, hi = _count_bounds(_sector_histograms(pts)[clear], 500, _TIGHT_SPANS).T
+    assert (lo <= counts).all() and (counts <= hi).all()
+    # tighter than the wide spans on most rows
+    assert (hi - lo).sum() < 0.5 * np.diff(_count_bounds(_sector_histograms(pts)[clear], 500)).sum()
+
+
+@pytest.mark.parametrize("offset,passes", [
+    ([1.0, 0.0], False), ([0.0, -2.0], False),  # axis-aligned: r = +-1, 0
+    ([1.0, 1.0], False), ([1.0, 3.0], False),  # r = 1 / 2, 1 / 4: sector edges
+    ([0.0, 0.0], False),  # a repeated position: r is NaN
+    ([1.0, 2.0], True), ([0.3, 0.7], True),  # r = 1 / 3, 0.3: inside sectors
+])
+def test_edge_check_fails_directions_on_sector_edges(offset, passes):
+    pts = np.array([[0.1, 0.2], [-0.73, 0.91], [0.47, -1.31], [5.3, 7.1]])
+    pts = np.vstack([pts, pts[0] + offset])
+    assert _edge_clear(pts, np.array([0]))[0] == passes
+    assert _edge_clear(pts, np.array([1, 2])).all()
+
+
+def test_edge_check_fails_an_overflowing_direction_sum():
+    pts = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.1e308, -0.2e308],
+                    [-0.1e308, 0.15e308]])
+    assert _edge_clear(pts, np.arange(4)).tolist() == [False, False, True, True]
 
 
 # (query, point) pairs of a chunk in the self-screen tests below: tiles of 7 points
