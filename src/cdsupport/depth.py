@@ -700,38 +700,15 @@ class _CheckedCloud:
         ``depths``, which is monotone; so lo <= depths(pts) <= hi on every
         input, degenerate ones included.  A point for which some |dx| + |dy|
         overflows gets the trivial bounds 0 and 1.
-        """
-        span = self.span
-        if self.kind == "mahalanobis":
-            depths = self.depths(self.pts)
-            return depths, depths, None
-        m = self.pts.shape[0]
-        if m < 3:
-            raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-        hist = _sector_histograms(self.pts)
-        lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), m,
-                            max(1, CHUNK_PAIRS // (2 * SECTORS))).T
-        total = math.comb(m, 3)
-        with np.errstate(over="ignore"):
-            if not np.isfinite(span.sum()):
-                # only here can |dx| + |dy| overflow; those rows lose their sectors
-                over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
-                lo[over], hi[over] = 0, total
-        return lo / total, hi / total, hist
 
-    def tight_bounds(self, hist: np.ndarray, idx: np.ndarray):
-        """The points ``idx`` that pass the edge check, and the bounds on
-        their depths from spans of H and H + 1 sectors (H = SECTORS / 2), as
-        (points, lo, hi); ``hist`` holds their rows of the histograms of
-        ``bounds``, in the order of ``idx``.
-
-        The bounds of ``bounds`` count triples by sectors as if any computed
-        sector could be one off.  A point passes the edge check
+        These spans allow for any computed diamond angle to be some ulps
+        off.  ``tight_bounds`` narrows them to H + 1 and H sectors for the
+        points that pass an edge check.  A point passes the edge check
         (``_edge_clear``) when, from ``_differences`` as the screen takes
-        them, none of its directions but the one to itself has a sector
-        position 32 dx / (|dx| + |dy|) (that is, t * SECTORS / 4 up to an
-        integer, whatever the half-plane) within eps = ``_EDGE_MARGIN`` =
-        2^-30 of an integer.  Measure positions in sectors, t * SECTORS / 4
+        them, none of its directions but the one to itself has 32 r, with
+        r = dx / (|dx| + |dy|), within eps = ``_EDGE_MARGIN`` = 2^-30 of an
+        integer; 32 r is the sector position t * SECTORS / 4 up to an integer
+        and a sign, in either half-plane.  Measure positions in sectors, t * SECTORS / 4
         with t the exact diamond angle of a rounded difference.  The check's
         position rounds twice after the exact difference, by under 2^-47;
         the screen's, with its row offset below 2^15, by under 2^-37; and a
@@ -761,15 +738,39 @@ class _CheckedCloud:
         Axis-aligned directions (r = 0 or +-1), a repeated position (r is
         NaN) and the directions of lattice clouds generally fail, and so
         does a direction whose |dx| + |dy| overflows, where r is 0; those
-        points keep the bounds of ``bounds``.  The counts are
+        points keep the wide bounds.  The tight counts are
         ``_count_bounds`` with ``_TIGHT_SPANS``, divided as ``depths``
-        divides, so lo <= depths(pts[points]) <= hi.
+        divides, so they bracket ``depths`` as the wide ones do.
+        """
+        span = self.span
+        if self.kind == "mahalanobis":
+            depths = self.depths(self.pts)
+            return depths, depths, None
+        m = self.pts.shape[0]
+        if m < 3:
+            raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
+        hist = _sector_histograms(self.pts)
+        lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), m,
+                            max(1, CHUNK_PAIRS // (2 * SECTORS))).T
+        total = math.comb(m, 3)
+        with np.errstate(over="ignore"):
+            if not np.isfinite(span.sum()):
+                # only here can |dx| + |dy| overflow; those rows lose their sectors
+                over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
+                lo[over], hi[over] = 0, total
+        return lo / total, hi / total, hist
+
+    def tight_bounds(self, hist: np.ndarray, idx: np.ndarray):
+        """The points ``idx`` that pass the edge check, and the bounds on
+        their depths from spans of H and H + 1 sectors, as (points, lo, hi);
+        ``hist`` holds their rows of the histograms of ``bounds``, in the
+        order of ``idx``, and the proof is in ``bounds``.  Points that fail
+        keep the bounds of ``bounds``.
         """
         m = self.pts.shape[0]
-        clear = _edge_clear(self.pts, idx)
-        hist = hist[clear]
-        counts = _in_blocks(lambda rows: _count_bounds(hist[rows], m, _TIGHT_SPANS),
-                            hist.shape[0], max(1, CHUNK_PAIRS // (2 * SECTORS)))
+        clear = np.flatnonzero(_edge_clear(self.pts, idx))
+        counts = _in_blocks(lambda rows: _count_bounds(hist[clear[rows]], m, _TIGHT_SPANS),
+                            clear.size, max(1, CHUNK_PAIRS // (2 * SECTORS)))
         counts = counts / math.comb(m, 3)
         return idx[clear], counts[:, 0], counts[:, 1]
 
@@ -1327,8 +1328,8 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     straddle = _straddles(lo, hi, ~inside, floor, thresholds)
     idx = np.flatnonzero(straddle)
     if hist is not None and idx.size:
-        idx, lo_t, hi_t = cloud.tight_bounds(hist[idx], idx)
-        del hist
+        rows, hist = hist[idx], None  # only the straddlers' rows are kept
+        idx, lo_t, hi_t = cloud.tight_bounds(rows, idx)
         lo[idx], hi[idx] = np.maximum(lo_t, _least_depth(pts.shape[0])), hi_t
         straddle[idx] = _straddles(lo[idx], hi[idx], ~inside[idx], floor, thresholds)
     _settle(cloud, lo, hi, straddle)

@@ -365,6 +365,8 @@ def test_most_gaussian_rows_pass_the_edge_check():
     ([1.0, 0.0], False), ([0.0, -2.0], False),  # axis-aligned: r = +-1, 0
     ([1.0, 1.0], False), ([1.0, 3.0], False),  # r = 1 / 2, 1 / 4: sector edges
     ([0.0, 0.0], False),  # a repeated position: r is NaN
+    # 32 r = 16 - 2^-37 and 16 - 2^-17: within the margin 2^-30 of an edge, and not
+    ([1.0, 1.0 + 2.0 ** -40], False), ([1.0, 1.0 + 2.0 ** -20], True),
     ([1.0, 2.0], True), ([0.3, 0.7], True),  # r = 1 / 3, 0.3: inside sectors
 ])
 def test_edge_check_fails_directions_on_sector_edges(offset, passes):
