@@ -62,12 +62,17 @@ pair's sector is computed once, in square tiles over the upper triangle of
 the pair matrix, and counted for both of its points, the reverse direction
 half a circle on; the finished histograms are counted in blocks of
 ``CHUNK_PAIRS // (2 * SECTORS)`` replicates by one kernel, ``_count_bounds``.
-Exact depths are then computed only for the replicates whose bounds hold
-the floor or a corner depth: 12-22% of the replicates for ``p_multi_max``
-at seed 1 of the benchmark, whose corner depths sit in the dense middle of
-the depth distribution.  The boundary grid, the floor's source when no
-replicate lies inside the region, is not screened: its points, a few
-hundred for a rectangle, get their exact depths in one kernel call.
+A replicate whose bounds hold the floor or a corner depth gets tighter
+ones, from spans of H and H + 1 sectors of its own histogram row, when an
+edge check of its directions (``_edge_clear``) shows every computed sector
+of it exact (see ``_CheckedCloud.bounds``).  Exact depths are then computed
+only for the replicates whose bounds, tight or wide, still hold the floor or
+a corner depth: 4-8% of the replicates for ``p_multi_max`` at seed 1 of the
+benchmark, where the wide bounds alone left 11-22%, since its corner depths
+sit in the dense middle of the depth distribution.  The boundary grid, the
+floor's source when no replicate lies inside the region, is not screened:
+its points, a few hundred for a rectangle, get their exact depths in one
+kernel call.
 
 ``p_multi`` often needs no screen at all.  Every cloud point has simplicial
 depth at least C(m - 1, 2) / C(m, 3), and exactly the strict vertices of the
@@ -98,6 +103,7 @@ import itertools
 import math
 import sys
 import threading
+import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -655,11 +661,9 @@ class _CheckedCloud:
         return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
                           max(1, CHUNK_PAIRS // m)) / math.comb(m, 3)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Lower and upper bounds on the depths of the cloud's own points,
-        ``depths(pts)``, after the range check of ``span``, and the sector
-        histograms they came from (None for Mahalanobis depth), from which
-        ``tight_bounds`` brackets the rows its caller still needs closer.
+        ``depths(pts)``, after the range check of ``span``.
 
         Mahalanobis depth is cheap, and both bounds are its exact depths.  For
         simplicial depth each point gets a histogram of its directions to the
@@ -745,11 +749,12 @@ class _CheckedCloud:
         span = self.span
         if self.kind == "mahalanobis":
             depths = self.depths(self.pts)
-            return depths, depths, None
+            return depths, depths
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-        hist = _sector_histograms(self.pts)
+        hist = _sector_histograms(self.pts, _kept_rows(m))
+        _KEPT.screened = weakref.ref(self)
         lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), m,
                             max(1, CHUNK_PAIRS // (2 * SECTORS))).T
         total = math.comb(m, 3)
@@ -758,21 +763,24 @@ class _CheckedCloud:
                 # only here can |dx| + |dy| overflow; those rows lose their sectors
                 over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
                 lo[over], hi[over] = 0, total
-        return lo / total, hi / total, hist
+        return lo / total, hi / total
 
-    def tight_bounds(self, hist: np.ndarray, idx: np.ndarray):
+    def tight_bounds(self, idx: np.ndarray):
         """The points ``idx`` that pass the edge check, and the bounds on
-        their depths from spans of H and H + 1 sectors, as (points, lo, hi);
-        ``hist`` holds their rows of the histograms of ``bounds``, in the
-        order of ``idx``, and the proof is in ``bounds``.  Points that fail
-        keep the bounds of ``bounds``.
+        their depths from spans of H + 1 and H sectors, as (points, lo, hi);
+        the proof is in ``bounds``.  Points that fail keep the bounds of
+        ``bounds``.  The histogram rows are the ones the screen of this
+        cloud left in this thread's kept rows (``_kept_rows``), or, should
+        another screen have run on the thread since, computed again.
         """
         m = self.pts.shape[0]
-        clear = np.flatnonzero(_edge_clear(self.pts, idx))
+        screened = getattr(_KEPT, "screened", lambda: None)()
+        hist = _kept_rows(m) if screened is self else _sector_histograms(self.pts)
+        clear = idx[_edge_clear(self.pts, idx)]
         counts = _in_blocks(lambda rows: _count_bounds(hist[clear[rows]], m, _TIGHT_SPANS),
                             clear.size, max(1, CHUNK_PAIRS // (2 * SECTORS)))
         counts = counts / math.comb(m, 3)
-        return idx[clear], counts[:, 0], counts[:, 1]
+        return clear, counts[:, 0], counts[:, 1]
 
     def least(self, inside: np.ndarray, span: np.ndarray):
         """Which points of the cloud have the least simplicial depth
@@ -1061,7 +1069,8 @@ def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, offsets - offsets[:, None]
 
 
-# per thread, the kept buffers of ``_tile_buffers`` and ``_kept``.
+# per thread, the kept buffers of ``_tile_buffers``, ``_kept_rows`` and
+# ``_kept``, and which checked cloud the kept rows were last screened for.
 # They stay per thread rather than per process: the replication workers of
 # ``simulate.run_experiment`` are threads, and ``p_multi``, ``p_multi_max``,
 # ``depth_of`` and ``bootstrap_cloud`` are public, so a caller's own threads
@@ -1082,6 +1091,21 @@ def _tile_buffers() -> np.ndarray:
     return work
 
 
+def _kept_rows(m: int) -> np.ndarray:
+    """This thread's kept (m x _WIDTH) int64 rows for the histograms of the
+    self-screen, grown when a larger cloud comes.  ``_CheckedCloud.bounds``
+    fills them and ``tight_bounds`` reads the straddling replicates' rows
+    back, so no fresh histogram array lives from the screen past the floor's
+    kernel call: in the ``mc_biv`` benchmark process such an array, freed
+    only after that call, took about 134 minor page faults (its 520 KiB at
+    m = 500) per screen, 330,000 per run, against 14,000 in all when freed
+    at the end of the screen."""
+    rows = getattr(_KEPT, "rows", None)
+    if rows is None or rows.shape[0] < m:
+        rows = _KEPT.rows = np.empty((m, _WIDTH), dtype=np.int64)
+    return rows[:m]
+
+
 def _kept(name: str, count: int, dtype) -> np.ndarray:
     """``count`` items of this thread's kept buffer ``name``, which holds
     ``2 * CHUNK_PAIRS`` items of ``dtype``: enough for every block of
@@ -1097,7 +1121,7 @@ def _kept(name: str, count: int, dtype) -> np.ndarray:
     return buf[:count] if count <= buf.size else np.empty(count, dtype)
 
 
-def _sector_histograms(pts: np.ndarray) -> np.ndarray:
+def _sector_histograms(pts: np.ndarray, hist: np.ndarray | None = None) -> np.ndarray:
     """Per cloud point, the number of directions to the cloud's points with
     each code of ``_sector_codes``, as a (points x _WIDTH) array; code
     ``SECTORS`` is counted as sector 0, so its column is 0.
@@ -1109,10 +1133,14 @@ def _sector_histograms(pts: np.ndarray) -> np.ndarray:
     (s + H) mod ``SECTORS`` for a sector (H = SECTORS / 2), H for code
     ``SECTORS``, and itself at the point (see ``_CheckedCloud.bounds`` for
     why that is certified).  Each tile's integer counts are added as soon as
-    they are known, so memory stays one tile.
+    they are known, so memory stays one tile.  They go into ``hist``, an
+    (m x _WIDTH) int64 array, when given, and into a fresh one otherwise.
     """
     m = pts.shape[0]
-    hist = np.zeros((m, _WIDTH), dtype=np.int64)
+    if hist is None:
+        hist = np.zeros((m, _WIDTH), dtype=np.int64)
+    else:
+        hist.fill(0)
     left, right = _lefts(pts), _rights(pts)
     side = math.isqrt(CHUNK_PAIRS)
     bands = [slice(start, start + side) for start in range(0, m, side)]
@@ -1283,11 +1311,14 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     has depth >= F, so the minimum over the settled depths, the certified
     ones (lo == hi) and the lower bounds left is still F.  Without, the
     floor is the least exact depth over the boundary grid, computed in one
-    ``depths`` call.  Then every replicate whose bounds straddle the
-    floor (outside ones) or a corner depth is settled in one more
-    ``depths`` call.  Every comparison then reads a bound that equals the
-    exact depth or lies on the same side of the threshold, so the result
-    equals the one from all exact depths, bit for bit.
+    ``depths`` call.  Then the replicates whose screen bounds straddle the
+    floor (outside ones) or a corner depth get the tight bounds of
+    ``_CheckedCloud.tight_bounds`` where the edge check allows, from the
+    histogram rows of those replicates alone, and the ones that still
+    straddle are settled in one more ``depths`` call.  Every comparison then
+    reads a bound that equals the exact depth or lies on the same side of
+    the threshold, so the result equals the one from all exact depths, bit
+    for bit.
 
     A corner below the least depth straddles no raised bound and gets
     ``corner_p`` 0.  When all corners are that shallow, the hull may decide
@@ -1313,7 +1344,8 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
                                depth_floor=_least_depth(pts.shape[0]),
                                floor_source="inside-replicates",
                                corner_p=() if corners is None else (0.0,) * len(corner_depths))
-    lo, hi, hist = cloud.bounds() if bounds is None else (*bounds, None)
+    screened = bounds is None and cloud.kind == "simplicial"
+    lo, hi = cloud.bounds() if bounds is None else bounds
     if cloud.kind == "simplicial" and pts.shape[0] >= 3:
         lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
@@ -1327,9 +1359,8 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     thresholds = () if corners is None else corner_depths
     straddle = _straddles(lo, hi, ~inside, floor, thresholds)
     idx = np.flatnonzero(straddle)
-    if hist is not None and idx.size:
-        rows, hist = hist[idx], None  # only the straddlers' rows are kept
-        idx, lo_t, hi_t = cloud.tight_bounds(rows, idx)
+    if screened and idx.size:
+        idx, lo_t, hi_t = cloud.tight_bounds(idx)
         lo[idx], hi[idx] = np.maximum(lo_t, _least_depth(pts.shape[0])), hi_t
         straddle[idx] = _straddles(lo[idx], hi[idx], ~inside[idx], floor, thresholds)
     _settle(cloud, lo, hi, straddle)

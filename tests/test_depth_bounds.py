@@ -284,7 +284,7 @@ def test_mc_biv_multi_max_settles_under_two_fifths(name, exact_queries):
 
 def screen_bounds(pts, kind="simplicial"):
     """The screen's bounds on the depths of a cloud's own points."""
-    return depth_module._CheckedCloud.check(pts, kind).bounds()[:2]
+    return depth_module._CheckedCloud.check(pts, kind).bounds()
 
 
 @st.composite
@@ -344,10 +344,16 @@ def test_bounds_bracket_the_kernel_count(case):
     assert (tight_lo <= counts[clear]).all() and (counts[clear] <= tight_hi).all()
     wide = _count_bounds(hist[clear], cloud.shape[0])
     assert (tight_lo >= wide[:, 0]).all() and (tight_hi <= wide[:, 1]).all()
+    # from the rows the screen kept, and from fresh ones after another screen
     checked = depth_module._CheckedCloud.check(cloud, "simplicial")
-    idx, lo_t, hi_t = checked.tight_bounds(hist[clear], clear)
-    assert np.array_equal(idx, clear)
-    assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
+    checked.bounds()
+    got = [checked.tight_bounds(clear)]
+    screen_bounds(pts)
+    got.append(checked.tight_bounds(clear))
+    for idx, lo_t, hi_t in got:
+        assert np.array_equal(idx, clear)
+        assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
+    assert all(np.array_equal(a, b) for a, b in zip(*got))
 
 
 def test_most_gaussian_rows_pass_the_edge_check():
@@ -784,9 +790,9 @@ def screens(monkeypatch):
     calls = []
     real = depth_module._sector_histograms
 
-    def counting(pts):
+    def counting(pts, *rows):
         calls.append(pts.shape[0])
-        return real(pts)
+        return real(pts, *rows)
 
     monkeypatch.setattr(depth_module, "_sector_histograms", counting)
     return calls
