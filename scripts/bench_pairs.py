@@ -26,12 +26,13 @@ A command target times a fixed argv instead of a workload:
     python3 scripts/bench_pairs.py PARENT CHANGE --command part2-t1 --pairs 5 \\
         --out BENCH_28.json
 
-Each run writes into a fresh temporary directory, passed as the argv's last
-argument; its record holds the wall seconds (``wall_s``), the exit code and
-a SHA-256 over the files the run wrote, by relative path and content.  A
-run that exits nonzero counts as failed, and a pair whose two hashes differ
-is a failed pair (``pairs_failed``), since both sides must write the same
-numbers.  The summary is the workloads' one, over ``COMMAND_METRICS``.
+Each run imports the package from its checkout's ``src`` and writes into a
+fresh temporary directory, passed as the argv's last argument; its record
+holds the wall seconds (``wall_s``), the exit code and a SHA-256 over the
+files the run wrote, by relative path and content.  A run that exits
+nonzero counts as failed, and a pair with a failed run or two different
+hashes is a failed pair (``pairs_failed``), since both sides must write the
+same numbers.  The summary is the workloads' one, over ``COMMAND_METRICS``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -82,11 +84,14 @@ def tree_sha256(root: Path) -> str:
 
 
 def run_command(root: Path, argv: list) -> dict:
-    """One run of ``argv`` in checkout ``root``, writing into a fresh
-    temporary directory: its wall seconds, exit code and output hash."""
+    """One run of ``argv`` in checkout ``root``, importing from its ``src``
+    and writing into a fresh temporary directory: its wall seconds, exit
+    code and output hash."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(root).resolve() / "src"), os.environ.get("PYTHONPATH")]))}
     with tempfile.TemporaryDirectory() as out_dir:
         t0 = time.perf_counter()
-        done = subprocess.run([*argv, out_dir], cwd=root, capture_output=True)
+        done = subprocess.run([*argv, out_dir], cwd=root, env=env, capture_output=True)
         wall = time.perf_counter() - t0
         sha = tree_sha256(Path(out_dir))
     return {"failed": int(done.returncode != 0), "exit_code": done.returncode, "sha256": sha,
@@ -163,7 +168,8 @@ def main(argv=None) -> int:
         for side in order:
             pair[side] = run(getattr(args, side), label)
         if args.command:
-            pair["same_output"] = pair["parent"]["sha256"] == pair["change"]["sha256"]
+            pair["same_output"] = (not pair["parent"]["failed"] and not pair["change"]["failed"]
+                                   and pair["parent"]["sha256"] == pair["change"]["sha256"])
         pairs.append(pair)
         print(json.dumps({**{k: v for k, v in pair.items() if k not in ("parent", "change")},
                           **{side: {m["name"]: pair[side]["metrics"][m["name"]]["value"]
@@ -177,7 +183,8 @@ def main(argv=None) -> int:
             "argv": [*COMMANDS[args.command][1:], "<fresh temporary directory>"],
             "summary": summary, "pairs": pairs}
     else:
-        record.setdefault("command", "python3 bench/run.py --workload W --seed S, in each checkout")
+        record.setdefault("command",
+                          "python3 bench/run.py --workload W --seed S, in each checkout")
         record.setdefault("workloads", {})[args.workload] = {
             "seeds": [args.seeds.start, args.seeds.stop - 1], "summary": summary, "pairs": pairs}
     args.out.write_text(json.dumps(record, indent=1) + "\n")

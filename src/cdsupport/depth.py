@@ -707,17 +707,19 @@ class _CheckedCloud:
 
         These spans allow for any computed diamond angle to be some ulps
         off.  ``tight_bounds`` narrows them to H + 1 and H sectors for the
-        points that pass an edge check.  A point passes the edge check
-        (``_edge_clear``) when, from ``_differences`` as the screen takes
-        them, none of its directions but the one to itself has 32 r, with
-        r = dx / (|dx| + |dy|), within eps = ``_EDGE_MARGIN`` = 2^-30 of an
-        integer; 32 r is the sector position t * SECTORS / 4 up to an integer
-        and a sign, in either half-plane.  Measure positions in sectors, t * SECTORS / 4
-        with t the exact diamond angle of a rounded difference.  The check's
-        position rounds twice after the exact difference, by under 2^-47;
-        the screen's, with its row offset below 2^15, by under 2^-37; and a
-        kernel key is within 2^-48 radians of its exact angle, which the
-        diamond angle follows at a rate of at most 1, so within 2^-43.  So:
+        points that pass an edge check, from the histogram rows this screen
+        leaves in the thread's kept rows (``_kept_rows``).  A point passes
+        the edge check (``_edge_clear``) when, from ``_differences`` as the
+        screen takes them, none of its directions but the one to itself has
+        32 r, with r = dx / (|dx| + |dy|), within eps = ``_EDGE_MARGIN`` =
+        2^-30 of an integer; 32 r is the sector position t * SECTORS / 4 up
+        to an integer and a sign, in either half-plane.  Measure positions
+        in sectors, t * SECTORS / 4 with t the exact diamond angle of a
+        rounded difference.  The check's position rounds twice after the
+        exact difference, by under 2^-47; the screen's, with its row offset
+        below 2^15, by under 2^-37; and a kernel key is within 2^-48 radians
+        of its exact angle, which the diamond angle follows at a rate of at
+        most 1, so within 2^-43.  So:
 
         * Every computed sector of a passing point is exact, the floor of
           its exact position, which lies more than eps - 2^-47 from every
@@ -1098,8 +1100,8 @@ def _kept_rows(m: int) -> np.ndarray:
     back, so no fresh histogram array lives from the screen past the floor's
     kernel call: in the ``mc_biv`` benchmark process such an array, freed
     only after that call, took about 134 minor page faults (its 520 KiB at
-    m = 500) per screen, 330,000 per run, against 14,000 in all when freed
-    at the end of the screen."""
+    m = 500) per screen, against 14,000 per run in all when freed at the
+    end of the screen."""
     rows = getattr(_KEPT, "rows", None)
     if rows is None or rows.shape[0] < m:
         rows = _KEPT.rows = np.empty((m, _WIDTH), dtype=np.int64)
@@ -1314,11 +1316,11 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     ``depths`` call.  Then the replicates whose screen bounds straddle the
     floor (outside ones) or a corner depth get the tight bounds of
     ``_CheckedCloud.tight_bounds`` where the edge check allows, from the
-    histogram rows of those replicates alone, and the ones that still
-    straddle are settled in one more ``depths`` call.  Every comparison then
-    reads a bound that equals the exact depth or lies on the same side of
-    the threshold, so the result equals the one from all exact depths, bit
-    for bit.
+    screen's histogram rows of those replicates alone, and the ones that
+    still straddle are settled in one more ``depths`` call.  Every
+    comparison then reads a bound that equals the exact depth or lies on the
+    same side of the threshold, so the result equals the one from all exact
+    depths, bit for bit.
 
     A corner below the least depth straddles no raised bound and gets
     ``corner_p`` 0.  When all corners are that shallow, the hull may decide

@@ -94,10 +94,9 @@ def test_a_run_keeps_the_detail_objects_printed_before_its_record(tmp_path):
                    "detail": {"case_p50_ms": {"a_interior": 61.5}}}
 
 
-# writes the name of its working directory's marker file into the output directory
-STUB = ("import pathlib, sys; out = pathlib.Path(sys.argv[-1]); "
-        "(out / 'sub').mkdir(); (out / 'sub' / 'report.json').write_text("
-        "pathlib.Path('marker').read_text())")
+# writes the marker of the module in its checkout's src into the output directory
+STUB = ("import marker, pathlib, sys; out = pathlib.Path(sys.argv[-1]); "
+        "(out / 'sub').mkdir(); (out / 'sub' / 'report.json').write_text(marker.VALUE)")
 
 
 @pytest.mark.parametrize("markers,pairs_failed", [(("same", "same"), 0), (("one", "two"), 3)])
@@ -105,8 +104,8 @@ def test_a_command_target_hashes_each_sides_output(markers, pairs_failed, tmp_pa
                                                    monkeypatch):
     sides = []
     for name, marker in zip(("parent", "change"), markers):
-        (tmp_path / name).mkdir()
-        (tmp_path / name / "marker").write_text(marker)
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "src" / "marker.py").write_text(f"VALUE = {marker!r}\n")
         sides.append(str(tmp_path / name))
     monkeypatch.setitem(bench_pairs.COMMANDS, "part2-t1", [sys.executable, "-c", STUB])
     out = tmp_path / "BENCH.json"
@@ -133,6 +132,8 @@ def test_a_failing_command_is_a_failed_run(tmp_path, monkeypatch):
                       "part2-t1", "--pairs", "2", "--out", str(out)])
     got = json.loads(out.read_text())["commands"]["part2-t1"]
     assert got["summary"]["failed"] == {"parent": 2, "change": 2}
+    # two failed runs write the same nothing, but the pair still failed
+    assert got["summary"]["pairs_failed"] == 2
     assert got["pairs"][0]["parent"]["exit_code"] == 3
 
 

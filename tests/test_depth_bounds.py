@@ -361,10 +361,11 @@ def test_most_gaussian_rows_pass_the_edge_check():
     clear = _edge_clear(pts, np.arange(500))
     assert clear.mean() > 0.95
     counts = _simplicial_counts(pts, pts[clear])
-    lo, hi = _count_bounds(_sector_histograms(pts)[clear], 500, _TIGHT_SPANS).T
+    hist = _sector_histograms(pts)[clear]
+    lo, hi = _count_bounds(hist, 500, _TIGHT_SPANS).T
     assert (lo <= counts).all() and (counts <= hi).all()
     # tighter than the wide spans on most rows
-    assert (hi - lo).sum() < 0.5 * np.diff(_count_bounds(_sector_histograms(pts)[clear], 500)).sum()
+    assert (hi - lo).sum() < 0.5 * np.diff(_count_bounds(hist, 500)).sum()
 
 
 @pytest.mark.parametrize("offset,passes", [
