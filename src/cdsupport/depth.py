@@ -51,7 +51,7 @@ the subtraction does (see ``_differences``).
 
 The p-values never need every replicate's exact depth: only the floor, and
 which replicates lie at or below the floor or a corner depth.  So they first
-screen the replicates with ``_CheckedCloud.bounds``: each replicate's
+screen the replicates with ``_CheckedCloud.screen``: each replicate's
 directions to the others are counted into ``SECTORS`` sectors of their
 diamond angle, and triples are counted by sectors.  A computed diamond angle
 is a few ulps from the exact one, so a computed sector is at most one off,
@@ -103,7 +103,6 @@ import itertools
 import math
 import sys
 import threading
-import weakref
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -151,6 +150,10 @@ _TIGHT_SPANS = (SECTORS // 2 + 1, SECTORS // 2)
 # the edge check's margin, in sectors: a row passes when none of its computed
 # sector positions t * SECTORS / 4 lies this close to a sector edge
 _EDGE_MARGIN = 2.0 ** -30
+
+# the most cloud points whose screen histograms a thread keeps between calls
+# (``_kept_rows``): 4.3 MB of rows, past every cloud size the benchmark runs
+_KEPT_ROWS_MAX = 1 << 12
 
 # the hull shortcut's margin, in radians, on the angle of a direction: the
 # kernel's key for a direction is within 2^-48 of its exact angle
@@ -708,7 +711,7 @@ class _CheckedCloud:
         These spans allow for any computed diamond angle to be some ulps
         off.  ``tight_bounds`` narrows them to H + 1 and H sectors for the
         points that pass an edge check, from the histogram rows this screen
-        leaves in the thread's kept rows (``_kept_rows``).  A point passes
+        returns with its bounds (``screen``).  A point passes
         the edge check (``_edge_clear``) when, from ``_differences`` as the
         screen takes them, none of its directions but the one to itself has
         32 r, with r = dx / (|dx| + |dy|), within eps = ``_EDGE_MARGIN`` =
@@ -748,15 +751,24 @@ class _CheckedCloud:
         ``_count_bounds`` with ``_TIGHT_SPANS``, divided as ``depths``
         divides, so they bracket ``depths`` as the wide ones do.
         """
+        if self.kind == "simplicial":
+            return self.screen()[:2]
+        _ = self.span  # the range check
+        depths = self.depths(self.pts)
+        return depths, depths
+
+    def screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The simplicial bounds of ``bounds``, and the histogram rows of
+        ``_sector_histograms`` they come from, as (lo, hi, rows).  The rows
+        are this thread's kept rows (``_kept_rows``) up to
+        ``_KEPT_ROWS_MAX`` points, so they hold until the next screen on the
+        thread; ``tight_bounds`` reads them before that.
+        """
         span = self.span
-        if self.kind == "mahalanobis":
-            depths = self.depths(self.pts)
-            return depths, depths
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
         hist = _sector_histograms(self.pts, _kept_rows(m))
-        _KEPT.screened = weakref.ref(self)
         lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), m,
                             max(1, CHUNK_PAIRS // (2 * SECTORS))).T
         total = math.comb(m, 3)
@@ -765,19 +777,16 @@ class _CheckedCloud:
                 # only here can |dx| + |dy| overflow; those rows lose their sectors
                 over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
                 lo[over], hi[over] = 0, total
-        return lo / total, hi / total
+        return lo / total, hi / total, hist
 
-    def tight_bounds(self, idx: np.ndarray):
+    def tight_bounds(self, idx: np.ndarray, hist: np.ndarray):
         """The points ``idx`` that pass the edge check, and the bounds on
         their depths from spans of H + 1 and H sectors, as (points, lo, hi);
         the proof is in ``bounds``.  Points that fail keep the bounds of
-        ``bounds``.  The histogram rows are the ones the screen of this
-        cloud left in this thread's kept rows (``_kept_rows``), or, should
-        another screen have run on the thread since, computed again.
+        ``bounds``.  ``hist`` holds the histogram rows ``screen`` returned,
+        which no screen on this thread has overwritten since.
         """
         m = self.pts.shape[0]
-        screened = getattr(_KEPT, "screened", lambda: None)()
-        hist = _kept_rows(m) if screened is self else _sector_histograms(self.pts)
         clear = idx[_edge_clear(self.pts, idx)]
         counts = _in_blocks(lambda rows: _count_bounds(hist[clear[rows]], m, _TIGHT_SPANS),
                             clear.size, max(1, CHUNK_PAIRS // (2 * SECTORS)))
@@ -1072,7 +1081,7 @@ def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # per thread, the kept buffers of ``_tile_buffers``, ``_kept_rows`` and
-# ``_kept``, and which checked cloud the kept rows were last screened for.
+# ``_kept``.
 # They stay per thread rather than per process: the replication workers of
 # ``simulate.run_experiment`` are threads, and ``p_multi``, ``p_multi_max``,
 # ``depth_of`` and ``bootstrap_cloud`` are public, so a caller's own threads
@@ -1094,14 +1103,17 @@ def _tile_buffers() -> np.ndarray:
 
 
 def _kept_rows(m: int) -> np.ndarray:
-    """This thread's kept (m x _WIDTH) int64 rows for the histograms of the
-    self-screen, grown when a larger cloud comes.  ``_CheckedCloud.bounds``
-    fills them and ``tight_bounds`` reads the straddling replicates' rows
-    back, so no fresh histogram array lives from the screen past the floor's
-    kernel call: in the ``mc_biv`` benchmark process such an array, freed
-    only after that call, took about 134 minor page faults (its 520 KiB at
-    m = 500) per screen, against 14,000 per run in all when freed at the
-    end of the screen."""
+    """(m x _WIDTH) int64 rows for the histograms of the self-screen: this
+    thread's kept rows, grown when a larger cloud comes, or a fresh array
+    for a cloud of more than ``_KEPT_ROWS_MAX`` points, so a thread keeps at
+    most 4.3 MB.  ``_CheckedCloud.screen`` fills them and ``tight_bounds``
+    reads the straddling replicates' rows back, so no fresh histogram array
+    lives from the screen past the floor's kernel call: in the ``mc_biv``
+    benchmark process such an array, freed only after that call, took about
+    134 minor page faults (its 520 KiB at m = 500) per screen, against
+    14,000 per run in all when freed at the end of the screen."""
+    if m > _KEPT_ROWS_MAX:
+        return np.empty((m, _WIDTH), dtype=np.int64)
     rows = getattr(_KEPT, "rows", None)
     if rows is None or rows.shape[0] < m:
         rows = _KEPT.rows = np.empty((m, _WIDTH), dtype=np.int64)
@@ -1213,11 +1225,13 @@ def _edge_clear(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
     The points go in blocks of ``CHUNK_PAIRS // m``, whose differences come
     from ``_differences`` as in the screen, into this thread's tile buffers
-    (``_tile_buffers``), so no block allocates more than its flags.
+    (``_tile_buffers``), so no block allocates more than its flags.  A
+    cloud of more than ``CHUNK_PAIRS`` points takes one point at a time, in
+    fresh (4 x m) buffers, as the tile buffers are too short for its row.
     """
     m = pts.shape[0]
     right = _rights(pts)
-    work = _tile_buffers()
+    work = _tile_buffers() if m <= CHUNK_PAIRS else np.empty((4, m))
     step = max(1, CHUNK_PAIRS // m)
     clear = np.empty(idx.size, dtype=bool)
     for start in range(0, idx.size, step):
@@ -1347,7 +1361,10 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
                                floor_source="inside-replicates",
                                corner_p=() if corners is None else (0.0,) * len(corner_depths))
     screened = bounds is None and cloud.kind == "simplicial"
-    lo, hi = cloud.bounds() if bounds is None else bounds
+    if screened:
+        lo, hi, hist = cloud.screen()
+    else:
+        lo, hi = cloud.bounds() if bounds is None else bounds
     if cloud.kind == "simplicial" and pts.shape[0] >= 3:
         lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
@@ -1362,7 +1379,7 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     straddle = _straddles(lo, hi, ~inside, floor, thresholds)
     idx = np.flatnonzero(straddle)
     if screened and idx.size:
-        idx, lo_t, hi_t = cloud.tight_bounds(idx)
+        idx, lo_t, hi_t = cloud.tight_bounds(idx, hist)
         lo[idx], hi[idx] = np.maximum(lo_t, _least_depth(pts.shape[0])), hi_t
         straddle[idx] = _straddles(lo[idx], hi[idx], ~inside[idx], floor, thresholds)
     _settle(cloud, lo, hi, straddle)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+BENCHMARK = SCRIPT.parents[1] / "BENCHMARK.json"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
@@ -107,6 +108,7 @@ def test_a_command_target_hashes_each_sides_output(markers, pairs_failed, tmp_pa
         (tmp_path / name / "src").mkdir(parents=True)
         (tmp_path / name / "src" / "marker.py").write_text(f"VALUE = {marker!r}\n")
         sides.append(str(tmp_path / name))
+    (tmp_path / "change" / "BENCHMARK.json").write_bytes(BENCHMARK.read_bytes())
     monkeypatch.setitem(bench_pairs.COMMANDS, "part2-t1", [sys.executable, "-c", STUB])
     out = tmp_path / "BENCH.json"
     assert bench_pairs.main([*sides, "--command", "part2-t1", "--pairs", "3",
@@ -125,6 +127,7 @@ def test_a_command_target_hashes_each_sides_output(markers, pairs_failed, tmp_pa
 def test_a_failing_command_is_a_failed_run(tmp_path, monkeypatch):
     for name in ("parent", "change"):
         (tmp_path / name).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_bytes(BENCHMARK.read_bytes())
     monkeypatch.setitem(bench_pairs.COMMANDS, "part2-t1",
                         [sys.executable, "-c", "import sys; sys.exit(3)"])
     out = tmp_path / "BENCH.json"
@@ -135,6 +138,15 @@ def test_a_failing_command_is_a_failed_run(tmp_path, monkeypatch):
     # two failed runs write the same nothing, but the pair still failed
     assert got["summary"]["pairs_failed"] == 2
     assert got["pairs"][0]["parent"]["exit_code"] == 3
+
+
+def test_a_command_takes_the_throughput_bound_of_the_benchmark():
+    end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
+    bound = next(m["bound"] for m in end_to_end if m["name"] == "ops_per_s")
+    assert bench_pairs.command_metrics(end_to_end) == [
+        {"name": "wall_s", "better": "lower", "bound": bound}]
+    halved = [{**m, "bound": m["bound"] / 2} for m in end_to_end]
+    assert bench_pairs.command_metrics(halved)[0]["bound"] == bound / 2
 
 
 def test_a_workload_needs_seeds(tmp_path):

@@ -9,6 +9,7 @@ did before the screen; the two must agree bit for bit.
 import contextlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -344,16 +345,12 @@ def test_bounds_bracket_the_kernel_count(case):
     assert (tight_lo <= counts[clear]).all() and (counts[clear] <= tight_hi).all()
     wide = _count_bounds(hist[clear], cloud.shape[0])
     assert (tight_lo >= wide[:, 0]).all() and (tight_hi <= wide[:, 1]).all()
-    # from the rows the screen kept, and from fresh ones after another screen
+    # from the rows the screen returns
     checked = depth_module._CheckedCloud.check(cloud, "simplicial")
-    checked.bounds()
-    got = [checked.tight_bounds(clear)]
-    screen_bounds(pts)
-    got.append(checked.tight_bounds(clear))
-    for idx, lo_t, hi_t in got:
-        assert np.array_equal(idx, clear)
-        assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
-    assert all(np.array_equal(a, b) for a, b in zip(*got))
+    *_, rows = checked.screen()
+    idx, lo_t, hi_t = checked.tight_bounds(clear, rows)
+    assert np.array_equal(idx, clear)
+    assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
 
 
 def test_most_gaussian_rows_pass_the_edge_check():
@@ -381,6 +378,38 @@ def test_edge_check_fails_directions_on_sector_edges(offset, passes):
     pts = np.vstack([pts, pts[0] + offset])
     assert _edge_clear(pts, np.array([0]))[0] == passes
     assert _edge_clear(pts, np.array([1, 2])).all()
+
+
+def test_edge_check_of_a_cloud_longer_than_a_chunk():
+    # each point's row of m directions is longer than the tile buffers
+    m = depth_module.CHUNK_PAIRS + 256
+    pts = np.random.default_rng(15).standard_normal((m, 2))
+    pts[m - 1] = pts[0] + [1.0, 1.0]  # on a sector edge from point 0
+    pts[m - 2] = pts[3]  # a repeated position
+    assert _edge_clear(pts, np.array([0, 7])).tolist() == [False, True]
+    assert _edge_clear(pts, np.array([3])).tolist() == [False]
+
+
+def test_p_multi_max_on_a_cloud_longer_than_a_chunk(exact_queries, monkeypatch):
+    # with the chunk cut to SMALL_CHUNK pairs, and on a fresh thread whose
+    # tile buffers are that short, 300 replicates are more than a chunk
+    cloud, box = oneshot_box_cloud(m=300)
+    want = reference_p_multi_max(cloud, "simplicial", box)
+    exact_queries.clear()
+    checked = []
+    real = depth_module._edge_clear
+
+    def edge_clear(pts, idx):
+        checked.append(idx.size)
+        return real(pts, idx)
+
+    monkeypatch.setattr(depth_module, "_edge_clear", edge_clear)
+    monkeypatch.setattr(depth_module, "CHUNK_PAIRS", SMALL_CHUNK)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        got = pool.submit(p_multi_max, cloud, "simplicial", box).result()
+    assert got == want
+    # the tight spans decided some straddlers
+    assert checked[0] > sum(exact_queries[2:])
 
 
 def test_edge_check_fails_an_overflowing_direction_sum():
