@@ -9,7 +9,7 @@ maximum with singleton p-values at designated corner points.  Both return a
 ``MultiPValue`` (the corner p-values in ``corner_p``) and are selected by name
 through ``MULTI_METHODS``.  Every depth computation runs on the calling
 thread; concurrent callers, such as the replication workers of
-``simulate.run_experiment``, each keep their own tile buffers.
+``simulate.run_experiment``, each keep their own buffers (``_kept``).
 
 ``resample_means`` draws, gathers and sums a cloud's indices in blocks of
 ``max(1, CHUNK_PAIRS // n)`` replicates from one generator, so a cloud of m
@@ -51,7 +51,7 @@ the subtraction does (see ``_differences``).
 
 The p-values never need every replicate's exact depth: only the floor, and
 which replicates lie at or below the floor or a corner depth.  So they first
-screen the replicates with ``_CheckedCloud.screen``: each replicate's
+screen the replicates with ``_CheckedCloud.bounds``: each replicate's
 directions to the others are counted into ``SECTORS`` sectors of their
 diamond angle, and triples are counted by sectors.  A computed diamond angle
 is a few ulps from the exact one, so a computed sector is at most one off,
@@ -150,10 +150,6 @@ _TIGHT_SPANS = (SECTORS // 2 + 1, SECTORS // 2)
 # the edge check's margin, in sectors: a row passes when none of its computed
 # sector positions t * SECTORS / 4 lies this close to a sector edge
 _EDGE_MARGIN = 2.0 ** -30
-
-# the most cloud points whose screen histograms a thread keeps between calls
-# (``_kept_rows``): 4.3 MB of rows, past every cloud size the benchmark runs
-_KEPT_ROWS_MAX = 1 << 12
 
 # the hull shortcut's margin, in radians, on the angle of a direction: the
 # kernel's key for a direction is within 2^-48 of its exact angle
@@ -610,7 +606,8 @@ class _CheckedCloud:
     ``queries`` runs the checks of one query set against it, and ``span``
     the range check of the cloud's own points, once; ``depths`` evaluates
     checked query sets without checking again, ``bounds`` brackets the
-    depths of the cloud's own points, and ``least`` finds those at the
+    depths of the cloud's own points (``tight_bounds`` narrows some of
+    them), and ``least`` finds those at the
     least depth.  The Mahalanobis mean and inverse covariance are derived
     on first use and kept, so a p-value that evaluates several query sets
     derives them once.
@@ -664,16 +661,17 @@ class _CheckedCloud:
         return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
                           max(1, CHUNK_PAIRS // m)) / math.comb(m, 3)
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Lower and upper bounds on the depths of the cloud's own points,
-        ``depths(pts)``, after the range check of ``span``.
+        ``depths(pts)``, after the range check of ``span``, and the histogram
+        rows they come from, as (lo, hi, rows).
 
-        Mahalanobis depth is cheap, and both bounds are its exact depths.  For
-        simplicial depth each point gets a histogram of its directions to the
-        others over ``SECTORS`` sectors (``_sector_histograms``), and the
-        misses of ``_simplicial_counts`` are bracketed by counting triples of
-        directions by their sectors (``_count_bounds``), with H = SECTORS / 2
-        sectors to a half-circle:
+        Mahalanobis depth is cheap: both bounds are its exact depths, and
+        rows is None.  For simplicial depth each point gets a histogram of
+        its directions to the others over ``SECTORS`` sectors
+        (``_sector_histograms``), and the misses of ``_simplicial_counts``
+        are bracketed by counting triples of directions by their sectors
+        (``_count_bounds``), with H = SECTORS / 2 sectors to a half-circle:
 
         * The computed sector of a direction is at most one off the exact
           sector of its rounded (dx, dy): the rounding errors of r and of t
@@ -710,19 +708,20 @@ class _CheckedCloud:
 
         These spans allow for any computed diamond angle to be some ulps
         off.  ``tight_bounds`` narrows them to H + 1 and H sectors for the
-        points that pass an edge check, from the histogram rows this screen
-        returns with its bounds (``screen``).  A point passes
-        the edge check (``_edge_clear``) when, from ``_differences`` as the
-        screen takes them, none of its directions but the one to itself has
-        32 r, with r = dx / (|dx| + |dy|), within eps = ``_EDGE_MARGIN`` =
-        2^-30 of an integer; 32 r is the sector position t * SECTORS / 4 up
-        to an integer and a sign, in either half-plane.  Measure positions
-        in sectors, t * SECTORS / 4 with t the exact diamond angle of a
-        rounded difference.  The check's position rounds twice after the
-        exact difference, by under 2^-47; the screen's, with its row offset
-        below 2^15, by under 2^-37; and a kernel key is within 2^-48 radians
-        of its exact angle, which the diamond angle follows at a rate of at
-        most 1, so within 2^-43.  So:
+        points that pass an edge check, from the rows returned here: this
+        thread's kept ``rows`` buffer (``_kept``), or a fresh array for a
+        cloud too large to keep, so they hold until the next screen on the
+        thread.  A point passes the edge check (``_edge_clear``) when, from
+        ``_differences`` as the screen takes them, none of its directions
+        but the one to itself has 32 r, with r = dx / (|dx| + |dy|), within
+        eps = ``_EDGE_MARGIN`` = 2^-30 of an integer; 32 r is the sector
+        position t * SECTORS / 4 up to an integer and a sign, in either
+        half-plane.  Measure positions in sectors, t * SECTORS / 4 with t
+        the exact diamond angle of a rounded difference.  The check's
+        position rounds twice after the exact difference, by under 2^-47;
+        the screen's, with its row offset below 2^15, by under 2^-37; and a
+        kernel key is within 2^-48 radians of its exact angle, which the
+        diamond angle follows at a rate of at most 1, so within 2^-43.  So:
 
         * Every computed sector of a passing point is exact, the floor of
           its exact position, which lies more than eps - 2^-47 from every
@@ -751,26 +750,15 @@ class _CheckedCloud:
         ``_count_bounds`` with ``_TIGHT_SPANS``, divided as ``depths``
         divides, so they bracket ``depths`` as the wide ones do.
         """
-        if self.kind == "simplicial":
-            return self.screen()[:2]
-        _ = self.span  # the range check
-        depths = self.depths(self.pts)
-        return depths, depths
-
-    def screen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The simplicial bounds of ``bounds``, and the histogram rows of
-        ``_sector_histograms`` they come from, as (lo, hi, rows).  The rows
-        are this thread's kept rows (``_kept_rows``) up to
-        ``_KEPT_ROWS_MAX`` points, so they hold until the next screen on the
-        thread; ``tight_bounds`` reads them before that.
-        """
         span = self.span
+        if self.kind == "mahalanobis":
+            depths = self.depths(self.pts)
+            return depths, depths, None
         m = self.pts.shape[0]
         if m < 3:
             raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
-        hist = _sector_histograms(self.pts, _kept_rows(m))
-        lo, hi = _in_blocks(lambda rows: _count_bounds(hist[rows], m), m,
-                            max(1, CHUNK_PAIRS // (2 * SECTORS))).T
+        hist = _sector_histograms(self.pts, _kept("rows", m * _WIDTH, np.int64).reshape(m, -1))
+        lo, hi = _count_bounds(hist, m).T
         total = math.comb(m, 3)
         with np.errstate(over="ignore"):
             if not np.isfinite(span.sum()):
@@ -783,14 +771,12 @@ class _CheckedCloud:
         """The points ``idx`` that pass the edge check, and the bounds on
         their depths from spans of H + 1 and H sectors, as (points, lo, hi);
         the proof is in ``bounds``.  Points that fail keep the bounds of
-        ``bounds``.  ``hist`` holds the histogram rows ``screen`` returned,
+        ``bounds``.  ``hist`` holds the histogram rows ``bounds`` returned,
         which no screen on this thread has overwritten since.
         """
         m = self.pts.shape[0]
         clear = idx[_edge_clear(self.pts, idx)]
-        counts = _in_blocks(lambda rows: _count_bounds(hist[clear[rows]], m, _TIGHT_SPANS),
-                            clear.size, max(1, CHUNK_PAIRS // (2 * SECTORS)))
-        counts = counts / math.comb(m, 3)
+        counts = _count_bounds(hist[clear], m, _TIGHT_SPANS) / math.comb(m, 3)
         return clear, counts[:, 0], counts[:, 1]
 
     def least(self, inside: np.ndarray, span: np.ndarray):
@@ -1080,8 +1066,7 @@ def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, offsets - offsets[:, None]
 
 
-# per thread, the kept buffers of ``_tile_buffers``, ``_kept_rows`` and
-# ``_kept``.
+# per thread, the kept buffers of ``_kept``.
 # They stay per thread rather than per process: the replication workers of
 # ``simulate.run_experiment`` are threads, and ``p_multi``, ``p_multi_max``,
 # ``depth_of`` and ``bootstrap_cloud`` are public, so a caller's own threads
@@ -1089,50 +1074,28 @@ def _tile_offsets(side: int) -> tuple[np.ndarray, np.ndarray]:
 # race
 _KEPT = threading.local()
 
-
-def _tile_buffers() -> np.ndarray:
-    """This thread's (4 x cells) buffers for ``_sector_codes``, with cells at
-    least ``CHUNK_PAIRS``, which every tile of the self-screen fits.  They are
-    kept from call to call: a fresh buffer costs a page fault per 4 KiB,
-    about 2.75 us on a 2-core virtual machine, as long as the arithmetic on
-    the page."""
-    work = getattr(_KEPT, "work", None)
-    if work is None or work.shape[1] < CHUNK_PAIRS:
-        work = _KEPT.work = np.empty((4, CHUNK_PAIRS))
-    return work
-
-
-def _kept_rows(m: int) -> np.ndarray:
-    """(m x _WIDTH) int64 rows for the histograms of the self-screen: this
-    thread's kept rows, grown when a larger cloud comes, or a fresh array
-    for a cloud of more than ``_KEPT_ROWS_MAX`` points, so a thread keeps at
-    most 4.3 MB.  ``_CheckedCloud.screen`` fills them and ``tight_bounds``
-    reads the straddling replicates' rows back, so no fresh histogram array
-    lives from the screen past the floor's kernel call: in the ``mc_biv``
-    benchmark process such an array, freed only after that call, took about
-    134 minor page faults (its 520 KiB at m = 500) per screen, against
-    14,000 per run in all when freed at the end of the screen."""
-    if m > _KEPT_ROWS_MAX:
-        return np.empty((m, _WIDTH), dtype=np.int64)
-    rows = getattr(_KEPT, "rows", None)
-    if rows is None or rows.shape[0] < m:
-        rows = _KEPT.rows = np.empty((m, _WIDTH), dtype=np.int64)
-    return rows[:m]
+# the largest kept buffer, in bytes: the histogram rows of a screen of 4,096
+# points (4.26 MB), past every cloud size the benchmark runs
+_KEPT_MAX = (1 << 12) * _WIDTH * 8
 
 
 def _kept(name: str, count: int, dtype) -> np.ndarray:
-    """``count`` items of this thread's kept buffer ``name``, which holds
-    ``2 * CHUNK_PAIRS`` items of ``dtype``: enough for every block of
-    ``resample_means`` but one replicate of more than that many rows, which
-    gets a fresh array.  Kept for the reason ``_tile_buffers`` gives: in the
-    ``mc_biv`` battery, fresh gathers after the raw-word draw took about
-    1,560 minor page faults per pass, as the allocator's history had it,
-    and kept buffers take none."""
+    """``count`` items of ``dtype`` from this thread's kept buffer ``name``,
+    the one place a thread keeps arrays between calls.  The buffer holds
+    ``2 * CHUNK_PAIRS`` items on first use and grows to the largest count
+    asked for, up to ``_KEPT_MAX`` bytes; a larger request gets a fresh
+    array, so a thread keeps at most ``_KEPT_MAX`` bytes per name.  A fresh
+    buffer costs a page fault per 4 KiB, about 2.75 us on a 2-core virtual
+    machine: in the ``mc_biv`` battery, fresh gathers took about 1,560 minor
+    faults per pass, and a fresh histogram array about 134 per screen at
+    m = 500; kept buffers take none."""
     buf = getattr(_KEPT, name, None)
-    if buf is None:
-        buf = np.empty(2 * CHUNK_PAIRS, dtype)
+    if buf is None or buf.size < count:
+        if count * np.dtype(dtype).itemsize > _KEPT_MAX:
+            return np.empty(count, dtype)
+        buf = np.empty(max(count, 2 * CHUNK_PAIRS), dtype)
         setattr(_KEPT, name, buf)
-    return buf[:count] if count <= buf.size else np.empty(count, dtype)
+    return buf[:count]
 
 
 def _sector_histograms(pts: np.ndarray, hist: np.ndarray | None = None) -> np.ndarray:
@@ -1159,7 +1122,7 @@ def _sector_histograms(pts: np.ndarray, hist: np.ndarray | None = None) -> np.nd
     side = math.isqrt(CHUNK_PAIRS)
     bands = [slice(start, start + side) for start in range(0, m, side)]
     offsets, shift = _tile_offsets(side)
-    work = _tile_buffers()
+    work = _kept("work", 4 * CHUNK_PAIRS, np.float64).reshape(4, -1)
     for i, j in itertools.combinations_with_replacement(range(len(bands)), 2):
         q, p = left[:, bands[i]], right[:, :, bands[j]]
         codes = _sector_codes(q, p, offsets[: q.shape[1], : p.shape[2]], work)
@@ -1192,8 +1155,13 @@ def _count_bounds(hist: np.ndarray, m: int, spans=_WIDE_SPANS) -> np.ndarray:
     sectors leaves a gap of more than H sectors before its first one, and
     only the sector after that gap starts a run, so the second count is
     exact; the first may count a triple twice, which keeps it an upper bound
-    on the misses.
+    on the misses.  The rows are counted in blocks of
+    ``CHUNK_PAIRS // (2 * SECTORS)``, so the work arrays stay a block's.
     """
+    block = max(1, CHUNK_PAIRS // (2 * SECTORS))
+    if hist.shape[0] > block:
+        return np.concatenate([_count_bounds(hist[start: start + block], m, spans)
+                               for start in range(0, hist.shape[0], block)])
     h = hist[:, :SECTORS]
     half = SECTORS // 2
     # running[:, i]: the first i entries of a row of h, h repeated, summed;
@@ -1223,16 +1191,15 @@ def _edge_clear(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     own position, has 32 dx / (|dx| + |dy|) within ``_EDGE_MARGIN`` of an
     integer; a NaN, at a repeated position, fails.
 
-    The points go in blocks of ``CHUNK_PAIRS // m``, whose differences come
-    from ``_differences`` as in the screen, into this thread's tile buffers
-    (``_tile_buffers``), so no block allocates more than its flags.  A
-    cloud of more than ``CHUNK_PAIRS`` points takes one point at a time, in
-    fresh (4 x m) buffers, as the tile buffers are too short for its row.
+    The points go in blocks of ``max(1, CHUNK_PAIRS // m)``, whose
+    differences come from ``_differences`` as in the screen, into this
+    thread's kept ``work`` buffer (``_kept``), as four rows of a block's
+    pairs, so no block allocates more than its flags.
     """
     m = pts.shape[0]
     right = _rights(pts)
-    work = _tile_buffers() if m <= CHUNK_PAIRS else np.empty((4, m))
     step = max(1, CHUNK_PAIRS // m)
+    work = _kept("work", 4 * step * m, np.float64).reshape(4, -1)
     clear = np.empty(idx.size, dtype=bool)
     for start in range(0, idx.size, step):
         rows = idx[start: start + step]
@@ -1360,11 +1327,7 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
                                depth_floor=_least_depth(pts.shape[0]),
                                floor_source="inside-replicates",
                                corner_p=() if corners is None else (0.0,) * len(corner_depths))
-    screened = bounds is None and cloud.kind == "simplicial"
-    if screened:
-        lo, hi, hist = cloud.screen()
-    else:
-        lo, hi = cloud.bounds() if bounds is None else bounds
+    lo, hi, hist = cloud.bounds() if bounds is None else bounds
     if cloud.kind == "simplicial" and pts.shape[0] >= 3:
         lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
@@ -1378,7 +1341,7 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     thresholds = () if corners is None else corner_depths
     straddle = _straddles(lo, hi, ~inside, floor, thresholds)
     idx = np.flatnonzero(straddle)
-    if screened and idx.size:
+    if hist is not None and idx.size:
         idx, lo_t, hi_t = cloud.tight_bounds(idx, hist)
         lo[idx], hi[idx] = np.maximum(lo_t, _least_depth(pts.shape[0])), hi_t
         straddle[idx] = _straddles(lo[idx], hi[idx], ~inside[idx], floor, thresholds)
@@ -1417,7 +1380,7 @@ def p_multi(cloud, kind: str, region: RegionND, _depths=None) -> MultiPValue:
     """
     pts = _cloud_points(cloud)
     check_region_dim(region, pts.shape[1])
-    bounds = None if _depths is None else (np.array(_depths, dtype=float),) * 2
+    bounds = None if _depths is None else (d := np.array(_depths, dtype=float), d, None)
     return _multi(_CheckedCloud.check(pts, kind), region, bounds, None)
 
 

@@ -143,8 +143,10 @@ def test_a_failing_command_is_a_failed_run(tmp_path, monkeypatch):
 def test_a_command_takes_the_throughput_bound_of_the_benchmark():
     end_to_end = json.loads(BENCHMARK.read_text())["end_to_end"]
     bound = next(m["bound"] for m in end_to_end if m["name"] == "ops_per_s")
+    rss_bound = next(m["bound"] for m in end_to_end if m["name"] == "peak_rss_mb")
     assert bench_pairs.command_metrics(end_to_end) == [
-        {"name": "wall_s", "better": "lower", "bound": bound}]
+        {"name": "wall_s", "better": "lower", "bound": bound},
+        {"name": "peak_rss_mb", "better": "lower", "bound": rss_bound}]
     halved = [{**m, "bound": m["bound"] / 2} for m in end_to_end]
     assert bench_pairs.command_metrics(halved)[0]["bound"] == bound / 2
 
@@ -153,3 +155,112 @@ def test_a_workload_needs_seeds(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "mc_biv",
                           "--out", str(tmp_path / "x.json")])
+
+
+def test_a_metric_is_summarised_over_the_pairs_where_both_sides_reported_it():
+    pairs = [{"parent": record(100.0 + s, 100.0), "change": record(110.0 + s, 90.0)}
+             for s in range(4)]
+    pairs[1]["parent"] = {"failed": 1, "exit_code": 1, "metrics": {}}
+    got = bench_pairs.summarize(pairs, METRICS)
+    assert got["pairs"] == 4 and got["failed"] == {"parent": 1, "change": 0}
+    assert got["ops_per_s"]["pairs"] == 3
+    assert got["ops_per_s"]["parent_q1_median_q3"] == [101.0, 102.0, 102.5]
+    assert got["ops_per_s"]["change_wins"] == 3 and got["ops_per_s"]["gain_shown"]
+    # one pair gives no quartiles, and no verdict
+    assert bench_pairs.summarize(pairs[:2], METRICS)["ops_per_s"] == {"better": "higher",
+                                                                      "pairs": 1}
+
+
+# a bench/run.py that exits 1 for seed 2 and reports 100 ops/s otherwise
+FAILING_RUN = ("import json, sys\n"
+               "if sys.argv[-1] == '2':\n"
+               "    sys.exit(1)\n"
+               "print(json.dumps({'failed': 0, 'metrics': {\n"
+               "    'ops_per_s': {'value': 100.0, 'unit': '1/s'},\n"
+               "    'p50_gmean_ms': {'value': 10.0, 'unit': 'ms'}}}))\n")
+
+
+def test_a_workload_run_that_exits_nonzero_is_a_failed_run(tmp_path):
+    for name in ("parent", "change"):
+        (tmp_path / name / "bench").mkdir(parents=True)
+    (tmp_path / "parent" / "bench" / "run.py").write_text(FAILING_RUN)
+    (tmp_path / "change" / "bench" / "run.py").write_text(FAILING_RUN.replace("'2'", "'0'"))
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "mc_biv", "--seeds", "1-4", "--out", str(out)]) == 0
+    got = json.loads(out.read_text())["workloads"]["mc_biv"]
+    assert got["pairs"][1]["parent"] == {"failed": 1, "exit_code": 1, "metrics": {}}
+    assert got["summary"]["failed"] == {"parent": 1, "change": 0}
+    assert got["summary"]["ops_per_s"]["pairs"] == 3
+    assert got["summary"]["ops_per_s"]["within_bound"]
+
+
+def test_the_output_holds_every_pair_run_before_a_series_breaks(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+
+    def run_bench(root, workload, seed):
+        if seed == 3:
+            raise KeyboardInterrupt
+        return record(100.0, 10.0)
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.main([str(tmp_path), str(tmp_path), "--workload", "mc_biv",
+                          "--seeds", "1-5", "--out", str(out)])
+    got = json.loads(out.read_text())["workloads"]["mc_biv"]
+    assert [pair["seed"] for pair in got["pairs"]] == [1, 2]
+    assert got["summary"]["pairs"] == 2
+
+
+@pytest.mark.parametrize("target", [["--command", "part2-t1", "--pairs", "1"],
+                                    ["--command", "part1", "--pairs", "0"],
+                                    ["--workload", "mc_biv", "--seeds", "5-5"]])
+def test_fewer_than_two_pairs_are_refused_before_any_run(target, tmp_path, monkeypatch):
+    def run(*args):
+        raise AssertionError("ran")
+
+    monkeypatch.setattr(bench_pairs, "run_bench", run)
+    monkeypatch.setattr(bench_pairs, "run_command", run)
+    with pytest.raises(SystemExit):
+        bench_pairs.main([str(tmp_path), str(tmp_path), *target,
+                          "--out", str(tmp_path / "x.json")])
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_a_command_run_records_its_own_peak_rss(tmp_path, monkeypatch):
+    # the change holds 80 MB more than the parent: RUSAGE_CHILDREN of the
+    # wrapper sees each run alone, so the two records differ by about that
+    for name, size in (("parent", 0), ("change", 80_000_000)):
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "src" / "marker.py").write_text(f"SIZE = {size}\n")
+    (tmp_path / "change" / "BENCHMARK.json").write_bytes(BENCHMARK.read_bytes())
+    monkeypatch.setitem(bench_pairs.COMMANDS, "part2-t1", [
+        sys.executable, "-c", "import marker; b = bytearray(marker.SIZE); b[::4096] = b'1' * "
+        "len(b[::4096])"])
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--command",
+                      "part2-t1", "--pairs", "2", "--out", str(out)])
+    got = json.loads(out.read_text())["commands"]["part2-t1"]
+    for pair in got["pairs"]:
+        parent, change = (pair[side]["metrics"]["peak_rss_mb"]["value"]
+                          for side in ("parent", "change"))
+        assert 70.0 < change - parent < 90.0
+    assert got["summary"]["peak_rss_mb"]["pairs"] == 2
+    assert not got["summary"]["peak_rss_mb"]["within_bound"]
+
+
+def test_the_part1_target_runs_the_univariate_battery(tmp_path, monkeypatch):
+    assert bench_pairs.COMMANDS["part1"][1:] == ["scripts/run_part1.py", "--out-dir"]
+    sides = []
+    for name in ("parent", "change"):
+        (tmp_path / name / "src").mkdir(parents=True)
+        (tmp_path / name / "src" / "marker.py").write_text("VALUE = 'same'\n")
+        sides.append(str(tmp_path / name))
+    (tmp_path / "change" / "BENCHMARK.json").write_bytes(BENCHMARK.read_bytes())
+    monkeypatch.setitem(bench_pairs.COMMANDS, "part1", [sys.executable, "-c", STUB])
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main([*sides, "--command", "part1", "--pairs", "2", "--out", str(out)])
+    got = json.loads(out.read_text())["commands"]["part1"]
+    assert got["summary"]["pairs_failed"] == 0 and got["summary"]["wall_s"]["pairs"] == 2

@@ -193,6 +193,25 @@ def test_resampling_threads_keep_their_own_buffers():
         assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
+@given(st.lists(st.integers(0, depth_module._KEPT_MAX // 8 + 100), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_a_kept_buffer_grows_to_one_cap(counts):
+    # every kept buffer follows one rule: 2 * CHUNK_PAIRS items on first
+    # use, grown to the largest request up to _KEPT_MAX bytes, and a fresh
+    # array for a request above that, which leaves the kept buffer alone
+    vars(depth_module._KEPT).pop("probe", None)
+    largest = 2 * depth_module.CHUNK_PAIRS
+    for count in counts:
+        got = depth_module._kept("probe", count, np.float64)
+        kept = depth_module._KEPT.probe
+        assert got.size == count and got.dtype == np.float64
+        fits = 8 * count <= depth_module._KEPT_MAX
+        largest = max(largest, count) if fits else largest
+        assert kept.size == largest and kept.nbytes <= depth_module._KEPT_MAX
+        assert np.shares_memory(got, kept) == (fits and count > 0)
+    vars(depth_module._KEPT).pop("probe")
+
+
 class TestMahalanobisDepth:
     def test_maximal_at_cloud_mean(self):
         pts = np.random.default_rng(1).standard_normal((300, 2))
@@ -452,7 +471,7 @@ class TestDepthPath:
         def run(i):
             pts = clouds[i]
             return (depth_of(pts, queries, "simplicial"),
-                    *depth_module._CheckedCloud.check(pts, "simplicial").bounds())
+                    *depth_module._CheckedCloud.check(pts, "simplicial").bounds()[:2])
 
         one = parallel_map_indexed(run, 3, 1)
         assert one[0][0].shape == (1500,)

@@ -285,7 +285,7 @@ def test_mc_biv_multi_max_settles_under_two_fifths(name, exact_queries):
 
 def screen_bounds(pts, kind="simplicial"):
     """The screen's bounds on the depths of a cloud's own points."""
-    return depth_module._CheckedCloud.check(pts, kind).bounds()
+    return depth_module._CheckedCloud.check(pts, kind).bounds()[:2]
 
 
 @st.composite
@@ -347,7 +347,7 @@ def test_bounds_bracket_the_kernel_count(case):
     assert (tight_lo >= wide[:, 0]).all() and (tight_hi <= wide[:, 1]).all()
     # from the rows the screen returns
     checked = depth_module._CheckedCloud.check(cloud, "simplicial")
-    *_, rows = checked.screen()
+    *_, rows = checked.bounds()
     idx, lo_t, hi_t = checked.tight_bounds(clear, rows)
     assert np.array_equal(idx, clear)
     assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
@@ -388,6 +388,8 @@ def test_edge_check_of_a_cloud_longer_than_a_chunk():
     pts[m - 2] = pts[3]  # a repeated position
     assert _edge_clear(pts, np.array([0, 7])).tolist() == [False, True]
     assert _edge_clear(pts, np.array([3])).tolist() == [False]
+    # the row of a point is kept under the one cap of every kept buffer
+    assert depth_module._KEPT.work.nbytes <= depth_module._KEPT_MAX
 
 
 def test_p_multi_max_on_a_cloud_longer_than_a_chunk(exact_queries, monkeypatch):
