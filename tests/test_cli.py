@@ -188,7 +188,7 @@ class TestPval2d:
 
     def test_deterministic_bytes_across_runs(self, table1_csv, rect_config,
                                              tmp_path, capsys):
-        # a larger cloud in between leaves other numbers in the kept tile buffers
+        # a larger cloud in between leaves other numbers in the kept work buffer
         blobs = []
         for reps in (500, 2000, 500):
             out_path = tmp_path / "report.json"

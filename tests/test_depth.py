@@ -9,7 +9,7 @@ from dataclasses import astuple
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdsupport import (
@@ -194,22 +194,24 @@ def test_resampling_threads_keep_their_own_buffers():
 
 
 @given(st.lists(st.integers(0, depth_module._KEPT_MAX // 8 + 100), min_size=1, max_size=8))
+@example([depth_module._KEPT_MAX // 8 + 1, 10, depth_module._KEPT_MAX // 8])  # above the cap first
 @settings(max_examples=60, deadline=None)
 def test_a_kept_buffer_grows_to_one_cap(counts):
     # every kept buffer follows one rule: 2 * CHUNK_PAIRS items on first
     # use, grown to the largest request up to _KEPT_MAX bytes, and a fresh
     # array for a request above that, which leaves the kept buffer alone
     vars(depth_module._KEPT).pop("probe", None)
-    largest = 2 * depth_module.CHUNK_PAIRS
+    largest = 0  # no buffer is kept until a request fits under the cap
     for count in counts:
         got = depth_module._kept("probe", count, np.float64)
-        kept = depth_module._KEPT.probe
+        kept = vars(depth_module._KEPT).get("probe", np.empty(0))
         assert got.size == count and got.dtype == np.float64
         fits = 8 * count <= depth_module._KEPT_MAX
-        largest = max(largest, count) if fits else largest
+        if fits:
+            largest = max(largest, count, 2 * depth_module.CHUNK_PAIRS)
         assert kept.size == largest and kept.nbytes <= depth_module._KEPT_MAX
         assert np.shares_memory(got, kept) == (fits and count > 0)
-    vars(depth_module._KEPT).pop("probe")
+    vars(depth_module._KEPT).pop("probe", None)
 
 
 class TestMahalanobisDepth:
@@ -462,7 +464,7 @@ def test_singleton_p_uniform_at_truth():
 class TestDepthPath:
     def test_thread_count_does_not_change_depths(self):
         # replication workers compute depths and screen their own clouds at
-        # the same time, each on its own tile buffers
+        # the same time, each in its own kept buffers
         rng = np.random.default_rng(61)
         clouds = [rng.standard_normal((700, 2)) @ np.array([[1.0, 0.0], [0.8, 1.8]])
                   for _ in range(3)]
@@ -551,7 +553,7 @@ class TestDepthPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # each worker holds its own tile buffers, 1 MiB, and one cloud's bounds at a time
+        # each worker holds its own work buffer, 1 MiB, and one cloud's bounds at a time
         assert peak < 16 * 2**20
 
     def test_all_replicate_depths_memory_is_bounded(self):

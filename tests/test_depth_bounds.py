@@ -381,7 +381,7 @@ def test_edge_check_fails_directions_on_sector_edges(offset, passes):
 
 
 def test_edge_check_of_a_cloud_longer_than_a_chunk():
-    # each point's row of m directions is longer than the tile buffers
+    # each point's row of m directions is longer than a chunk
     m = depth_module.CHUNK_PAIRS + 256
     pts = np.random.default_rng(15).standard_normal((m, 2))
     pts[m - 1] = pts[0] + [1.0, 1.0]  # on a sector edge from point 0
@@ -394,7 +394,7 @@ def test_edge_check_of_a_cloud_longer_than_a_chunk():
 
 def test_p_multi_max_on_a_cloud_longer_than_a_chunk(exact_queries, monkeypatch):
     # with the chunk cut to SMALL_CHUNK pairs, and on a fresh thread whose
-    # tile buffers are that short, 300 replicates are more than a chunk
+    # kept buffers start that short, 300 replicates are more than a chunk
     cloud, box = oneshot_box_cloud(m=300)
     want = reference_p_multi_max(cloud, "simplicial", box)
     exact_queries.clear()
