@@ -31,16 +31,20 @@ workload:
     python3 scripts/bench_pairs.py PARENT CHANGE --command part2-t1 --pairs 10 \\
         --out BENCH_28.json
 
-Each run imports the package from its checkout's ``src`` and writes into a
-fresh temporary directory, passed as the argv's last argument.  It runs
-under a one-shot wrapper process (``WRAPPER``), whose ``RUSAGE_CHILDREN``
-holds that run alone, and its record holds the wall seconds (``wall_s``),
-the peak RSS (``peak_rss_mb``), the exit code and a SHA-256 over the files
-the run wrote, by relative path and content.  A pair with a failed run or
-two different hashes is a failed pair (``pairs_failed``), since both sides
-must write the same numbers.  The summary is the workloads' one, over
-``wall_s`` and ``peak_rss_mb``, which take the bounds of the change's
-``BENCHMARK.json`` metrics named in ``COMMAND_BOUNDS``.
+The targets (``COMMANDS``) are ``part1``, ``scripts/run_part1.py``;
+``part2-t1``, ``scripts/run_part2.py --threads 1``; and ``part2``,
+``scripts/run_part2.py`` with its default of 4 threads; every other option
+at its default.  Each run imports the package from its checkout's ``src``
+and writes into a fresh temporary directory, passed as the argv's last
+argument.  It runs under a one-shot wrapper process (``WRAPPER``), whose
+``RUSAGE_CHILDREN`` holds that run alone, and its record holds the wall
+seconds (``wall_s``), the peak RSS (``peak_rss_mb``), the exit code and a
+SHA-256 over the files the run wrote, by relative path and content.  A pair
+with a failed run or two different hashes is a failed pair
+(``pairs_failed``), since both sides must write the same numbers.  The
+summary is the workloads' one, over ``wall_s`` and ``peak_rss_mb``, which
+take the bounds of the change's ``BENCHMARK.json`` metrics named in
+``COMMAND_BOUNDS``.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ DETAIL = re.compile(r"  (\w+): (\{.*\})")
 COMMANDS = {
     "part1": [sys.executable, "scripts/run_part1.py", "--out-dir"],
     "part2-t1": [sys.executable, "scripts/run_part2.py", "--threads", "1", "--out-dir"],
+    "part2": [sys.executable, "scripts/run_part2.py", "--out-dir"],
 }
 # per metric of a command, the end-to-end metric of BENCHMARK.json whose bound it takes
 COMMAND_BOUNDS = {"wall_s": "ops_per_s", "peak_rss_mb": "peak_rss_mb"}

@@ -352,7 +352,9 @@ def cmd_pval(args) -> dict:
 
 def cmd_pval2d(args) -> dict:
     data = read_csv_columns(args.input, 2)
-    region, _ = load_region_config(args.config)
+    region, cov = load_region_config(args.config)
+    if cov is not None:  # a bootstrap cloud has no covariance to set
+        raise CliError("parse", f"{args.config}: pval2d takes no key 'cov'")
     check_region_dim(region, data.shape[1])
     cloud = bootstrap_cloud(data, args.boot_reps, seed=args.seed)
     method = "multi-max" if region.corners.size else "multi"

@@ -22,10 +22,11 @@ rejections and the generator's pending half word included; every other
 generator, host and n draws through ``integers`` itself.
 
 ``_CheckedCloud`` is the one place that decides how depths are computed.
-Simplicial depth runs in chunks of ``max(1, CHUNK_PAIRS // m)`` queries, so
-memory stays bounded as the cloud grows for every caller.  Mahalanobis depth
-needs only O(queries) memory and is computed in one pass, from the cloud's
-mean and inverse covariance.
+Every depth loop over pairs takes items of w pairs ``max(1, CHUNK_PAIRS //
+w)`` at a time (``_blocks``), so simplicial depth runs in chunks of
+``max(1, CHUNK_PAIRS // m)`` queries, and memory stays bounded as the cloud
+grows for every caller.  Mahalanobis depth needs only O(queries) memory and
+is computed in one pass, from the cloud's mean and inverse covariance.
 
 The checks run where input enters: ``depth_of`` checks the cloud and its
 one query set, and the p-values check the cloud once and each query set
@@ -57,15 +58,19 @@ diamond angle, and triples are counted by sectors.  A computed diamond angle
 is a few ulps from the exact one, so a computed sector is at most one off,
 the triples that fit in H - 1 consecutive sectors (H = SECTORS / 2, a
 half-circle) surely miss the replicate, and those that miss it surely fit in
-H + 2; this brackets the kernel's own count on every input.  Each unordered
+H + 2; this brackets the kernel's own count on every input, and no lower
+bound is below the least depth C(m - 1, 2) / C(m, 3).  Each unordered
 pair's sector is computed once, in square tiles over the upper triangle of
 the pair matrix, and counted for both of its points, the reverse direction
-half a circle on; the finished histograms are counted in blocks of
-``CHUNK_PAIRS // (2 * SECTORS)`` replicates by one kernel, ``_count_bounds``.
-A replicate whose bounds hold the floor or a corner depth gets tighter
-ones, from spans of H and H + 1 sectors of its own histogram row, when an
-edge check of its directions (``_edge_clear``) shows every computed sector
-of it exact (see ``_CheckedCloud.bounds``).  Exact depths are then computed
+half a circle on; one kernel, ``_count_bounds``, counts the finished
+histograms.  A replicate whose bounds hold the floor or a corner depth gets
+tighter ones, from spans of H and H + 1 sectors of its own histogram row,
+when an edge check of its directions (``_edge_clear``) shows every computed
+sector of it exact (see ``_CheckedCloud.bounds``); the check and the screen
+take a direction's sector position from one step, ``_positions``.  A cloud
+whose per-axis ranges sum past the largest float, where some |dx| + |dy|
+may overflow, gets no sectors: its exact depths are its bounds, as for
+Mahalanobis depth.  Exact depths are then computed
 only for the replicates whose bounds, tight or wide, still hold the floor or
 a corner depth: 4-8% of the replicates for ``p_multi_max`` at seed 1 of the
 benchmark, where the wide bounds alone left 11-22%, since its corner depths
@@ -89,9 +94,9 @@ answer: the kernel orders directions by float angles, and only points within
 usually none, get their depth from the kernel.  At seed 1 of
 the benchmark the hull decides all 224 of the 350 ``run_part2`` p-values
 whose floor is the least depth (m = 500), with no bound and no exact depth;
-the screen runs for the rest.  Every replicate's lower bound is raised to the
-least depth on the screen's path too, which keeps a corner or a
-boundary-grid floor below it from settling any replicate.  Every decision
+the screen runs for the rest, and both paths give their counts to one
+``_result``.  A corner or a boundary-grid floor below the least depth
+settles no replicate, since no lower bound is below it.  Every decision
 compares depths that are exact or surely on one side of the threshold, so
 the p-values equal those from all exact depths, bit for bit.
 """
@@ -604,11 +609,11 @@ class _CheckedCloud:
     """A cloud that passed the cloud checks of ``depth_of`` for one depth kind.
 
     ``queries`` runs the checks of one query set against it, and ``span``
-    the range check of the cloud's own points, once; ``depths`` evaluates
-    checked query sets without checking again, ``bounds`` brackets the
-    depths of the cloud's own points (``tight_bounds`` narrows some of
-    them), and ``least`` finds those at the
-    least depth.  The Mahalanobis mean and inverse covariance are derived
+    the range check of the cloud's own points, once, for ``bounds`` and
+    ``least``; ``depths`` evaluates checked query sets without checking
+    again, ``bounds`` brackets the depths of the cloud's own points
+    (``tight_bounds`` narrows some of them), and ``least`` finds those at
+    the least depth.  The Mahalanobis mean and inverse covariance are derived
     on first use and kept, so a p-value that evaluates several query sets
     derives them once.
     """
@@ -632,16 +637,17 @@ class _CheckedCloud:
                 f"Mahalanobis depth needs at least 2 cloud points, got {pts.shape[0]}")
         return cls(pts, kind)
 
-    def queries(self, queries) -> tuple[np.ndarray, np.ndarray]:
-        """The query points as a float array, and the per-axis range of the
-        cloud and queries together, after the checks every query set gets."""
+    def queries(self, queries) -> np.ndarray:
+        """The query points as a float array, after the checks every query
+        set gets, the range check of the cloud and queries together last."""
         q = np.atleast_2d(np.asarray(queries, dtype=float))
         if q.shape[1] != self.pts.shape[1]:
             raise ValueError(
                 f"query dimension {q.shape[1]} differs from the cloud's {self.pts.shape[1]}")
         if not np.isfinite(q).all():
             raise ValueError("queries contain non-finite values")
-        return q, _span(self.pts, q)
+        _span(self.pts, q)
+        return q
 
     @cached_property
     def span(self) -> np.ndarray:
@@ -658,18 +664,20 @@ class _CheckedCloud:
         if self.kind == "mahalanobis":
             return _mahalanobis_batch(*self.factors, q)
         m = self.pts.shape[0]
-        return _in_blocks(lambda rows: _simplicial_counts(self.pts, q[rows]), q.shape[0],
-                          max(1, CHUNK_PAIRS // m)) / math.comb(m, 3)
+        counts = [_simplicial_counts(self.pts, q[rows]) for rows in _blocks(q.shape[0], m)]
+        return np.concatenate(counts) / math.comb(m, 3)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Lower and upper bounds on the depths of the cloud's own points,
         ``depths(pts)``, after the range check of ``span``, and the histogram
         rows they come from, as (lo, hi, rows).
 
-        Mahalanobis depth is cheap: both bounds are its exact depths, and
-        rows is None.  For simplicial depth each point gets a histogram of
-        its directions to the others over ``SECTORS`` sectors
-        (``_sector_histograms``), and the misses of ``_simplicial_counts``
+        Both bounds are the exact depths, and rows is None, for Mahalanobis
+        depth, which is cheap, and for a cloud whose per-axis ranges sum past
+        the largest float, where some |dx| + |dy| may overflow; a simplicial
+        cloud of fewer than 3 points fails there by name.  Otherwise each
+        point gets a histogram of its directions to the others over
+        ``SECTORS`` sectors (``_sector_histograms``), and the misses of ``_simplicial_counts``
         are bracketed by counting triples of directions by their sectors
         (``_count_bounds``), with H = SECTORS / 2 sectors to a half-circle:
 
@@ -703,8 +711,7 @@ class _CheckedCloud:
 
         Both are integer counts, turned into depths by the same division as
         ``depths``, which is monotone; so lo <= depths(pts) <= hi on every
-        input, degenerate ones included.  A point for which some |dx| + |dy|
-        overflows gets the trivial bounds 0 and 1.
+        input, degenerate ones included.
 
         These spans allow for any computed diamond angle to be some ulps
         off.  ``tight_bounds`` narrows them to H + 1 and H sectors for the
@@ -712,16 +719,17 @@ class _CheckedCloud:
         thread's kept ``rows`` buffer (``_kept``), or a fresh array for a
         cloud too large to keep, so they hold until the next screen on the
         thread.  A point passes the edge check (``_edge_clear``) when, from
-        ``_differences`` as the screen takes them, none of its directions
-        but the one to itself has 32 r, with r = dx / (|dx| + |dy|), within
-        eps = ``_EDGE_MARGIN`` = 2^-30 of an integer; 32 r is the sector
-        position t * SECTORS / 4 up to an integer and a sign, in either
-        half-plane.  Measure positions in sectors, t * SECTORS / 4 with t
-        the exact diamond angle of a rounded difference.  The check's
-        position rounds twice after the exact difference, by under 2^-47;
-        the screen's, with its row offset below 2^15, by under 2^-37; and a
-        kernel key is within 2^-48 radians of its exact angle, which the
-        diamond angle follows at a rate of at most 1, so within 2^-43.  So:
+        ``_differences`` and ``_positions`` as the screen takes them, none
+        of its directions but the one to itself has 32 r, with r = dx /
+        (|dx| + |dy|), within eps = ``_EDGE_MARGIN`` = 2^-30 of an integer;
+        32 r is the sector position t * SECTORS / 4 up to an integer and a
+        sign, in either half-plane.  Measure positions in sectors,
+        t * SECTORS / 4 with t the exact diamond angle of a rounded
+        difference.  The check's position rounds twice after the exact
+        difference, by under 2^-47; the screen's, with its row offset below
+        2^15, by under 2^-37; and a kernel key is within 2^-48 radians of
+        its exact angle, which the diamond angle follows at a rate of at
+        most 1, so within 2^-43.  So:
 
         * Every computed sector of a passing point is exact, the floor of
           its exact position, which lies more than eps - 2^-47 from every
@@ -744,28 +752,19 @@ class _CheckedCloud:
           sectors from s, and the upper bound counts it.
 
         Axis-aligned directions (r = 0 or +-1), a repeated position (r is
-        NaN) and the directions of lattice clouds generally fail, and so
-        does a direction whose |dx| + |dy| overflows, where r is 0; those
+        NaN) and the directions of lattice clouds generally fail; those
         points keep the wide bounds.  The tight counts are
         ``_count_bounds`` with ``_TIGHT_SPANS``, divided as ``depths``
         divides, so they bracket ``depths`` as the wide ones do.
         """
-        span = self.span
-        if self.kind == "mahalanobis":
+        m = self.pts.shape[0]
+        scale = sum(self.span.tolist())  # the range check, for every kind, comes first
+        if self.kind == "mahalanobis" or m < 3 or not math.isfinite(scale):
             depths = self.depths(self.pts)
             return depths, depths, None
-        m = self.pts.shape[0]
-        if m < 3:
-            raise ValueError(f"simplicial depth needs at least 3 cloud points, got {m}")
         hist = _sector_histograms(self.pts, _kept("rows", m * _WIDTH, np.int64).reshape(m, -1))
-        lo, hi = _count_bounds(hist, m).T
-        total = math.comb(m, 3)
-        with np.errstate(over="ignore"):
-            if not np.isfinite(span.sum()):
-                # only here can |dx| + |dy| overflow; those rows lose their sectors
-                over = [np.isinf(np.abs(self.pts - p).sum(axis=1)).any() for p in self.pts]
-                lo[over], hi[over] = 0, total
-        return lo / total, hi / total, hist
+        counts = _count_bounds(hist, m)
+        return counts[:, 0] / math.comb(m, 3), counts[:, 1] / math.comb(m, 3), hist
 
     def tight_bounds(self, idx: np.ndarray, hist: np.ndarray):
         """The points ``idx`` that pass the edge check, and the bounds on
@@ -779,7 +778,7 @@ class _CheckedCloud:
         counts = _count_bounds(hist[clear], m, _TIGHT_SPANS) / math.comb(m, 3)
         return clear, counts[:, 0], counts[:, 1]
 
-    def least(self, inside: np.ndarray, span: np.ndarray):
+    def least(self, inside: np.ndarray):
         """Which points of the cloud have the least simplicial depth
         C(m - 1, 2) / C(m, 3) as ``depths`` computes it, or None when no
         ``inside`` point has it or the hull cannot tell.
@@ -789,8 +788,8 @@ class _CheckedCloud:
         does the kernel's depth unless the point lies within the margin
         of the hull's boundary.  Those points, usually none, get their depth
         from one ``depths`` call.  The hull cannot tell for a cloud of fewer
-        than 4 points, another depth kind, or per-axis ranges ``span`` whose
-        sum overflows; the screen then decides.
+        than 4 points, another depth kind, or per-axis ranges (``span``)
+        whose sum overflows; the screen then decides.
 
         The kernel gives a point alone at its position the least count
         exactly when the keys of its m - 1 directions fit in an open
@@ -831,7 +830,7 @@ class _CheckedCloud:
         """
         pts = self.pts
         m = pts.shape[0]
-        scale = sum(span.tolist())
+        scale = sum(self.span.tolist())
         if self.kind != "simplicial" or m < 4 or not math.isfinite(scale):
             return None
         shift = -math.frexp(float(np.abs(pts).max()))[1]
@@ -974,10 +973,13 @@ def _span(pts: np.ndarray, q: np.ndarray | None = None) -> np.ndarray:
     return span
 
 
-def _in_blocks(fn, n: int, rows: int) -> np.ndarray:
-    """fn over slices of ``rows`` of n queries, joined in query order; zero
-    queries make one empty slice."""
-    return np.concatenate([fn(slice(i, i + rows)) for i in range(0, max(n, 1), rows)])
+def _blocks(count: int, width: int) -> list[slice]:
+    """The one block rule: ``count`` items, each of ``width`` pairs, in
+    consecutive slices of ``max(1, CHUNK_PAIRS // width)`` items, so that a
+    block holds at most ``CHUNK_PAIRS`` pairs unless one item alone holds
+    more; zero items make one empty slice."""
+    step = max(1, CHUNK_PAIRS // width)
+    return [slice(start, min(start + step, count)) for start in range(0, max(count, 1), step)]
 
 
 def depth_of(cloud, queries, kind: str) -> np.ndarray:
@@ -994,7 +996,7 @@ def depth_of(cloud, queries, kind: str) -> np.ndarray:
     and once per query set, and share the unchecked core, ``_CheckedCloud``.
     """
     checked = _CheckedCloud.check(cloud, kind)
-    return checked.depths(checked.queries(queries)[0])
+    return checked.depths(checked.queries(queries))
 
 
 # -- certified bounds on simplicial depth --------------------------------------
@@ -1014,9 +1016,8 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     x axis approached from below, gets code ``SECTORS`` and counts as sector
     0.  The diamond angle is a continuous increasing function of the angle,
     with the antipode at t + 2.  A point at the query makes r = 0 / 0 = NaN
-    and gets code ``SECTORS + 1``.  A direction whose |dx| + |dy| overflows
-    gets r = 0 and a wrong sector; ``_CheckedCloud.bounds`` gives its query
-    trivial bounds.
+    and gets code ``SECTORS + 1``.  The position r * SECTORS / 4 comes from
+    ``_positions``, the edge check's own step.
 
     The differences are the subtraction's bit for bit, up to the sign of an
     exact zero (see ``_differences``).  A zero dx gives r = 0 and t = 1 or
@@ -1035,11 +1036,7 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     size = rows * cols
     dx, dy = _differences(left, right, work[:2, :size].reshape(2, rows, cols))
     t, codes = (row[:size].reshape(rows, cols) for row in work[2:])
-    np.abs(dx, out=t)
-    with np.errstate(over="ignore", invalid="ignore"):
-        t += np.abs(dy, out=codes)
-        np.divide(dx, t, out=t)  # r, exact up to rounding for any scale
-    t *= SECTORS / 4  # a power of two: exact
+    _positions(dx, dy, t, codes)
     t += SECTORS / 4
     np.copysign(t, dy, out=t)  # -0.0 counts as below: t = 4 on the positive x axis
     np.fmax(t, -(SECTORS // 2 + 1), out=t)  # NaN -> the at-query code, below
@@ -1047,6 +1044,19 @@ def _sector_codes(left: np.ndarray, right: np.ndarray, offsets: np.ndarray,
     codes = codes.view(np.intp)
     np.copyto(codes, t, casting="unsafe")  # truncates, as ``astype`` does
     return codes
+
+
+def _positions(dx: np.ndarray, dy: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """r * SECTORS / 4, with r = dx / (|dx| + |dy|), per direction, into
+    ``out``, using ``work`` of the same shape; NaN at a zero direction.  The
+    one position step of the screen (``_sector_codes``) and the edge check
+    (``_edge_clear``), so both see the same rounded position."""
+    np.abs(dx, out=out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out += np.abs(dy, out=work)
+        np.divide(dx, out, out=out)  # r, exact up to rounding for any scale
+    out *= SECTORS / 4  # a power of two: exact
+    return out
 
 
 def _tally(codes: np.ndarray, rows: int) -> np.ndarray:
@@ -1119,8 +1129,9 @@ def _sector_histograms(pts: np.ndarray, hist: np.ndarray | None = None) -> np.nd
     else:
         hist.fill(0)
     left, right = _lefts(pts), _rights(pts)
+    # bands of CHUNK_PAIRS // side points, side itself at CHUNK_PAIRS = 2^15
     side = math.isqrt(CHUNK_PAIRS)
-    bands = [slice(start, start + side) for start in range(0, m, side)]
+    bands = _blocks(m, side)
     offsets, shift = _tile_offsets(side)
     work = _kept("work", 4 * CHUNK_PAIRS, np.float64).reshape(4, -1)
     for i, j in itertools.combinations_with_replacement(range(len(bands)), 2):
@@ -1155,34 +1166,35 @@ def _count_bounds(hist: np.ndarray, m: int, spans=_WIDE_SPANS) -> np.ndarray:
     sectors leaves a gap of more than H sectors before its first one, and
     only the sector after that gap starts a run, so the second count is
     exact; the first may count a triple twice, which keeps it an upper bound
-    on the misses.  The rows are counted in blocks of
-    ``CHUNK_PAIRS // (2 * SECTORS)``, so the work arrays stay a block's.
+    on the misses.  The upper bound is capped at the C(L, 3) triples of the
+    L directions not at the point; L <= m - 1, since a row counts its own
+    point at it, so the lower count is at least C(m, 3) - C(m - 1, 3) =
+    C(m - 1, 2), the least count of a cloud point.  The rows are counted in
+    blocks of 2 * SECTORS pairs (``_blocks``), so the work arrays stay a
+    block's.
     """
-    block = max(1, CHUNK_PAIRS // (2 * SECTORS))
-    if hist.shape[0] > block:
-        return np.concatenate([_count_bounds(hist[start: start + block], m, spans)
-                               for start in range(0, hist.shape[0], block)])
-    h = hist[:, :SECTORS]
     half = SECTORS // 2
-    # running[:, i]: the first i entries of a row of h, h repeated, summed;
-    # R = a difference
-    running = np.zeros((h.shape[0], SECTORS + half + 2), dtype=np.int64)
-    np.cumsum(h, axis=1, out=running[:, 1: SECTORS + 1])
-    np.add(running[:, SECTORS, None], running[:, 1: half + 2], out=running[:, SECTORS + 1:])
-    h_less_2 = h - 2
-    r = h - 1
-    r *= h
-    six_same = np.einsum("ij,ij->i", r, h_less_2)
-    hr = np.empty_like(r)
-    misses = []
-    for span in spans:
-        np.subtract(running[:, span: span + SECTORS], running[:, 1: SECTORS + 1], out=r)
-        np.multiply(h, r, out=hr)
-        r += h_less_2
-        misses.append((six_same + 3 * np.einsum("ij,ij->i", hr, r)) // 6)
+    misses = np.empty((hist.shape[0], 2), dtype=np.int64)
+    for block in _blocks(hist.shape[0], 2 * SECTORS):
+        h = hist[block, :SECTORS]
+        # running[:, i]: the first i entries of a row of h, h repeated,
+        # summed; R = a difference
+        running = np.zeros((h.shape[0], SECTORS + half + 2), dtype=np.int64)
+        np.cumsum(h, axis=1, out=running[:, 1: SECTORS + 1])
+        np.add(running[:, SECTORS, None], running[:, 1: half + 2], out=running[:, SECTORS + 1:])
+        h_less_2 = h - 2
+        r = h - 1
+        r *= h
+        six_same = np.einsum("ij,ij->i", r, h_less_2)
+        hr = np.empty_like(r)
+        for k, span in enumerate(spans):
+            np.subtract(running[:, span: span + SECTORS], running[:, 1: SECTORS + 1], out=r)
+            np.multiply(h, r, out=hr)
+            r += h_less_2
+            misses[block, k] = (six_same + 3 * np.einsum("ij,ij->i", hr, r)) // 6
     live = m - hist[:, SECTORS + 1]
-    misses[0] = np.minimum(misses[0], live * (live - 1) * (live - 2) // 6)
-    return math.comb(m, 3) - np.stack(misses, axis=1)
+    np.minimum(misses[:, 0], live * (live - 1) * (live - 2) // 6, out=misses[:, 0])
+    return math.comb(m, 3) - misses
 
 
 def _edge_clear(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -1191,30 +1203,24 @@ def _edge_clear(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
     own position, has 32 dx / (|dx| + |dy|) within ``_EDGE_MARGIN`` of an
     integer; a NaN, at a repeated position, fails.
 
-    The points go in blocks of ``max(1, CHUNK_PAIRS // m)``, whose
-    differences come from ``_differences`` as in the screen, into this
+    The points go in blocks of m pairs each (``_blocks``), whose
+    differences come from ``_differences`` as in the screen, and whose
+    positions from the screen's own step, ``_positions``, into this
     thread's kept ``work`` buffer (``_kept``), as four rows of a block's
     pairs, so no block allocates more than its flags.
     """
     m = pts.shape[0]
     right = _rights(pts)
-    step = max(1, CHUNK_PAIRS // m)
-    work = _kept("work", 4 * step * m, np.float64).reshape(4, -1)
     clear = np.empty(idx.size, dtype=bool)
-    for start in range(0, idx.size, step):
-        rows = idx[start: start + step]
-        size = rows.size * m
-        dx, dy = _differences(_lefts(pts[rows]), right, work[:2, :size].reshape(2, rows.size, m))
-        pos, near = (row[:size].reshape(rows.size, m) for row in work[2:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.abs(dx, out=pos)
-            pos += np.abs(dy, out=near)
-            np.divide(dx, pos, out=pos)
-        pos *= SECTORS / 4  # a power of two: exact
-        pos -= np.rint(pos, out=near)
+    for block in _blocks(idx.size, m):
+        rows = idx[block]
+        work = _kept("work", 4 * rows.size * m, np.float64).reshape(4, rows.size, m)
+        dx, dy = _differences(_lefts(pts[rows]), right, work[:2])
+        pos = _positions(dx, dy, work[2], work[3])
+        pos -= np.rint(pos, out=work[3])
         np.abs(pos, out=pos)
         pos[np.arange(rows.size), rows] = 1.0  # the point itself
-        clear[start: start + step] = pos.min(axis=1) >= _EDGE_MARGIN  # NaN fails
+        clear[block] = pos.min(axis=1) >= _EDGE_MARGIN  # NaN fails
     return clear
 
 
@@ -1284,9 +1290,9 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     the share of outside replicates at the least depth.  No bound is
     computed and, unless a replicate lies within the hull's margin of 2^-40
     radians, no exact depth either.  Otherwise the bounds are the screen's,
-    and every simplicial lower bound of a replicate is raised to
-    ``_least_depth(m)``, which no computed depth of a cloud point is below
-    (Liu 1990; the kernel's own division).
+    whose simplicial lower bounds are all at least ``_least_depth(m)``, as
+    every computed depth of a cloud point is (Liu 1990; the kernel's own
+    division).
 
     With replicates inside, the floor is settled exactly among the inside
     replicates whose lower bound is below their least upper bound, min hi.
@@ -1301,60 +1307,60 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
     still straddle are settled in one more ``depths`` call.  Every
     comparison then reads a bound that equals the exact depth or lies on the
     same side of the threshold, so the result equals the one from all exact
-    depths, bit for bit.
+    depths, bit for bit.  Both paths end in ``_result``.
 
-    A corner below the least depth straddles no raised bound and gets
+    A corner below the least depth straddles no bound and gets
     ``corner_p`` 0.  When all corners are that shallow, the hull may decide
     too; see ``p_multi_max``.  Their depths are then computed first, where,
     with replicates inside and m >= 4, no other check of a simplicial
     p-value can fail before them.
     """
     pts = cloud.pts
+    m = pts.shape[0]
     inside = region.contains(pts)
-    span = cloud.span
-    corner_depths, shallow = None, False
-    if corners is not None and cloud.kind == "simplicial" and pts.shape[0] >= 4 and inside.any():
-        corner_depths = cloud.depths(cloud.queries(corners)[0])
-        shallow = bool((corner_depths < _least_depth(pts.shape[0])).all())
+    corner_depths = None
+    if corners is not None and cloud.kind == "simplicial" and m >= 4 and inside.any():
+        corner_depths = cloud.depths(cloud.queries(corners))
+    shallow = corner_depths is not None and bool((corner_depths < _least_depth(m)).all())
     if bounds is None and (corners is None or shallow) and inside.any():
-        least = cloud.least(inside, span)
+        least = cloud.least(inside)
         if least is not None:
-            # as ``mean`` divides the counts: the correctly rounded quotient,
-            # a Python float, as every other path gives
-            esp = int(np.count_nonzero(inside)) / pts.shape[0]
-            tail = int(np.count_nonzero(least & ~inside)) / pts.shape[0]
-            return MultiPValue(p=min(esp + tail, 1.0), esp=esp, tail=tail,
-                               depth_floor=_least_depth(pts.shape[0]),
-                               floor_source="inside-replicates",
-                               corner_p=() if corners is None else (0.0,) * len(corner_depths))
+            return _result(m, np.count_nonzero(inside), np.count_nonzero(least & ~inside),
+                           _least_depth(m), "inside-replicates",
+                           [0] * (0 if corners is None else len(corners)))
     lo, hi, hist = cloud.bounds() if bounds is None else bounds
-    if cloud.kind == "simplicial" and pts.shape[0] >= 3:
-        lo = np.maximum(lo, _least_depth(pts.shape[0]))
     if inside.any():
         _settle(cloud, lo, hi, inside & (lo < hi[inside].min()))
         floor, source = float(lo[inside].min()), "inside-replicates"
     else:
-        grid = cloud.queries(region.boundary_grid(*_grid_box(pts)))[0]
+        grid = cloud.queries(region.boundary_grid(*_grid_box(pts)))
         floor, source = float(cloud.depths(grid).min()), "boundary-grid"
     if corners is not None and corner_depths is None:
-        corner_depths = cloud.depths(cloud.queries(corners)[0])
+        corner_depths = cloud.depths(cloud.queries(corners))
     thresholds = () if corners is None else corner_depths
     straddle = _straddles(lo, hi, ~inside, floor, thresholds)
     idx = np.flatnonzero(straddle)
     if hist is not None and idx.size:
         idx, lo_t, hi_t = cloud.tight_bounds(idx, hist)
-        lo[idx], hi[idx] = np.maximum(lo_t, _least_depth(pts.shape[0])), hi_t
+        lo[idx], hi[idx] = lo_t, hi_t
         straddle[idx] = _straddles(lo[idx], hi[idx], ~inside[idx], floor, thresholds)
     _settle(cloud, lo, hi, straddle)
-    esp = float(inside.mean())
-    tail = float(((~inside) & (hi <= floor)).mean())
-    res = MultiPValue(
-        p=min(esp + tail, 1.0), esp=esp, tail=tail, depth_floor=floor, floor_source=source
-    )
-    if corners is None:
-        return res
-    corner_p = tuple(float((hi <= d).mean()) for d in corner_depths)
-    return replace(res, p=max(res.p, *corner_p), corner_p=corner_p)
+    return _result(m, np.count_nonzero(inside), np.count_nonzero(~inside & (hi <= floor)),
+                   floor, source, [np.count_nonzero(hi <= d) for d in thresholds])
+
+
+def _result(m: int, inside: int, tail: int, floor: float, source: str,
+            corners=()) -> MultiPValue:
+    """The ``MultiPValue`` of a cloud of m replicates, from the counts of
+    those inside the region and of those in the tail, the depth floor and
+    its source, and per corner the count at or below its depth.  Each share
+    is the count, as a Python int, divided by m: the correctly rounded
+    quotient that ``mean`` gives too, as a Python float.  p is the base
+    p-value, or the largest corner p-value when one is larger."""
+    esp, tail = int(inside) / m, int(tail) / m
+    corner_p = tuple(int(count) / m for count in corners)
+    return MultiPValue(p=max((min(esp + tail, 1.0), *corner_p)), esp=esp, tail=tail,
+                       depth_floor=floor, floor_source=source, corner_p=corner_p)
 
 
 # _depths: exact replicate depths already computed; the benchmark's traced replay passes them

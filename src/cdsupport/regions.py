@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -168,11 +169,13 @@ def format_region(region: NullRegion) -> str:
 class RegionND:
     """Closed region of R^k with optional designated boundary corner points.
 
-    Subclasses provide vectorized membership, a deterministic boundary grid
-    (used when no bootstrap replicate falls inside the region), and a dict
-    form for report embedding.
+    Subclasses are dataclasses that name their ``shape`` and provide
+    vectorized membership and a deterministic boundary grid (used when no
+    bootstrap replicate falls inside the region); ``describe`` gives the
+    dict form for report embedding.
     """
 
+    shape: ClassVar[str]
     dim: int
     corners: np.ndarray  # (c, dim); may be empty
 
@@ -183,7 +186,11 @@ class RegionND:
         raise NotImplementedError
 
     def describe(self) -> dict:
-        raise NotImplementedError
+        """Report form: the shape, then each field in order, as (nested)
+        lists of floats or a float, written by ``json_bound``."""
+        return {"shape": self.shape,
+                **{f.name: _json_numbers(np.asarray(getattr(self, f.name), dtype=float).tolist())
+                   for f in fields(self)}}
 
 
 def _as_corners(corners, dim: int) -> np.ndarray:
@@ -203,6 +210,11 @@ def json_bound(value: float):
     return ("inf" if value > 0 else "-inf") if math.isinf(value) else value
 
 
+def _json_numbers(value):
+    """``json_bound`` over a float or a nested list of floats."""
+    return [_json_numbers(v) for v in value] if isinstance(value, list) else json_bound(value)
+
+
 def _edge_points(a, b, count: int) -> np.ndarray:
     t = np.linspace(0.0, 1.0, count)[:, None]
     return np.asarray(a) * (1.0 - t) + np.asarray(b) * t
@@ -213,6 +225,7 @@ class Rectangle(RegionND):
     """Axis-aligned box; bounds may be infinite. Corners default to the
     finite vertices."""
 
+    shape: ClassVar[str] = "rectangle"
     lower: np.ndarray
     upper: np.ndarray
     corners: np.ndarray = field(default=None)
@@ -270,19 +283,12 @@ class Rectangle(RegionND):
             raise ValueError("rectangle has no finite boundary to grid")
         return np.vstack(sides)
 
-    def describe(self) -> dict:
-        return {
-            "shape": "rectangle",
-            "lower": [json_bound(v) for v in self.lower.tolist()],
-            "upper": [json_bound(v) for v in self.upper.tolist()],
-            "corners": self.corners.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class Halfspace(RegionND):
     """Closed halfspace {x : normal . x <= offset}."""
 
+    shape: ClassVar[str] = "halfspace"
     normal: np.ndarray
     offset: float
     corners: np.ndarray = field(default=None)
@@ -337,19 +343,12 @@ class Halfspace(RegionND):
             foot + (t.min() - pad) * direction, foot + (t.max() + pad) * direction, 129
         )
 
-    def describe(self) -> dict:
-        return {
-            "shape": "halfspace",
-            "normal": self.normal.tolist(),
-            "offset": float(self.offset),
-            "corners": self.corners.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class QuadrantComplement(RegionND):
     """Complement of the open quadrant above a corner: {x1 <= c1 or x2 <= c2}."""
 
+    shape: ClassVar[str] = "quadrant-complement"
     corner: np.ndarray
     corners: np.ndarray = field(default=None)
 
@@ -378,18 +377,12 @@ class QuadrantComplement(RegionND):
             ]
         )
 
-    def describe(self) -> dict:
-        return {
-            "shape": "quadrant-complement",
-            "corner": self.corner.tolist(),
-            "corners": self.corners.tolist(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class PointSet(RegionND):
     """Finite set of points; its own points serve as boundary and corners."""
 
+    shape: ClassVar[str] = "points"
     points: np.ndarray
     corners: np.ndarray = field(default=None)
 
@@ -410,10 +403,3 @@ class PointSet(RegionND):
 
     def boundary_grid(self, box_lo, box_hi) -> np.ndarray:
         return self.points.copy()
-
-    def describe(self) -> dict:
-        return {
-            "shape": "points",
-            "points": self.points.tolist(),
-            "corners": self.corners.tolist(),
-        }

@@ -251,16 +251,29 @@ def test_a_command_run_records_its_own_peak_rss(tmp_path, monkeypatch):
     assert not got["summary"]["peak_rss_mb"]["within_bound"]
 
 
-def test_the_part1_target_runs_the_univariate_battery(tmp_path, monkeypatch):
-    assert bench_pairs.COMMANDS["part1"][1:] == ["scripts/run_part1.py", "--out-dir"]
+def run_stub_target(target, tmp_path, monkeypatch):
+    """Two pairs of the command target ``target`` with its argv swapped for
+    ``STUB``; the summary of the target."""
     sides = []
     for name in ("parent", "change"):
         (tmp_path / name / "src").mkdir(parents=True)
         (tmp_path / name / "src" / "marker.py").write_text("VALUE = 'same'\n")
         sides.append(str(tmp_path / name))
     (tmp_path / "change" / "BENCHMARK.json").write_bytes(BENCHMARK.read_bytes())
-    monkeypatch.setitem(bench_pairs.COMMANDS, "part1", [sys.executable, "-c", STUB])
+    monkeypatch.setitem(bench_pairs.COMMANDS, target, [sys.executable, "-c", STUB])
     out = tmp_path / "BENCH.json"
-    bench_pairs.main([*sides, "--command", "part1", "--pairs", "2", "--out", str(out)])
-    got = json.loads(out.read_text())["commands"]["part1"]
-    assert got["summary"]["pairs_failed"] == 0 and got["summary"]["wall_s"]["pairs"] == 2
+    bench_pairs.main([*sides, "--command", target, "--pairs", "2", "--out", str(out)])
+    return json.loads(out.read_text())["commands"][target]["summary"]
+
+
+def test_the_part1_target_runs_the_univariate_battery(tmp_path, monkeypatch):
+    assert bench_pairs.COMMANDS["part1"][1:] == ["scripts/run_part1.py", "--out-dir"]
+    summary = run_stub_target("part1", tmp_path, monkeypatch)
+    assert summary["pairs_failed"] == 0 and summary["wall_s"]["pairs"] == 2
+
+
+def test_the_part2_target_runs_the_bivariate_battery_at_its_defaults(tmp_path, monkeypatch):
+    # no --threads: run_part2.py's own default, 4 workers
+    assert bench_pairs.COMMANDS["part2"][1:] == ["scripts/run_part2.py", "--out-dir"]
+    summary = run_stub_target("part2", tmp_path, monkeypatch)
+    assert summary["pairs_failed"] == 0 and summary["wall_s"]["pairs"] == 2

@@ -610,6 +610,9 @@ BAD_INPUT = [
      "parse", "--alphas: bad number in '0.05,1_0'"),
     ("uni-true-mean-underscore", UNI + ["--true-mean", "1_0"],
      "parse", "--true-mean: bad number in '1_0'"),
+    # a covariance is for simulate runs; pval2d resamples its data instead
+    ("pval2d-cov", PVAL2D + ["--config", "{d}/box_cov.cfg"],
+     "parse", "{d}/box_cov.cfg: pval2d takes no key 'cov'"),
 ]
 
 
@@ -664,6 +667,8 @@ def bad_input_dir(tmp_path, table1):
                                         "covariance = 2, 0 ; 0, 2\n"),
                        ("rectangle_normal", "shape = rectangle\nlo = -1, -1\nhi = 1, 1\n"
                                             "normal = 5, 5\n"),
+                       ("box_cov", "shape = rectangle\nlo = -1, -1\nhi = 1, 1\n"
+                                   "cov = 9, 0 ; 0, 9\n"),
                        ("empty_field", "shape = rectangle\nlo = -1,,-1\nhi = 1, 1\n"),
                        ("empty_row", "shape = points\npoints = 0,0 ;; 1,1\n"),
                        ("trailing_semicolon", "shape = halfspace\nnormal = 1, 0\noffset = 0\n"

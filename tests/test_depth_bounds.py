@@ -338,6 +338,9 @@ def test_bounds_bracket_the_kernel_count(case):
     lo_d, hi_d = screen_bounds(cloud)
     exact = depth_of(cloud, cloud, "simplicial")
     assert (lo_d <= exact).all() and (exact <= hi_d).all()
+    # no lower bound, wide or tight, is below the least depth of a cloud point
+    least = depth_module._least_depth(cloud.shape[0])
+    assert (lo_d >= least).all()
     # the rows that pass the edge check, of every shape: tight spans bracket too
     hist = _sector_histograms(cloud)
     clear = np.flatnonzero(_edge_clear(cloud, np.arange(cloud.shape[0])))
@@ -351,6 +354,7 @@ def test_bounds_bracket_the_kernel_count(case):
     idx, lo_t, hi_t = checked.tight_bounds(clear, rows)
     assert np.array_equal(idx, clear)
     assert (lo_t <= exact[idx]).all() and (exact[idx] <= hi_t).all()
+    assert (lo_t >= least).all()
 
 
 def test_most_gaussian_rows_pass_the_edge_check():
@@ -595,17 +599,35 @@ def test_query_alone_can_overflow_the_range():
         depth_of(cloud, [[0.0, -1.7e308]], "simplicial")
 
 
-def test_overflowing_direction_sums_get_trivial_bounds():
+def test_overflowing_direction_sums_get_exact_depths():
     # each axis spans 1.6e308, a finite range, but |dx| + |dy| overflows
-    # between opposite corners
+    # between opposite corners: the sectors are not computed, and every
+    # point's bounds are its exact depth
     pts = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.8e308, -0.8e308],
                     [-0.8e308, 0.8e308], [0.0, 0.0], [1.0, 2.0]])
     cloud = np.vstack([pts, [[0.1e308, -0.3e308]]])
     lo, hi = screen_bounds(cloud)
     exact = depth_of(cloud, cloud, "simplicial")
-    assert (lo <= exact).all() and (exact <= hi).all()
-    assert lo[0] == 0.0 and hi[0] == 1.0  # (0.8e308, 0.8e308) sees its opposite corner
+    assert np.array_equal(lo, exact) and np.array_equal(hi, exact)
     assert np.isfinite(exact).all()
+
+
+@given(m=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_p_values_of_clouds_whose_direction_sums_overflow(m, seed):
+    # the corners make each axis span 1.6e308, a finite range, while |dx| +
+    # |dy| overflows between opposite corners; the boxes lie inside that range
+    rng = np.random.default_rng(seed)
+    corners = np.array([[0.8e308, 0.8e308], [-0.8e308, -0.8e308], [0.8e308, -0.8e308],
+                        [-0.8e308, 0.8e308]])
+    pts = np.vstack([corners, rng.uniform(-0.8, 0.8, size=(m, 2)) * 1e308])
+    for _ in range(3):
+        ends = np.sort(rng.uniform(-0.8, 0.8, size=(2, 2)) * 1e308, axis=0)
+        box = Rectangle(lower=ends[0], upper=ends[1])
+        assert astuple(p_multi(pts, "simplicial", box)) == astuple(
+            reference_p_multi(pts, "simplicial", box))
+        assert astuple(p_multi_max(pts, "simplicial", box)) == astuple(
+            reference_p_multi_max(pts, "simplicial", box))
 
 
 # -- one set of checks per p-value ------------------------------------------------
@@ -698,9 +720,8 @@ def hull_least(pts, inside=None):
     """``_CheckedCloud.least`` of a cloud's own points, every point inside
     unless said otherwise."""
     checked = depth_module._CheckedCloud.check(pts, "simplicial")
-    _, span = checked.queries(checked.pts)
     inside = np.ones(checked.pts.shape[0], dtype=bool) if inside is None else inside
-    return checked.least(inside, span)
+    return checked.least(inside)
 
 
 @st.composite
