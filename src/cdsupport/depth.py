@@ -1129,9 +1129,10 @@ def _sector_histograms(pts: np.ndarray, hist: np.ndarray | None = None) -> np.nd
     else:
         hist.fill(0)
     left, right = _lefts(pts), _rights(pts)
-    # bands of CHUNK_PAIRS // side points, side itself at CHUNK_PAIRS = 2^15
+    # square tiles of side isqrt(CHUNK_PAIRS) points: for any N and s =
+    # isqrt(N), N // (N // s) == s, so items of N // s pairs make such bands
     side = math.isqrt(CHUNK_PAIRS)
-    bands = _blocks(m, side)
+    bands = _blocks(m, CHUNK_PAIRS // side)
     offsets, shift = _tile_offsets(side)
     work = _kept("work", 4 * CHUNK_PAIRS, np.float64).reshape(4, -1)
     for i, j in itertools.combinations_with_replacement(range(len(bands)), 2):
@@ -1350,7 +1351,7 @@ def _multi(cloud: _CheckedCloud, region: RegionND, bounds, corners) -> MultiPVal
 
 
 def _result(m: int, inside: int, tail: int, floor: float, source: str,
-            corners=()) -> MultiPValue:
+            corners) -> MultiPValue:
     """The ``MultiPValue`` of a cloud of m replicates, from the counts of
     those inside the region and of those in the tail, the depth floor and
     its source, and per corner the count at or below its depth.  Each share
