@@ -13,7 +13,9 @@ grid; 300 and 2000 bootstrap replicates), ``bioeq`` and bivariate
 ``simulate --config`` reports (1 and 2 replication workers) on inputs written
 by the tests.  They were recorded from the implementation in which ``pval2d``
 chunked the depths itself and ``p_multi`` computed every depth in one pass,
-and the ``pval2d`` digests were the same on 1 and 2 depth threads.
+and the ``pval2d`` digests were the same on 1 and 2 depth threads.  The
+``bioeq_*`` edge cases were recorded later, from the implementation that
+read the two equivalence tails from two scalar ``cdf`` calls.
 
 ``golden_part2.json`` holds sha256 digests of the sorted p-values and of the
 summary of every ``scripts/run_part2.py`` case run at a reduced size
@@ -183,6 +185,22 @@ CLI_CASES["bioeq"] = (
      "--var-d", "83.623", "--lower", "-16.51", "--upper", "16.51"],
     (None,),
 )
+# the edges of the equivalence test: infinite limits, and a mean difference that
+# overflows to +inf, so that the CD puts no mass below +inf and p is 1
+_BIOEQ_EDGE = ["bioeq", "--n1", "10", "--n2", "10"]
+CLI_CASES.update({
+    f"bioeq_{name}": (_BIOEQ_EDGE + argv, (None,))
+    for name, argv in {
+        "lower_inf": ["--mean-t", "5", "--mean-r", "4", "--var-d", "40",
+                      "--lower=-inf", "--upper", "8"],
+        "upper_inf": ["--mean-t", "5", "--mean-r", "4", "--var-d", "40",
+                      "--lower", "-8", "--upper=inf"],
+        "both_inf": ["--mean-t", "5", "--mean-r", "4", "--var-d", "40",
+                     "--lower=-inf", "--upper=inf"],
+        "centre_overflow": ["--mean-t", "1e308", "--mean-r", "-1e308", "--var-d", "4",
+                            "--lower", "-8", "--upper", "8"],
+    }.items()
+})
 CLI_CASES.update({
     f"simulate_{depth}": (
         ["simulate", "--config", "sim.cfg", "--true-mean", "0,0", "--n", "40",
