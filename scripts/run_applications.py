@@ -15,7 +15,8 @@ import json
 
 import numpy as np
 
-from cdsupport import Rectangle, bioeq_cd, bioeq_tails, bootstrap_cloud, p_multi
+from cdsupport import Rectangle, bioeq_cd, bioeq_null, bootstrap_cloud, p_multi
+from cdsupport.support import support_table
 
 # paired differences (average queue length, average waiting time) between a
 # single-server queueing model and the measured system, 15 runs
@@ -32,7 +33,9 @@ MODEL_SYSTEM_DIFFS = np.array(
 def bio_equivalence() -> dict:
     cd = bioeq_cd(n1=12, n2=12, mean_t=80.272, mean_r=82.559, var_d=83.623)
     lower, upper = -16.51, 16.51
-    tails = dict(zip(("lower", "upper"), bioeq_tails(cd, lower, upper)))
+    # the two tails are the direct supports of the null's two pieces
+    table = support_table(cd, bioeq_null(lower, upper))
+    tails = dict(zip(("lower", "upper"), table.direct[:, 0].tolist()))
     return {
         "application": "bio-equivalence",
         "difference": cd.center,

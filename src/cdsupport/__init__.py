@@ -38,8 +38,8 @@ from .simulate import (
 from .support import (
     SupportReport,
     bioeq_cd,
+    bioeq_null,
     bioeq_p,
-    bioeq_tails,
     direct_support,
     p_value,
 )

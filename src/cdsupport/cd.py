@@ -73,7 +73,10 @@ class ConfidenceDistribution:
         else:
             from scipy import special
 
-            z = (th - self.center) / self.scale
+            # an infinite theta is its own z, so H(-inf) = 0 and H(inf) = 1 also
+            # for a centre that overflowed to infinity (inf - inf is NaN)
+            with np.errstate(invalid="ignore"):
+                z = np.where(np.isinf(th), th, (th - self.center) / self.scale)
             out = special.stdtr(self.df, z) if self.kind == "exact-t" else special.ndtr(z)
         return float(out) if np.ndim(out) == 0 else out
 

@@ -384,8 +384,9 @@ def cmd_pval2d(args) -> dict:
 
 def cmd_bioeq(args) -> dict:
     cd = support.bioeq_cd(args.n1, args.n2, args.mean_t, args.mean_r, args.var_d)
-    lower_tail, upper_tail = support.bioeq_tails(cd, args.lower, args.upper)
-    p = max(lower_tail, upper_tail)
+    table = support.support_table(cd, support.bioeq_null(args.lower, args.upper))
+    lower_tail, upper_tail = table.direct[:, 0].tolist()
+    p = support.METHODS["max-direct"](table).item()
     alphas = _parse_vector(args.alphas, "--alphas")
     if not all(0.0 < a < 1.0 for a in alphas):
         raise ValueError(f"--alphas must lie in (0, 1), got {alphas}")

@@ -176,10 +176,6 @@ class BootstrapCloud:
     def m(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 def _check_seed(seed) -> None:
     """Reject a negative integer seed, alone or as an entry of a sequence,

@@ -42,7 +42,12 @@ __all__ = [
 
 @dataclass(frozen=True, order=True)
 class Interval:
-    """Closed interval [lo, hi] on the extended reals; lo == hi is a singleton."""
+    """Closed interval [lo, hi] on the extended reals; lo == hi is a singleton.
+
+    The points at infinity, {-inf} and {+inf}, are singletons too, and carry
+    zero support under every CD; text input stays finite, because
+    ``parse_region`` reads only finite endpoints and singletons.
+    """
 
     lo: float
     hi: float
@@ -52,8 +57,6 @@ class Interval:
             raise ValueError("interval endpoints must not be NaN")
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi}]")
-        if math.isinf(self.lo) and self.lo > 0 or math.isinf(self.hi) and self.hi < 0:
-            raise ValueError("interval must be a subset of the extended reals")
 
     @property
     def is_singleton(self) -> bool:

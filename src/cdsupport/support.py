@@ -17,8 +17,10 @@ and the harness, trading size control against power:
 
 A CD whose center and scale are arrays stands for a block of CDs; its table
 has one column per CD, so the Monte Carlo harness and the scalar calls share
-this one code path.  ``bioeq_cd``, ``bioeq_tails`` and ``bioeq_p`` are the
-paper's two one-sided equivalence test.
+this one code path.  ``bioeq_cd``, ``bioeq_null`` and ``bioeq_p`` are the
+paper's two one-sided equivalence test, an intersection-union test: its two
+tails are the direct supports of the pieces of (-inf, lower] u [upper, inf),
+and its p-value is the ``max-direct`` reading of their table.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
     "direct_support",
     "p_value",
     "bioeq_cd",
-    "bioeq_tails",
+    "bioeq_null",
     "bioeq_p",
 ]
 
@@ -176,11 +178,12 @@ def bioeq_cd(
     )
 
 
-def bioeq_tails(cd: ConfidenceDistribution, lower: float, upper: float) -> tuple[float, float]:
-    """The two one-sided equivalence tails (H(lower), 1 - H(upper))."""
+def bioeq_null(lower: float, upper: float) -> NullRegion:
+    """The equivalence null (-inf, lower] u [upper, inf); an infinite limit
+    leaves its piece the point at infinity, which carries no support."""
     if not lower < upper:
         raise ValueError(f"equivalence limits must satisfy lower < upper, got [{lower}, {upper}]")
-    return float(cd.cdf(lower)), float(1.0 - cd.cdf(upper))
+    return NullRegion((Interval(-math.inf, lower), Interval(upper, math.inf)))
 
 
 def bioeq_p(
@@ -188,4 +191,5 @@ def bioeq_p(
     lower: float, upper: float,
 ) -> float:
     """Two one-sided equivalence p-value max{H(lower), 1 - H(upper)}."""
-    return max(bioeq_tails(bioeq_cd(n1, n2, mean_t, mean_r, var_d), lower, upper))
+    cd = bioeq_cd(n1, n2, mean_t, mean_r, var_d)
+    return _max_direct(support_table(cd, bioeq_null(lower, upper))).item()

@@ -6,18 +6,37 @@ file, and its integer ``--seed`` is the one whose 32-bit words, low first,
 are the words of s, then r, then 1: numpy's entropy for the list (s, r, 1),
 so it resamples from the same stream.  The CLI's p, the library's on the same sample and
 seed, and the harness's for replication r must then be equal bit for bit.
+
+The equivalence test is one more reading of the support table: the CLI's tails
+equal the two scalar tails H(lower) and 1 - H(upper), and ``support_table``
+makes the one ``cdf`` call of every front end.
 """
 
+import inspect
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cdsupport import ExperimentSpec, bootstrap_cloud, parse_region, sample_cd, simulate
+from cdsupport import (
+    ExperimentSpec,
+    bioeq_cd,
+    bioeq_p,
+    bootstrap_cloud,
+    parse_region,
+    sample_cd,
+    simulate,
+    support,
+)
+from cdsupport.cd import ConfidenceDistribution
 from cdsupport.cli import METHOD_TOKENS, load_region_config, main
 from cdsupport.depth import MULTI_METHODS
 from cdsupport.support import METHODS, support_table
+
+ROOT = Path(__file__).resolve().parents[1]
 
 REPS = range(3)
 
@@ -105,3 +124,71 @@ def test_pval2d_library_and_simulate_agree(config, depth, truth, n, seed, tmp_pa
         cloud = bootstrap_cloud(data, 100, seed=[seed, r, 1])
         library = MULTI_METHODS[method](cloud, depth, region).p
         assert report.get("p_max", report["p_multi"]) == library == harness[r]
+
+
+# -- the equivalence test reads the one support table ---------------------------
+
+
+@st.composite
+def equivalence_limits(draw) -> tuple:
+    lower = draw(st.one_of(st.just(-math.inf), st.floats(-60.0, 60.0)))
+    upper = draw(st.one_of(st.just(math.inf), st.floats(-60.0, 60.0)).filter(lambda u: lower < u))
+    return lower, upper
+
+
+@given(n1=st.integers(2, 40), n2=st.integers(2, 40), mean_t=st.floats(-50.0, 50.0),
+       mean_r=st.floats(-50.0, 50.0), var_d=st.floats(1e-6, 2500.0),
+       limits=equivalence_limits())
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bioeq_tails_are_the_two_scalar_cdf_tails(n1, n2, mean_t, mean_r, var_d, limits,
+                                                   tmp_path):
+    lower, upper = limits
+    report = _cli_report(["bioeq", f"--n1={n1}", f"--n2={n2}", f"--mean-t={mean_t!r}",
+                          f"--mean-r={mean_r!r}", f"--var-d={var_d!r}", f"--lower={lower!r}",
+                          f"--upper={upper!r}"], tmp_path / "bioeq.json")
+    # the two one-sided tails as scalar c.d.f. values, the reference formula
+    cd = bioeq_cd(n1, n2, mean_t, mean_r, var_d)
+    want = float(cd.cdf(lower)), float(1.0 - cd.cdf(upper))
+    assert (report["lower_tail"], report["upper_tail"]) == want
+    assert report["p"] == max(want) == bioeq_p(n1, n2, mean_t, mean_r, var_d, lower, upper)
+
+
+def test_one_cdf_call_per_support_table(tmp_path, monkeypatch):
+    calls = {"cdf": 0, "table": 0}
+    cdf, table = ConfidenceDistribution.cdf, support.support_table
+
+    def counted_cdf(self, theta):
+        calls["cdf"] += 1
+        return cdf(self, theta)
+
+    def counted_table(cd, region):
+        calls["table"] += 1
+        return table(cd, region)
+
+    monkeypatch.setattr(ConfidenceDistribution, "cdf", counted_cdf)
+    monkeypatch.setattr(support, "support_table", counted_table)
+    monkeypatch.setattr(simulate, "BLOCK_FLOATS", 20 * 100)
+    _write_rows(tmp_path / "x.csv", np.random.default_rng(3).standard_normal((20, 1)).tolist())
+    # name -> (argv, tables): a query reads one table, a simulation one per
+    # block of 100 replications
+    runs = {
+        "pval": (["pval", "--input", str(tmp_path / "x.csv"), "--region",
+                  "[-0.2,0.1];[0.9,inf)"], 1),
+        "bioeq": (["bioeq", "--n1", "12", "--n2", "12", "--mean-t", "80.272", "--mean-r",
+                   "82.559", "--var-d", "83.623", "--lower", "-16.51", "--upper", "16.51"], 1),
+        "simulate": (["simulate", "--region", "[0,0.1]", "--true-mean", "0", "--n", "20",
+                      "--reps", "300", "--cd", "t", "--seed", "1", "--threads", "1"], 3),
+    }
+    for name, (argv, tables) in runs.items():
+        calls.update(cdf=0, table=0)
+        _cli_report(argv, tmp_path / f"{name}.json")
+        assert calls == {"cdf": tables, "table": tables}, name
+
+
+def test_support_table_is_the_one_cdf_call_site():
+    sites = [(path.name, line.strip())
+             for path in sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "scripts").glob("*.py")])
+             for line in path.read_text().splitlines() if ".cdf(" in line]
+    assert sites == [("support.py", "h = cd.cdf(ends)")]
+    assert "h = cd.cdf(ends)" in inspect.getsource(support_table)

@@ -77,6 +77,37 @@ class TestNullRegion:
             NullRegion(())
 
 
+class TestPointsAtInfinity:
+    """{-inf} and {+inf} are closed intervals of the extended reals; text
+    input cannot name them."""
+
+    def test_they_construct(self):
+        for end in (-math.inf, math.inf):
+            assert Interval(end, end).is_singleton
+
+    def test_out_of_order_still_rejected(self):
+        with pytest.raises(ValueError, match="out of order"):
+            Interval(math.inf, 1.0)
+
+    def test_a_half_line_absorbs_its_point(self):
+        lower, upper = Interval(-math.inf, 0.0), Interval(1.0, math.inf)
+        points = (Interval(-math.inf, -math.inf), Interval(math.inf, math.inf))
+        assert NullRegion((lower, upper) + points) == NullRegion((lower, upper))
+        assert NullRegion((Interval(0.0, 1.0),) + points).pieces == (
+            points[0], Interval(0.0, 1.0), points[1])
+
+    @pytest.mark.parametrize("text,message", [
+        ("inf", "malformed region piece 'inf': singleton must be finite"),
+        ("-inf", "malformed region piece '-inf': singleton must be finite"),
+        ("[inf,inf]", "malformed region piece '[inf,inf]': endpoint must be finite"),
+        ("(-inf,-inf]", "malformed region piece '(-inf,-inf]': endpoint must be finite"),
+    ])
+    def test_text_cannot_name_them(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_region(text)
+        assert str(info.value) == message
+
+
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
 

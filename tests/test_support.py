@@ -8,6 +8,7 @@ from scipy import integrate, special
 
 from cdsupport import (
     bioeq_cd,
+    bioeq_null,
     bioeq_p,
     direct_support,
     make_asymptotic_normal_cd,
@@ -15,8 +16,11 @@ from cdsupport import (
     make_student_t_cd,
     p_value,
     parse_region,
+    sample_cd,
 )
-from cdsupport.regions import Interval
+from cdsupport.cd import CD_TOKENS
+from cdsupport.regions import Interval, NullRegion
+from cdsupport.support import METHODS, support_table
 from helpers import (
     cd_pdf,
     extended_indirect_support,
@@ -316,6 +320,24 @@ class TestBioeq:
     def test_infinite_limits_vanish(self):
         assert bioeq_p(12, 12, 1.0, 0.0, 4.0, -math.inf, math.inf) == 0.0
 
+    def test_null_is_two_half_lines(self):
+        assert bioeq_null(-1.0, 2.0).pieces == (Interval(-math.inf, -1.0),
+                                                Interval(2.0, math.inf))
+        # an infinite limit leaves its piece the point at infinity
+        assert bioeq_null(-math.inf, math.inf).pieces == (
+            Interval(-math.inf, -math.inf), Interval(math.inf, math.inf))
+        for lower, upper in ((1.0, 1.0), (2.0, 1.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match=r"^equivalence limits must satisfy lower < upper"):
+                bioeq_null(lower, upper)
+
+    def test_overflowing_difference_puts_all_mass_at_infinity(self):
+        # 1e308 - (-1e308) overflows; H is still 0 at -inf and 1 at +inf
+        for mean_t, want in ((1e308, [0.0, 0.0, 0.0, 1.0]), (-1e308, [0.0, 1.0, 1.0, 1.0])):
+            cd = bioeq_cd(10, 10, mean_t, -mean_t, 4.0)
+            assert cd.cdf(np.array([-math.inf, -8.0, 8.0, math.inf])).tolist() == want
+        assert bioeq_p(10, 10, 1e308, -1e308, 4.0, -8.0, 8.0) == 1.0
+        assert bioeq_p(10, 10, -1e308, 1e308, 4.0, -8.0, 8.0) == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bioeq_p(12, 12, 1.0, 0.0, 4.0, 1.0, 1.0)
@@ -323,3 +345,27 @@ class TestBioeq:
             bioeq_p(1, 12, 1.0, 0.0, 4.0, -1.0, 1.0)
         with pytest.raises(ValueError):
             bioeq_p(12, 12, 1.0, 0.0, 0.0, -1.0, 1.0)
+
+
+@st.composite
+def _regions(draw) -> NullRegion:
+    ends = st.floats(-3.0, 3.0)
+    pieces = [Interval(*sorted((draw(ends), draw(ends)))) for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        pieces.append(Interval(-math.inf, draw(ends)))
+    if draw(st.booleans()):
+        pieces.append(Interval(draw(ends), math.inf))
+    return NullRegion(tuple(pieces))
+
+
+@given(region=_regions(), kind=st.sampled_from(CD_TOKENS), n=st.integers(2, 12),
+       seed=st.integers(0, 2**32),
+       points=st.sampled_from([(-math.inf,), (math.inf,), (-math.inf, math.inf)]))
+@settings(max_examples=150, deadline=None)
+def test_points_at_infinity_leave_every_mapping_unchanged(region, kind, n, seed, points):
+    # each point at infinity is a piece of zero support, or merges into a half-line
+    cd, _, _ = sample_cd(kind, np.random.default_rng(seed).standard_normal(n), 100, seed)
+    padded = NullRegion(region.pieces + tuple(Interval(e, e) for e in points))
+    plain, more = support_table(cd, region), support_table(cd, padded)
+    for name, mapping in METHODS.items():
+        assert mapping(more).tobytes() == mapping(plain).tobytes(), name
