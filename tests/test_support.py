@@ -337,6 +337,7 @@ class TestBioeq:
             assert cd.cdf(np.array([-math.inf, -8.0, 8.0, math.inf])).tolist() == want
         assert bioeq_p(10, 10, 1e308, -1e308, 4.0, -8.0, 8.0) == 1.0
         assert bioeq_p(10, 10, -1e308, 1e308, 4.0, -8.0, 8.0) == 1.0
+        assert bioeq_p(10, 10, -1e308, 1e308, 4.0, -math.inf, 8.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
